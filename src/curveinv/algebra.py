@@ -310,7 +310,7 @@ class MPoly:
         return MPoly(self.ctx, self.vars, out)
 
     def normalized(self) -> "MPoly":
-        """Scaled so the graded-lex leading coefficient is one."""
+        """Divided by its graded-lex leading coefficient, which becomes one."""
         if self.is_zero():
             return self
         _, c = self._lead()

@@ -148,15 +148,6 @@ class InfinitelyNearTree:
         }
 
 
-def _tree_of(f: MPoly, prefer: str) -> InfinitelyNearTree:
-    m = f.order()
-    node = InfinitelyNearTree(m)
-    if m >= 2:
-        for ch in strict_transform(f, prefer):
-            node.children.append((ch.chart, ch.center, _tree_of(ch.local_eq, prefer)))
-    return node
-
-
 def run_with_restarts(f: MPoly, builder):
     """Run ``builder(f)``, enlarging the field and restarting on
     :class:`NeedsExtension`; returns (f over the final context, result)."""
@@ -169,16 +160,3 @@ def run_with_restarts(f: MPoly, builder):
                 raise InternalCheckError("direction split made no progress")
             f = embed_poly(f, ctx2)
     raise InternalCheckError("too many field extensions while resolving")
-
-
-def build_tree(f: MPoly, prefer: str = "x_first") -> InfinitelyNearTree:
-    """Infinitely near tree of the germ at the origin (restarting internally).
-
-    Multiplicity-one nodes are leaves; every node of multiplicity at least
-    two is blown up.  The germ must vanish at the origin and be reduced for
-    the recursion to terminate.
-    """
-    if not f.constant_term().is_zero():
-        raise NotSingularAtOrigin("germ does not vanish at the origin")
-    _, tree = run_with_restarts(f, lambda g: _tree_of(g, prefer))
-    return tree

@@ -5,7 +5,8 @@ no timestamps, no floats, byte-identical across runs of the same command
 line.  Text output is for people and carries no stability promise.
 
 Exit codes: 0 success, 1 usage or input validation, 2 a structural relation
-or oracle comparison failed (a library defect, worth a bug report), 3 the
+or oracle comparison failed or an unexpected exception escaped (a library
+defect, worth a bug report; stderr carries a one-line repro), 3 the
 randomized oracles gave up too often to be conclusive.  ``local verify``
 instead exits with the number of failed relations, so 0 still means clean.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import shlex
 import sys
 
 from .algebra import MPoly, parse_poly
@@ -42,9 +44,9 @@ from .errors import (
 from .invariants import (
     ExtNat,
     GammaBudget,
-    _branches_of,
     analyze_local,
     delta,
+    germ,
     intersection_multiplicity,
     verify_relations,
 )
@@ -102,9 +104,7 @@ def _local_input(args) -> MPoly:
 
 
 def _budget(args) -> GammaBudget | None:
-    if getattr(args, "seed", None) is None:
-        return None
-    return GammaBudget(seed=args.seed)
+    return None if args.seed is None else GammaBudget(seed=args.seed)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -119,7 +119,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _branch_payload(f: MPoly, prec: int) -> dict:
-    bs = _branches_of(f)
+    bs = germ(f).branches
     rows = []
     for b in bs.branches:
         xs, ys = b.param(prec)
@@ -141,14 +141,14 @@ def cmd_local_analyze(args) -> int:
     if args.emit_branches:
         data["branches"] = _branch_payload(f, args.prec)
     if args.emit_tree:
-        data["tree"] = _branches_of(f).tree.to_json()
+        data["tree"] = germ(f).branches.tree.to_json()
     _emit(data, args.json)
     return 0
 
 
 def cmd_local_verify(args) -> int:
     f = _local_input(args)
-    rels = verify_relations(f, _budget(args))
+    rels = verify_relations(f)
     failed = sorted(k for k, v in rels.items() if v == "fail")
     data = {
         "char": args.char,
@@ -312,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ve = local_sub.add_parser("verify", help="check the structural relations")
     _add_poly_args(ve)
-    ve.add_argument("--seed", type=int, help="seed for the coordinate search")
     ve.set_defaults(func=cmd_local_verify)
 
     proj = top.add_parser("projective", help="plane projective curves")
@@ -384,6 +383,16 @@ def main(argv=None) -> int:
         return 3
     except InternalCheckError as exc:
         print(f"relation failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a stray exception is a defect in this library, not bad input
+        argv = sys.argv[1:] if argv is None else argv
+        message = " ".join(str(exc).split())
+        print(
+            f"internal error: {type(exc).__name__}: {message}; "
+            f"repro: {shlex.join(['curveinv', *argv])}",
+            file=sys.stderr,
+        )
         return 2
 
 

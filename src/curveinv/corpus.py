@@ -23,7 +23,7 @@ import shlex
 from dataclasses import dataclass
 
 from .algebra import MPoly, parse_poly, resultant, squarefree_part
-from .errors import CurveInvError, ShearExhausted
+from .errors import ShearExhausted
 from .field import FieldCtx
 from .invariants import delta, intersection_multiplicity, verify_relations
 from .oracle import delta_semigroup, i_resultant
@@ -223,7 +223,9 @@ def evaluate_item(item: CorpusItem) -> dict:
             out["oracle_intersection"] = "agree" if same else "disagree"
         except ShearExhausted:
             out["oracle_intersection"] = "skip"
-    except CurveInvError as exc:
+    except Exception as exc:
+        # any failure, a stray internal exception included, fails this item
+        # only; the rest of the corpus still runs
         out["relations"] = f"error:{type(exc).__name__}"
         out["oracle_delta"] = "skip"
         out["oracle_intersection"] = "skip"

@@ -165,13 +165,6 @@ def _rp_pow_mod(ctx: "FieldCtx", base: list, e: int, mod: list) -> list:
     return result
 
 
-def _rp_eval(ctx: "FieldCtx", a: list, x):
-    acc = ctx.rzero
-    for c in reversed(a):
-        acc = ctx.radd(ctx.rmul(acc, x), c)
-    return acc
-
-
 def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
     """Rabin's criterion for a monic polynomial over a finite context."""
     n = len(mod) - 1

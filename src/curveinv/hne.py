@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .algebra import MPoly, squarefree_part
 from .blowup import InfinitelyNearTree, run_with_restarts, strict_transform
 from .errors import (
-    DegenerateDirection,
     InternalCheckError,
     NotReduced,
     NotSingularAtOrigin,
@@ -178,14 +177,20 @@ def branch_decompose(f: MPoly, *, prefer: str = "x_first", certify: bool = True)
     """
     if f.is_zero():
         raise NotReduced("the zero polynomial is not reduced")
+    if f.constant_term().is_zero() and not squarefree_part(f)[1]:
+        raise NotReduced("the curve has a repeated component")
+    return decompose_reduced(f, prefer=prefer, certify=certify)
+
+
+def decompose_reduced(
+    f: MPoly, *, prefer: str = "x_first", certify: bool = True
+) -> BranchSet:
+    """:func:`branch_decompose` for a germ whose caller has already checked
+    that it is reduced."""
     if not f.constant_term().is_zero():
         raise NotSingularAtOrigin(
             "branch decomposition was requested for a curve missing the origin"
         )
-    _, reduced = squarefree_part(f)
-    if not reduced:
-        raise NotReduced("the curve has a repeated component")
-
     f2, (tree, raws) = run_with_restarts(f, lambda g: _decompose(g, prefer))
     ctx = f2.ctx
     deg = f2.degree()
@@ -238,23 +243,3 @@ def _contact(pa: list[tuple[Edge, int]], pb: list[tuple[Edge, int]]) -> int:
             break
         total += ma * mb
     return total
-
-
-def shear(f: MPoly, direction: tuple[FieldElement, FieldElement]) -> MPoly:
-    """Coordinate change aligning the tangent line beta*y = alpha*x with y = 0.
-
-    For direction (beta, alpha) returns g(x, z) = f(x, (alpha*x - z)/beta),
-    so that g(x, alpha*x - beta*y) = f(x, y) identically; beta = 0 is
-    rejected since the line is then vertical.
-    """
-    beta, alpha = direction
-    if beta.is_zero():
-        raise DegenerateDirection("the tangent line is the y-axis")
-    ctx, vars = f.ctx, f.vars
-    x = MPoly.variable(ctx, vars, vars[0])
-    y = MPoly.variable(ctx, vars, vars[1])
-    inv = beta.inverse()
-    g = f.substitute([x, x.scale(alpha * inv) - y.scale(inv)])
-    if g.substitute([x, x.scale(alpha) - y.scale(beta)]) != f:
-        raise InternalCheckError("shear did not invert exactly")
-    return g

@@ -15,19 +15,22 @@ honest interval otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import MPoly, embed_poly, gcd_bivar, squarefree_decomposition, squarefree_part
 from .blowup import NeedsExtension, strict_transform
 from .errors import (
+    DegenerateDirection,
     InternalCheckError,
     NotReduced,
     NotSingularAtOrigin,
     UndefinedAtOrigin,
 )
 from .field import FieldCtx, FieldElement
-from .hne import BranchSet, branch_decompose
+from .hne import BranchSet, decompose_reduced
 from .series import series_order, substitute_series
 
 
@@ -124,34 +127,190 @@ def char_exceeds(p: int, n) -> bool:
     return p > n
 
 
-# Branch decompositions are reused heavily across the invariants of one germ
-# and its derived curves, so they are memoized by exact polynomial identity.
-_BS_CACHE: dict = {}
-
-
-def _branches_of(f: MPoly) -> BranchSet:
-    key = (f.ctx._key, f.vars, frozenset(f.terms.items()))
-    bs = _BS_CACHE.get(key)
-    if bs is None:
-        bs = branch_decompose(f)
-        _BS_CACHE[key] = bs
-    return bs
-
-
-def _require_reduced(f: MPoly) -> None:
-    if f.is_zero():
-        raise NotReduced("the zero polynomial is not reduced")
-    _, reduced = squarefree_part(f)
-    if not reduced:
-        raise NotReduced("the curve has a repeated component")
-
-
 def _axis_order(f: MPoly, axis: int) -> int | None:
     """Order of f restricted to the axis {x=0} (axis=0) or {y=0} (axis=1);
     None when the restriction vanishes identically."""
     other = 1 - axis
     exps = [e[other] for e in f.terms if e[axis] == 0]
     return min(exps) if exps else None
+
+
+def _require_origin(f: MPoly) -> None:
+    if not f.constant_term().is_zero():
+        raise NotSingularAtOrigin("the origin is not on the curve")
+
+
+def _min_polar_order(polars: tuple[MPoly, ...], b, bound: int) -> int | None:
+    """Least pullback order along the branch b among the nonzero polars;
+    None when every one of them vanishes on it."""
+    orders = [
+        series_order(substitute_series(h, b.x, b.y), bound)
+        for h in polars
+        if not h.is_zero()
+    ]
+    return min((o for o in orders if o is not None), default=None)
+
+
+class Germ:
+    """One reduced polynomial and everything derived from it.
+
+    Obtained through :func:`germ`, which checks reducedness once.  The branch
+    decomposition and each invariant are computed on first use and kept, so
+    the public functions below, and every derived curve they build, read one
+    shared copy instead of recomputing it.
+    """
+
+    def __init__(self, f: MPoly):
+        if f.is_zero():
+            raise NotReduced("the zero polynomial is not reduced")
+        if not squarefree_part(f)[1]:
+            raise NotReduced("the curve has a repeated component")
+        self.f = f
+
+    @cached_property
+    def branches(self) -> BranchSet:
+        return decompose_reduced(self.f)
+
+    @property
+    def mt(self) -> int:
+        return self.branches.mt
+
+    @property
+    def r(self) -> int:
+        return self.branches.r
+
+    @cached_property
+    def delta(self) -> int:
+        """Sum of m(m-1)/2 over the infinitely near tree."""
+        return self.branches.tree.delta_contribution()
+
+    @cached_property
+    def partials(self) -> tuple[MPoly, MPoly]:
+        """The two partials of f, shared by mu and kappa."""
+        return self.f.partial(0), self.f.partial(1)
+
+    @cached_property
+    def mu(self) -> ExtNat:
+        """Milnor number as the intersection number of the two partials."""
+        _require_origin(self.f)
+        if self.f.order() == 1:
+            return ExtNat(0)
+        fx, fy = self.partials
+        if fx.is_zero() and fy.is_zero():
+            raise InternalCheckError("both partials vanish on a reduced curve")
+        a, b = (fx, fy) if not fx.is_zero() else (fy, fx)
+        return intersection_multiplicity(a, b)
+
+    @cached_property
+    def kappa(self) -> ExtNat:
+        """Intersection number with a generic polar, branch by branch."""
+        bs = self.branches
+        fl = bs.f
+        # bs.f is f itself unless the branches needed a larger field
+        polars = self.partials if fl is self.f else (fl.partial(0), fl.partial(1))
+        bound = fl.degree() * max(polars[0].degree(), polars[1].degree(), 1) + 1
+        total = 0
+        for b in bs.branches:
+            o = _min_polar_order(polars, b, bound)
+            if o is None:
+                return INF
+            total += o
+        return ExtNat(total)
+
+    @cached_property
+    def gamma_tilde(self) -> int:
+        """The gamma invariant in the given coordinates.
+
+        Axis factors are split off first (each at most once for reduced f),
+        the convenient cofactor is handled through its branches, and the
+        pieces are recombined with twice their mutual intersection number
+        minus one.
+        """
+        f = self.f
+        k = 1 if all(e[0] >= 1 for e in f.terms) else 0
+        l = 1 if all(e[1] >= 1 for e in f.terms) else 0
+        if k == 0 and l == 0:
+            return self._convenient_gamma_tilde()
+        g = f.divexact(MPoly(f.ctx, f.vars, {(k, l): f.ctx.one}))
+        base = 0 if k + l == 1 else 1
+        cross = 0
+        for axis, split in ((0, k), (1, l)):
+            if split:
+                o = _axis_order(g, axis)
+                assert o is not None
+                cross += o
+        rest = germ(g).gamma_tilde if g.constant_term().is_zero() else 1
+        return base + rest + 2 * cross - 1
+
+    def _convenient_gamma_tilde(self) -> int:
+        g = self.f
+        if not g.constant_term().is_zero():
+            return 1  # unit germ
+        bs = self.branches
+        gl = bs.f
+        ctx, vars = gl.ctx, gl.vars
+        x = MPoly.variable(ctx, vars, vars[0])
+        y = MPoly.variable(ctx, vars, vars[1])
+        polars = (x * gl.partial(0), y * gl.partial(1))
+        bound = gl.degree() * (gl.degree() + 1) + 1
+        total = 0
+        for br in bs.branches:
+            o = _min_polar_order(polars, br, bound)
+            if o is None:
+                raise InternalCheckError("both polar pullbacks vanish on a branch")
+            total += o
+        ix = _axis_order(g, 0)
+        iy = _axis_order(g, 1)
+        assert ix is not None and iy is not None
+        return total - ix - iy + 1
+
+    @cached_property
+    def swan(self) -> ExtNat | None:
+        """Swan conductor mu - (2*delta - r + 1); None when mu is infinite."""
+        mu = self.mu
+        if not mu.is_finite:
+            return None
+        return mu - (2 * self.delta - self.r + 1)
+
+    @cached_property
+    def m_good(self) -> bool:
+        p = self.f.ctx.char
+        return p == 0 or all(b.mt % p != 0 for b in self.branches.branches)
+
+    @cached_property
+    def im_good(self) -> bool:
+        p = self.f.ctx.char
+        if p == 0:
+            return True
+        return all(
+            (b.ix is not None and b.ix % p != 0) or (b.iy is not None and b.iy % p != 0)
+            for b in self.branches.branches
+        )
+
+
+# One public call and the derived curves it builds (up to ~20 gamma
+# candidates, f*line, f*u, the R9 chart, squarefree pieces) fit well inside
+# this many germs, as do a few separate calls on the same f after gamma;
+# reuse across unrelated calls is not needed.
+_GERM_MEMO_SIZE = 64
+_GERMS: OrderedDict = OrderedDict()
+
+
+def germ(f: MPoly) -> Germ:
+    """The :class:`Germ` of f, from a memo of the most recently used ones.
+
+    Raises NotReduced when f is zero or has a repeated component.
+    """
+    key = (f.ctx._key, f.vars, frozenset(f.terms.items()))
+    g = _GERMS.get(key)
+    if g is not None:
+        _GERMS.move_to_end(key)
+        return g
+    g = Germ(f)
+    _GERMS[key] = g
+    if len(_GERMS) > _GERM_MEMO_SIZE:
+        _GERMS.popitem(last=False)
+    return g
 
 
 def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
@@ -181,7 +340,7 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
     for h, e in squarefree_decomposition(f):
         if not h.constant_term().is_zero():
             continue
-        bs = _branches_of(h)
+        bs = germ(h).branches
         g_loc = g if bs.ctx is g.ctx else embed_poly(g, bs.ctx)
         for b in bs.branches:
             o = series_order(substitute_series(g_loc, b.x, b.y), bound)
@@ -200,126 +359,39 @@ def multiplicity(f: MPoly) -> int:
 
 def milnor(f: MPoly) -> ExtNat:
     """Milnor number as the intersection number of the two partials."""
-    _require_reduced(f)
-    if not f.constant_term().is_zero():
-        raise NotSingularAtOrigin("the origin is not on the curve")
-    if f.order() == 1:
-        return ExtNat(0)
-    fx, fy = f.partial(0), f.partial(1)
-    if fx.is_zero() and fy.is_zero():
-        raise InternalCheckError("both partials vanish on a reduced curve")
-    a, b = (fx, fy) if not fx.is_zero() else (fy, fx)
-    return intersection_multiplicity(a, b)
+    return germ(f).mu
 
 
 def delta(f: MPoly) -> int:
     """Delta invariant: sum of m(m-1)/2 over the infinitely near tree."""
-    _require_reduced(f)
-    return _branches_of(f).tree.delta_contribution()
+    return germ(f).delta
 
 
 def branch_count(f: MPoly) -> int:
-    _require_reduced(f)
-    return _branches_of(f).r
+    return germ(f).r
 
 
 def kappa(f: MPoly) -> ExtNat:
     """Intersection number with a generic polar, branch by branch."""
-    _require_reduced(f)
-    bs = _branches_of(f)
-    fl = bs.f
-    fx, fy = fl.partial(0), fl.partial(1)
-    bound = fl.degree() * max(fx.degree(), fy.degree(), 1) + 1
-    total = 0
-    for b in bs.branches:
-        ox = None if fx.is_zero() else series_order(substitute_series(fx, b.x, b.y), bound)
-        oy = None if fy.is_zero() else series_order(substitute_series(fy, b.x, b.y), bound)
-        if ox is None and oy is None:
-            return INF
-        total += min(o for o in (ox, oy) if o is not None)
-    return ExtNat(total)
-
-
-def _gamma_tilde_convenient(g: MPoly) -> int:
-    if not g.constant_term().is_zero():
-        return 1  # unit germ
-    bs = _branches_of(g)
-    gl = bs.f
-    ctx, vars = gl.ctx, gl.vars
-    x = MPoly.variable(ctx, vars, vars[0])
-    y = MPoly.variable(ctx, vars, vars[1])
-    a = x * gl.partial(0)
-    b = y * gl.partial(1)
-    bound = gl.degree() * (gl.degree() + 1) + 1
-    total = 0
-    for br in bs.branches:
-        oa = None if a.is_zero() else series_order(substitute_series(a, br.x, br.y), bound)
-        ob = None if b.is_zero() else series_order(substitute_series(b, br.x, br.y), bound)
-        if oa is None and ob is None:
-            raise InternalCheckError("both polar pullbacks vanish on a branch")
-        total += min(o for o in (oa, ob) if o is not None)
-    ix = _axis_order(g, 0)
-    iy = _axis_order(g, 1)
-    assert ix is not None and iy is not None
-    return total - ix - iy + 1
+    return germ(f).kappa
 
 
 def gamma_tilde(f: MPoly) -> int:
-    """The gamma invariant in the given coordinates.
-
-    Axis factors are split off first (each at most once for reduced f), the
-    convenient cofactor is handled through its branches, and the pieces are
-    recombined with twice their mutual intersection number minus one.
-    """
-    _require_reduced(f)
-    ctx, vars = f.ctx, f.vars
-    k = 1 if all(e[0] >= 1 for e in f.terms) else 0
-    l = 1 if all(e[1] >= 1 for e in f.terms) else 0
-    if k == 0 and l == 0:
-        return _gamma_tilde_convenient(f)
-    axes = MPoly(ctx, vars, {(k, l): ctx.one})
-    g = f.divexact(axes)
-    base = 0 if k + l == 1 else 1
-    cross = 0
-    if k:
-        o = _axis_order(g, 0)
-        assert o is not None
-        cross += o
-    if l:
-        o = _axis_order(g, 1)
-        assert o is not None
-        cross += o
-    return base + _gamma_tilde_convenient(g) + 2 * cross - 1
+    """The gamma invariant in the given coordinates; see :attr:`Germ.gamma_tilde`."""
+    return germ(f).gamma_tilde
 
 
 def swan(f: MPoly) -> ExtNat | None:
     """Swan conductor mu - (2*delta - r + 1); None when mu is infinite."""
-    mu = milnor(f)
-    if not mu.is_finite:
-        return None
-    bs = _branches_of(f)
-    return mu - (2 * bs.tree.delta_contribution() - bs.r + 1)
+    return germ(f).swan
 
 
 def is_m_good(f: MPoly) -> bool:
-    _require_reduced(f)
-    p = f.ctx.char
-    if p == 0:
-        return True
-    return all(b.mt % p != 0 for b in _branches_of(f).branches)
+    return germ(f).m_good
 
 
 def is_im_good(f: MPoly) -> bool:
-    _require_reduced(f)
-    p = f.ctx.char
-    if p == 0:
-        return True
-    ok = True
-    for b in _branches_of(f).branches:
-        good_x = b.ix is not None and b.ix % p != 0
-        good_y = b.iy is not None and b.iy % p != 0
-        ok = ok and (good_x or good_y)
-    return ok
+    return germ(f).im_good
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +463,29 @@ def identity_change(ctx: FieldCtx, vars: tuple[str, ...], truncation: int = 3) -
     x = MPoly.variable(ctx, vars, vars[0])
     y = MPoly.variable(ctx, vars, vars[1])
     return CoordinateChange(x, y, truncation, label="identity")
+
+
+def tangent_shear(
+    ctx: FieldCtx,
+    vars: tuple[str, ...],
+    direction: tuple[FieldElement, FieldElement],
+    truncation: int = 3,
+) -> CoordinateChange:
+    """The change aligning the tangent line beta*y = alpha*x with y = 0.
+
+    For direction (beta, alpha) it fixes x and sends y to (alpha*x - y)/beta,
+    so applying it to f gives g with g(x, alpha*x - beta*y) = f(x, y); beta = 0
+    is rejected since the line is then vertical.
+    """
+    beta, alpha = direction
+    if beta.is_zero():
+        raise DegenerateDirection("the tangent line is the y-axis")
+    x = MPoly.variable(ctx, vars, vars[0])
+    y = MPoly.variable(ctx, vars, vars[1])
+    inv = beta.inverse()
+    return CoordinateChange(
+        x, x.scale(alpha * inv) - y.scale(inv), truncation, label="shear"
+    )
 
 
 @dataclass(frozen=True)
@@ -475,10 +570,10 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
     2*delta - r + 1 (that system is then a certificate of right im-goodness);
     otherwise an interval with the floor reported alongside as safe_lower.
     """
-    _require_reduced(f)
+    G = germ(f)
     budget = budget or GammaBudget()
-    bs = _branches_of(f)
-    target = 2 * bs.tree.delta_contribution() - bs.r + 1
+    bs = G.branches
+    target = 2 * G.delta - G.r + 1
     rng = random.Random(budget.seed)
     trunc = max(budget.degree, 2)
 
@@ -488,7 +583,7 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
     def consider(cand: CoordinateChange, g: MPoly) -> Optional[GammaResult]:
         nonlocal best, best_witness
         cand.truncated_inverse()
-        value = gamma_tilde(_germ_part(g))
+        value = germ(_germ_part(g)).gamma_tilde
         if best is None or value < best:
             best, best_witness = value, cand
         if value == target:
@@ -513,17 +608,12 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
             return out
 
     # tangent-aligned shears, over the (possibly extended) splitting field
-    ctx2, f2 = bs.ctx, bs.f
-    x2 = MPoly.variable(ctx2, f2.vars, f2.vars[0])
-    y2 = MPoly.variable(ctx2, f2.vars, f2.vars[1])
+    f2 = bs.f
     for b in bs.branches:
         beta, alpha = b.tangent
         if beta.is_zero() or alpha.is_zero():
             continue
-        inv = beta.inverse()
-        cand = CoordinateChange(
-            x2, x2.scale(alpha * inv) - y2.scale(inv), trunc, label="shear"
-        )
+        cand = tangent_shear(bs.ctx, f2.vars, b.tangent, trunc)
         out = consider(cand, cand.apply(f2))
         if out:
             return out
@@ -543,11 +633,6 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
         witness=best_witness,
         certified=False,
     )
-
-
-def right_im_good(f: MPoly, budget: GammaBudget | None = None) -> str:
-    """\"yes\" with a coordinate certificate, \"unknown\" otherwise (never \"no\")."""
-    return "yes" if gamma(f, budget).certified else "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -582,24 +667,25 @@ def _unit_candidates(ctx, vars, rng, tries):
             yield u
 
 
-def verify_relations(f: MPoly, budget: GammaBudget | None = None) -> dict[str, str]:
+def _germ_if_reduced(f: MPoly) -> Germ | None:
+    try:
+        return germ(f)
+    except NotReduced:
+        return None
+
+
+def verify_relations(f: MPoly) -> dict[str, str]:
     """Pass/fail/skip verdicts for the ten structural relations.
 
     Any "fail" is a defect in this library, never in the input.
     """
-    _require_reduced(f)
-    if not f.constant_term().is_zero():
-        raise NotSingularAtOrigin("the origin is not on the curve")
+    G = germ(f)
+    _require_origin(f)
     p = f.ctx.char
-    bs = _branches_of(f)
-    dlt = bs.tree.delta_contribution()
-    r = bs.r
-    mt = bs.mt
-    mu = milnor(f)
-    kap = kappa(f)
-    gt = gamma_tilde(f)
-    m_good = is_m_good(f)
-    im_good = is_im_good(f)
+    bs = G.branches
+    dlt, r, mt = G.delta, G.r, G.mt
+    mu, kap, gt = G.mu, G.kappa, G.gamma_tilde
+    m_good, im_good = G.m_good, G.im_good
     target = 2 * dlt - r + 1
     out: dict[str, str] = {}
 
@@ -617,7 +703,7 @@ def verify_relations(f: MPoly, budget: GammaBudget | None = None) -> dict[str, s
     )
     polar_target = 2 * dlt + mt - r
     verdict("R4", True, kap >= polar_target and ((kap == polar_target) == m_good))
-    sw = swan(f)
+    sw = G.swan
     verdict(
         "R5",
         char_exceeds(p, mt) and mu.is_finite,
@@ -641,18 +727,15 @@ def verify_relations(f: MPoly, budget: GammaBudget | None = None) -> dict[str, s
     if line is None:
         out["R7"] = out["R8"] = "skip"
     else:
-        prod = f * line
+        prod, ln = germ(f * line), germ(line)
         i_fl = intersection_multiplicity(f, line)
         assert i_fl.is_finite
-        gt_line = gamma_tilde(line)
-        verdict("R7", True, gamma_tilde(prod) == gt + gt_line + 2 * int(i_fl) - 1)
-        kap_prod = kappa(prod)
-        kap_line = kappa(line)
-        applicable = kap.is_finite and kap_prod.is_finite and kap_line.is_finite
+        verdict("R7", True, prod.gamma_tilde == gt + ln.gamma_tilde + 2 * int(i_fl) - 1)
+        applicable = kap.is_finite and prod.kappa.is_finite and ln.kappa.is_finite
         verdict(
             "R8",
             applicable,
-            applicable and int(kap_prod) == int(kap) + int(kap_line) + 2 * int(i_fl),
+            applicable and int(prod.kappa) == int(kap) + int(ln.kappa) + 2 * int(i_fl),
         )
 
     if r == 1:
@@ -663,8 +746,7 @@ def verify_relations(f: MPoly, budget: GammaBudget | None = None) -> dict[str, s
             raise InternalCheckError("splitting field did not split a tangent") from e
         if len(charts) != 1:
             raise InternalCheckError("one branch produced several tangent points")
-        gt_child = gamma_tilde(charts[0].local_eq)
-        law = mt * mt - mt + gt_child
+        law = mt * mt - mt + germ(charts[0].local_eq).gamma_tilde
         if b.ix != b.iy:
             verdict("R9", True, gt == law)
         else:
@@ -676,31 +758,28 @@ def verify_relations(f: MPoly, budget: GammaBudget | None = None) -> dict[str, s
     r10 = True
     checked_unit = False
     for u in _unit_candidates(f.ctx, f.vars, rng, 6):
-        fu = f * u
-        _, reduced = squarefree_part(fu)
-        if not reduced:
+        fu = _germ_if_reduced(f * u)
+        if fu is None:
             continue
         checked_unit = True
-        bsu = _branches_of(fu)
         r10 = (
-            fu.order() == mt
-            and bsu.r == r
-            and bsu.tree.delta_contribution() == dlt
-            and kappa(fu) == kap
-            and gamma_tilde(fu) == gt
-            and _axis_order(fu, 0) == _axis_order(f, 0)
-            and _axis_order(fu, 1) == _axis_order(f, 1)
+            fu.f.order() == mt
+            and fu.r == r
+            and fu.delta == dlt
+            and fu.kappa == kap
+            and fu.gamma_tilde == gt
+            and _axis_order(fu.f, 0) == _axis_order(f, 0)
+            and _axis_order(fu.f, 1) == _axis_order(f, 1)
         )
         break
     if checked_unit and r10 and m_good:
         for cand in _linear_candidates(f.ctx, f.vars, rng, 2, 2):
             g = cand.apply(f)
             for u in _unit_candidates(f.ctx, f.vars, rng, 4):
-                gu = g * u
-                _, reduced = squarefree_part(gu)
-                if not reduced:
+                gu = _germ_if_reduced(g * u)
+                if gu is None:
                     continue
-                r10 = r10 and gamma_tilde(gu) == gt
+                r10 = r10 and gu.gamma_tilde == gt
                 break
             break
     verdict("R10", checked_unit, r10)
@@ -728,7 +807,6 @@ class InvariantReport:
     im_good: bool
     right_im_good: str
     relations: dict[str, str]
-    timings: dict[str, float] | None = dc_field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -750,41 +828,33 @@ class InvariantReport:
         }
 
 
-def analyze_local(
-    f: MPoly, budget: GammaBudget | None = None, *, check: bool = True
-) -> InvariantReport:
+def analyze_local(f: MPoly, budget: GammaBudget | None = None) -> InvariantReport:
     """Full invariant report for a reduced germ at the origin.
 
-    With check=True (the default) a failed structural relation raises
-    InternalCheckError: the report is rejected rather than published.
+    A failed structural relation raises InternalCheckError: the report is
+    rejected rather than published.
     """
-    _require_reduced(f)
-    if not f.constant_term().is_zero():
-        raise NotSingularAtOrigin("the origin is not on the curve")
-    bs = _branches_of(f)
+    G = germ(f)
+    _require_origin(f)
     gm = gamma(f, budget)
-    relations = verify_relations(f, budget)
-    if check:
-        failed = sorted(k for k, v in relations.items() if v == "fail")
-        if failed:
-            raise InternalCheckError(
-                "structural relations failed: " + ", ".join(failed)
-            )
-    sw = swan(f)
+    relations = verify_relations(f)
+    failed = sorted(k for k, v in relations.items() if v == "fail")
+    if failed:
+        raise InternalCheckError("structural relations failed: " + ", ".join(failed))
     return InvariantReport(
         char=f.ctx.char,
         field=f.ctx.descriptor(),
         poly=str(f),
-        mt=bs.mt,
-        r=bs.r,
-        delta=bs.tree.delta_contribution(),
-        mu=milnor(f),
-        kappa=kappa(f),
-        gamma_tilde=gamma_tilde(f),
+        mt=G.mt,
+        r=G.r,
+        delta=G.delta,
+        mu=G.mu,
+        kappa=G.kappa,
+        gamma_tilde=G.gamma_tilde,
         gamma=gm,
-        swan=sw,
-        m_good=is_m_good(f),
-        im_good=is_im_good(f),
+        swan=G.swan,
+        m_good=G.m_good,
+        im_good=G.im_good,
         right_im_good="yes" if gm.certified else "unknown",
         relations=relations,
     )

@@ -23,17 +23,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import MPoly, embed_poly, gcd_bivar, resultant, squarefree_part
+from .algebra import MPoly, embed_poly, gcd_bivar, resultant
 from .errors import (
     EliminationDegenerate,
     InternalCheckError,
-    NotReduced,
     ShearExhausted,
     UndefinedAtOrigin,
 )
 from .field import FieldElement, embed
-from .hne import BranchSet, branch_decompose
-from .invariants import INF, ExtNat
+from .hne import BranchSet
+from .invariants import INF, ExtNat, germ
 from .projective import _validated_degree, dehomogenize, singular_points
 from .series import _tr_mul
 from .unipoly import UniPoly
@@ -159,14 +158,6 @@ def i_resultant(f: MPoly, g: MPoly, *, seed: int = 0x51EA4, retries: int = 10) -
 # ---------------------------------------------------------------------------
 
 
-def _require_reduced(f: MPoly) -> None:
-    if f.is_zero():
-        raise NotReduced("the zero polynomial is not reduced")
-    _, reduced = squarefree_part(f)
-    if not reduced:
-        raise NotReduced("the curve has a repeated component")
-
-
 def _pullback_rows(bs: BranchSet, prec: int) -> list[list[FieldElement]]:
     """One row per monomial that some branch sees below the truncation order.
 
@@ -250,8 +241,7 @@ def branch_semigroup(f: MPoly) -> SemigroupData:
     reads off the whole staircase.  The probe ceiling 2*delta + 2 is past
     the conductor, which keeps the gap count complete.
     """
-    _require_reduced(f)
-    bs = branch_decompose(f)
+    bs = germ(f).branches
     if bs.r != 1:
         raise ValueError("value semigroups are attached to single branches")
     prec = 2 * bs.tree.delta_contribution() + 3
@@ -270,8 +260,7 @@ def delta_semigroup(f: MPoly) -> int:
     since the conductor of the normalization lands that deep at worst, so
     delta = r * prec - rank of the monomial pullback matrix.
     """
-    _require_reduced(f)
-    bs = branch_decompose(f)
+    bs = germ(f).branches
     prec = 2 * bs.tree.delta_contribution() + 3
     rank = len(_pivot_columns(_pullback_rows(bs, prec)))
     return bs.r * prec - rank

@@ -25,7 +25,6 @@ from .errors import (
 from .field import FieldCtx, FieldElement
 from .invariants import (
     ExtNat,
-    GammaBudget,
     InvariantReport,
     analyze_local,
     char_exceeds,
@@ -213,9 +212,7 @@ def local_equation(F: MPoly, point) -> MPoly:
     return moved
 
 
-def singular_points(
-    F: MPoly, *, analyze: bool = True, budget: GammaBudget | None = None
-) -> list[SingularPoint]:
+def singular_points(F: MPoly, *, analyze: bool = True) -> list[SingularPoint]:
     """All singular points of the reduced curve F over the algebraic closure.
 
     The coefficient field grows as needed; the returned points, their local
@@ -242,7 +239,7 @@ def singular_points(
     out = []
     for trip in found:
         local = local_equation(work, trip)
-        report = analyze_local(local, budget) if analyze else None
+        report = analyze_local(local) if analyze else None
         out.append(SingularPoint(trip, _chart_of(trip), local, report))
     return out
 
@@ -324,13 +321,7 @@ class PluckerReport:
         }
 
 
-def plucker_analysis(
-    F: MPoly,
-    *,
-    assume_irreducible: bool = False,
-    budget: GammaBudget | None = None,
-    check: bool = True,
-) -> PluckerReport:
+def plucker_analysis(F: MPoly, *, assume_irreducible: bool = False) -> PluckerReport:
     """Global report for an irreducible reduced projective plane curve.
 
     Sums the local invariants over the singular locus and evaluates the
@@ -344,7 +335,7 @@ def plucker_analysis(
         _reject_visible_splits(F, d)
     # reports are deferred until the genus bound has had its say; delta alone
     # is much cheaper than a full local analysis
-    pts = singular_points(F, analyze=False, budget=budget)
+    pts = singular_points(F, analyze=False)
     s = len(pts)
     delta_sum = sum(delta(p.local_eq) for p in pts)
     if not assume_irreducible and 2 * delta_sum > (d - 1) * (d - 2):
@@ -353,7 +344,7 @@ def plucker_analysis(
             "irreducible curve allows"
         )
     for p in pts:
-        p.report = analyze_local(p.local_eq, budget)
+        p.report = analyze_local(p.local_eq)
     reports = [p.report for p in pts]
     mt_sum = sum(rp.mt for rp in reports)
     r_sum = sum(rp.r for rp in reports)
@@ -414,8 +405,7 @@ def plucker_analysis(
         points=pts,
         relations=relations,
     )
-    if check:
-        failed = [k for k, v in relations.items() if v == "fail"]
-        if failed:
-            raise InternalCheckError(f"projective relations failed: {', '.join(failed)}")
+    failed = [k for k, v in relations.items() if v == "fail"]
+    if failed:
+        raise InternalCheckError(f"projective relations failed: {', '.join(failed)}")
     return report

@@ -81,9 +81,6 @@ class LazySeries:
     def _compute(self, n: int) -> FieldElement:
         raise NotImplementedError
 
-    def known_prec(self) -> int:
-        return len(self._memo)
-
 
 class PolySeries(LazySeries):
     def __init__(self, ctx: FieldCtx, coeffs):
@@ -122,15 +119,6 @@ class Product(LazySeries):
             if not ca.is_zero():
                 acc = acc + ca * self._b.coefficient(n - i)
         return acc
-
-
-class Scale(LazySeries):
-    def __init__(self, c: FieldElement, a: LazySeries):
-        super().__init__(a.ctx)
-        self._c, self._a = c, a
-
-    def _compute(self, n: int) -> FieldElement:
-        return self._c * self._a.coefficient(n)
 
 
 class ComposedSeries(LazySeries):

@@ -213,12 +213,6 @@ class UniPoly:
         r = _rp_pow_mod(self.ctx, self._reps(), e, mod._reps())
         return UniPoly._from_reps(self.ctx, r)
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.ctx, [self.ctx.zero] * k + list(self.coeffs))
-
     # -- squarefree structure -------------------------------------------------
 
     def pth_root(self) -> "UniPoly":

@@ -24,12 +24,12 @@ from curveinv.corpus import (
 )
 from curveinv.field import FieldCtx
 from curveinv.invariants import (
-    _branches_of,
     branch_count,
     char_exceeds,
     delta,
     gamma,
     gamma_tilde,
+    germ,
     intersection_multiplicity,
     kappa,
     milnor,
@@ -185,7 +185,7 @@ def _seeded_branches(rng, equal_orders: bool, want: int):
         f = _branch_defining_poly(ctx, m, exps)
         if not squarefree_part(f)[1]:
             continue
-        bs = _branches_of(f)
+        bs = germ(f).branches
         if bs.r != 1:
             continue
         b = bs.branches[0]

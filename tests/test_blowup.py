@@ -7,9 +7,10 @@ import random
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
-from curveinv.blowup import NeedsExtension, build_tree, strict_transform
+from curveinv.blowup import NeedsExtension, strict_transform
 from curveinv.errors import NotSingularAtOrigin
 from curveinv.field import FieldCtx
+from curveinv.hne import branch_decompose
 
 QQ = FieldCtx.rationals()
 XY = ("x", "y")
@@ -54,13 +55,13 @@ def test_chart_identity_is_exact():
 
 
 def test_cusp_tree():
-    tree = build_tree(parse_poly("y^2-x^3", QQ))
+    tree = branch_decompose(parse_poly("y^2-x^3", QQ)).tree
     assert tree.multiplicities() == [2, 1]
     assert tree.delta_contribution() == 1
 
 
 def test_node_tree():
-    tree = build_tree(parse_poly("x*y", QQ))
+    tree = branch_decompose(parse_poly("x*y", QQ)).tree
     assert sorted(tree.multiplicities()) == [1, 1, 2]
     assert tree.delta_contribution() == 1
     assert len(tree.children) == 2
@@ -68,7 +69,7 @@ def test_node_tree():
 
 def test_tacnode_pair_tree():
     f = parse_poly("(y^2-x^3)*(y^2+x^3)", QQ)
-    tree = build_tree(f)
+    tree = branch_decompose(f).tree
     assert sorted(tree.multiplicities()) == [1, 1, 2, 2, 4]
     assert tree.delta_contribution() == 8
 
@@ -83,8 +84,8 @@ def test_chart_preference_gives_same_delta():
     ]:
         ctx = QQ if p == 0 else FieldCtx.prime(p)
         f = parse_poly(text, ctx)
-        a = build_tree(f, prefer="x_first").delta_contribution()
-        b = build_tree(f, prefer="y_first").delta_contribution()
+        a = branch_decompose(f, prefer="x_first").tree.delta_contribution()
+        b = branch_decompose(f, prefer="y_first").tree.delta_contribution()
         assert a == b
 
 
@@ -108,18 +109,18 @@ def test_strict_transform_of_reduced_stays_reduced():
 
 
 def test_irrational_direction_forces_extension():
-    tree = build_tree(parse_poly("y^2-2*x^2", QQ))
+    tree = branch_decompose(parse_poly("y^2-2*x^2", QQ)).tree
     assert sorted(tree.multiplicities()) == [1, 1, 2]
     assert tree.delta_contribution() == 1
 
 
 def test_missing_origin_rejected():
     with pytest.raises(NotSingularAtOrigin):
-        build_tree(parse_poly("1+x", QQ))
+        branch_decompose(parse_poly("1+x", QQ))
 
 
 def test_tree_json_shape():
-    data = build_tree(parse_poly("y^2-x^3", QQ)).to_json()
+    data = branch_decompose(parse_poly("y^2-x^3", QQ)).tree.to_json()
     assert data["mult"] == 2
     assert data["children"][0]["chart"] == "x"
     assert data["children"][0]["center"] == "0"

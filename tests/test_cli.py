@@ -215,3 +215,39 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestErrorContract:
+    def test_stray_exception_exits_two_with_repro(self, capsys, monkeypatch):
+        import curveinv.cli as cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("tower\nbroke")
+
+        monkeypatch.setattr(cli, "analyze_local", boom)
+        code = main(["local", "analyze", "--char", "3", "--poly", "x^3+y^4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "RuntimeError" in err
+        assert "repro: curveinv local analyze --char 3 --poly 'x^3+y^4'" in err
+
+    def test_corpus_item_records_stray_exception_and_run_continues(self, monkeypatch):
+        import curveinv.corpus as corpus
+
+        real = corpus.verify_relations
+
+        def flaky(f):
+            if str(f) == "y^2+x^3":
+                raise AssertionError("stray")
+            return real(f)
+
+        monkeypatch.setattr(corpus, "verify_relations", flaky)
+        items = [
+            corpus.CorpusItem(0, 2, "y^2+x^3", "catalog", 1),
+            corpus.CorpusItem(1, 0, "x*y", "catalog", 2),
+        ]
+        rows = corpus.run_corpus(items, workers=1)
+        assert rows[0]["relations"] == "error:AssertionError"
+        assert rows[0]["status"] == "fail"
+        assert rows[1]["status"] == "pass"

@@ -9,7 +9,8 @@ import pytest
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
 from curveinv.errors import DegenerateDirection, NotReduced, NotSingularAtOrigin
 from curveinv.field import FieldCtx
-from curveinv.hne import branch_decompose, shear
+from curveinv.hne import branch_decompose
+from curveinv.invariants import tangent_shear
 from curveinv.series import series_order, substitute_series
 
 QQ = FieldCtx.rationals()
@@ -142,7 +143,7 @@ def test_shear_aligns_diagonal_tangent():
     assert bs.r == 1
     b = bs.branches[0]
     assert b.ix == b.iy == 3
-    g = shear(f, b.tangent)
+    g = tangent_shear(f.ctx, f.vars, b.tangent).apply(f)
     gs = branch_decompose(g)
     gb = gs.branches[0]
     assert (gb.ix, gb.iy) == (3, 5)
@@ -150,7 +151,7 @@ def test_shear_aligns_diagonal_tangent():
 
 def test_shear_rejects_vertical_tangent():
     with pytest.raises(DegenerateDirection):
-        shear(parse_poly("x^2-y^3", QQ), (QQ.zero, QQ.one))
+        tangent_shear(QQ, XY, (QQ.zero, QQ.one))
 
 
 def test_not_reduced_and_missing_origin():

@@ -17,6 +17,7 @@ from curveinv.invariants import (
     delta,
     gamma,
     gamma_tilde,
+    germ,
     intersection_multiplicity,
     is_im_good,
     is_m_good,
@@ -291,3 +292,32 @@ def test_report_smooth_point():
     assert rep.mu == 0 and rep.delta == 0 and rep.kappa == 0
     assert rep.swan == 0
     assert rep.gamma_tilde == 0
+
+
+def test_germ_memo_stays_bounded(monkeypatch):
+    from curveinv import invariants
+
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    for k in range(invariants._GERM_MEMO_SIZE + 10):
+        assert delta(q(f"y-{k + 1}*x^2")) == 0
+    assert len(invariants._GERMS) == invariants._GERM_MEMO_SIZE
+
+
+def test_kappa_after_delta_reuses_the_branches(monkeypatch):
+    from curveinv import invariants
+
+    calls = []
+    real = invariants.decompose_reduced
+
+    def counting(f, **kwargs):
+        calls.append(f)
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    monkeypatch.setattr(invariants, "decompose_reduced", counting)
+    f = q("(y^2-x^3)*(y-x^2)")
+    delta(f)
+    assert len(calls) == 1
+    kappa(f)
+    assert len(calls) == 1
+    assert germ(f).kappa == kappa(f)
