@@ -25,6 +25,13 @@ CASES = {
     "analyze_qq_two_cusps": [
         "local", "analyze", "--char", "0", "--poly", "(y^2-x^3)*(y^2+x^3)", *_ANALYZE
     ],
+    "analyze_f2_gamma_interval": [
+        "local", "analyze", "--char", "2", "--poly", "y^4+x^6+x^7", *_ANALYZE
+    ],
+    "analyze_qq_extension_branches": [
+        "local", "analyze", "--char", "0", "--poly", "7*x^3+3/4*x^4+5/4*x^2*y^3-8*x*y^4",
+        *_ANALYZE,
+    ],
     "verify_f5_a4": ["local", "verify", "--char", "5", "--poly", "y^2-x^5", "--json"],
     "projective_f11_nodal_cubic": [
         "projective", "analyze", "--char", "11", "--poly", "y^2*z-x^3-x^2*z", "--json"

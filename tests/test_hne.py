@@ -161,3 +161,23 @@ def test_not_reduced_and_missing_origin():
         branch_decompose(MPoly.zero(QQ, XY))
     with pytest.raises(NotSingularAtOrigin):
         branch_decompose(parse_poly("1+x+y", QQ))
+
+
+def test_certificate_rejects_short_annihilation_and_imprimitive_params():
+    # y^2 - x^3 has degree 3, so the annihilation bound is (3+1)^2 = 16
+    from curveinv.errors import InternalCheckError
+    from curveinv.hne import _certify, _Raw
+    from curveinv.series import PolySeries
+
+    f = parse_poly("y^2-x^3", QQ)
+
+    def raw(xs, ys):
+        return _Raw(PolySeries(QQ, xs), PolySeries(QQ, ys), [(None, 2), (("x", None), 1)])
+
+    t2 = [0, 0, 1]
+    off_at_16 = raw(t2, [0, 0, 0, 1] + [0] * 9 + [1])  # y = t^3 + t^13
+    with pytest.raises(InternalCheckError, match="order 16"):
+        _certify(f, off_at_16, 1, 2)
+    _certify(f, raw(t2, [0, 0, 0, 1] + [0] * 10 + [1]), 1, 2)  # y = t^3 + t^14
+    with pytest.raises(InternalCheckError, match="not primitive"):
+        _certify(f, raw([0, 0, 0, 0, 1], [0] * 6 + [1]), 1, 2)  # (t^4, t^6)
