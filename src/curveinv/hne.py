@@ -26,15 +26,7 @@ from .errors import (
     NotSingularAtOrigin,
 )
 from .field import FieldCtx, FieldElement
-from .series import (
-    ImplicitSeries,
-    LazySeries,
-    PolySeries,
-    Product,
-    Sum,
-    series_order,
-    substitute_series,
-)
+from .series import Param, series_order
 
 # An edge in the blow-up tree: (chart, center); the root carries None.
 Edge = tuple[str, FieldElement | None] | None
@@ -50,8 +42,7 @@ class Branch:
     along the branch's chain of infinitely near points.
     """
 
-    x: LazySeries
-    y: LazySeries
+    series: Param
     path: list[tuple[Edge, int]]
     ix: int | None
     iy: int | None
@@ -60,7 +51,9 @@ class Branch:
     delta: int
 
     def param(self, prec: int) -> tuple[list[FieldElement], list[FieldElement]]:
-        return self.x.truncation(prec), self.y.truncation(prec)
+        ctx = self.series.ctx
+        xs, ys = self.series.at(prec)
+        return [FieldElement(ctx, c) for c in xs], [FieldElement(ctx, c) for c in ys]
 
 
 @dataclass
@@ -91,17 +84,18 @@ class BranchSet:
 
 @dataclass
 class _Raw:
-    x: LazySeries
-    y: LazySeries
+    series: Param
     path: list[tuple[Edge, int]]
 
 
 def _solve_leaf(g: MPoly) -> _Raw:
-    ctx = g.ctx
-    t = PolySeries(ctx, [ctx.zero, ctx.one])
-    if not g.partial(1).constant_term().is_zero():
-        return _Raw(t, ImplicitSeries(g, solve_for="y"), [(None, 1)])
-    return _Raw(ImplicitSeries(g, solve_for="x"), t, [(None, 1)])
+    solve_for = "x" if g.partial(1).constant_term().is_zero() else "y"
+    return _Raw(Param(g, solve_for), [(None, 1)])
+
+
+def _coordinate_orders(param: Param, vars: tuple[str, ...], bound: int):
+    """Orders of x(t) and y(t) through ``bound``, None past it."""
+    return tuple(series_order(MPoly.variable(param.ctx, vars, v), param, bound) for v in vars)
 
 
 def _decompose(g: MPoly, prefer: str) -> tuple[InfinitelyNearTree, list[_Raw]]:
@@ -109,38 +103,28 @@ def _decompose(g: MPoly, prefer: str) -> tuple[InfinitelyNearTree, list[_Raw]]:
     node = InfinitelyNearTree(m)
     if m == 1:
         return node, [_solve_leaf(g)]
-    ctx = g.ctx
     out: list[_Raw] = []
     total_here = 0
     for ch in strict_transform(g, prefer):
         subtree, subs = _decompose(ch.local_eq, prefer)
         node.children.append((ch.chart, ch.center, subtree))
-        c = ctx.zero if ch.center is None else ch.center
-        shift = PolySeries(ctx, [c])
         for raw in subs:
-            if ch.chart == "x":
-                x_new: LazySeries = raw.x
-                y_new: LazySeries = Product(raw.x, Sum(raw.y, shift))
-            else:
-                x_new = Product(raw.y, Sum(raw.x, shift))
-                y_new = raw.y
-            ox = series_order(x_new, m)
-            oy = series_order(y_new, m)
-            orders = [o for o in (ox, oy) if o is not None]
+            raw.series.push(ch.chart, ch.center)
+            orders = [o for o in _coordinate_orders(raw.series, g.vars, m) if o is not None]
             if not orders:
                 raise InternalCheckError("lifted parametrization lost its order")
             m_here = min(orders)
             total_here += m_here
             path = [(None, m_here), ((ch.chart, ch.center), raw.path[0][1])]
             path.extend(raw.path[1:])
-            out.append(_Raw(x_new, y_new, path))
+            out.append(_Raw(raw.series, path))
     if total_here != m:
         raise InternalCheckError("branch multiplicities do not add up to the node order")
     return node, out
 
 
 def _tangent(
-    ctx: FieldCtx, x: LazySeries, y: LazySeries, ix: int | None, iy: int | None
+    ctx: FieldCtx, param: Param, ix: int | None, iy: int | None
 ) -> tuple[FieldElement, FieldElement]:
     if ix is None:
         return ctx.zero, ctx.one
@@ -148,22 +132,22 @@ def _tangent(
         return ctx.one, ctx.zero
     if ix > iy:
         return ctx.zero, ctx.one
-    return ctx.one, y.coefficient(iy) / x.coefficient(ix)
+    xs, ys = param.at(ix + 1)
+    return ctx.one, FieldElement(ctx, ys[iy]) / FieldElement(ctx, xs[ix])
 
 
-def _certify(f: MPoly, raw: _Raw, delta_b: int, mt_b: int) -> None:
+def _certify(f: MPoly, param: Param, delta_b: int, mt_b: int) -> None:
     bound = (f.degree() + 1) ** 2
-    bad = series_order(substitute_series(f, raw.x, raw.y), bound)
+    # the pullback is expected to vanish, so no smaller precision can stop early
+    bad = series_order(f, param, bound, start=bound + 1)
     if bad is not None:
         raise InternalCheckError(
             f"parametrization does not annihilate the curve (order {bad})"
         )
     window = 2 * delta_b + mt_b + 1
-    exps = [
-        n
-        for n in range(1, window + 1)
-        if not raw.x.coefficient(n).is_zero() or not raw.y.coefficient(n).is_zero()
-    ]
+    zero = param.ctx.rzero
+    xs, ys = param.at(window + 1)
+    exps = [n for n in range(1, window + 1) if xs[n] != zero or ys[n] != zero]
     if math.gcd(*exps) != 1:
         raise InternalCheckError("parametrization is not primitive")
 
@@ -197,24 +181,22 @@ def decompose_reduced(
 
     branches: list[Branch] = []
     for raw in raws:
-        ix = series_order(raw.x, deg + 1)
-        iy = series_order(raw.y, deg + 1)
+        ix, iy = _coordinate_orders(raw.series, f2.vars, deg + 1)
         finite = [o for o in (ix, iy) if o is not None]
         if not finite:
             raise InternalCheckError("branch parametrization is identically zero")
         mt_b = min(finite)
         delta_b = sum(m * (m - 1) // 2 for _, m in raw.path)
         if certify:
-            _certify(f2, raw, delta_b, mt_b)
+            _certify(f2, raw.series, delta_b, mt_b)
         branches.append(
             Branch(
-                x=raw.x,
-                y=raw.y,
+                series=raw.series,
                 path=raw.path,
                 ix=ix,
                 iy=iy,
                 mt=mt_b,
-                tangent=_tangent(ctx, raw.x, raw.y, ix, iy),
+                tangent=_tangent(ctx, raw.series, ix, iy),
                 delta=delta_b,
             )
         )

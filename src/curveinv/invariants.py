@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import FieldCtx, FieldElement
 from .hne import BranchSet, decompose_reduced
-from .series import series_order, substitute_series
+from .series import series_order
 
 
 class ExtNat:
@@ -144,7 +144,7 @@ def _min_polar_order(polars: tuple[MPoly, ...], b, bound: int) -> int | None:
     """Least pullback order along the branch b among the nonzero polars;
     None when every one of them vanishes on it."""
     orders = [
-        series_order(substitute_series(h, b.x, b.y), bound)
+        series_order(h, b.series, bound)
         for h in polars
         if not h.is_zero()
     ]
@@ -340,10 +340,11 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
     for h, e in squarefree_decomposition(f):
         if not h.constant_term().is_zero():
             continue
-        bs = germ(h).branches
+        # the pieces come back normalized; a reduced f keeps its own Germ
+        bs = germ(f if h == f.normalized() else h).branches
         g_loc = g if bs.ctx is g.ctx else embed_poly(g, bs.ctx)
         for b in bs.branches:
-            o = series_order(substitute_series(g_loc, b.x, b.y), bound)
+            o = series_order(g_loc, b.series, bound)
             if o is None:
                 return INF
             total += e * o

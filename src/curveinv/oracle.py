@@ -168,10 +168,10 @@ def _pullback_rows(bs: BranchSet, prec: int) -> list[list[FieldElement]]:
     """
     ctx = bs.ctx
     big = prec  # saturating stand-in for infinity in the order bookkeeping
-    params = [b.param(prec) for b in bs.branches]
+    params = [b.series.at(prec) for b in bs.branches]
 
-    def axis_pows(ser: list[FieldElement]) -> list[list[FieldElement]]:
-        one_row = [ctx.one] + [ctx.zero] * (prec - 1)
+    def axis_pows(ser: list) -> list[list]:
+        one_row = [ctx.rone] + [ctx.rzero] * (prec - 1)
         pows = [one_row]
         for _ in range(prec - 1):
             pows.append(_tr_mul(ctx, pows[-1], ser, prec))
@@ -202,7 +202,7 @@ def _pullback_rows(bs: BranchSet, prec: int) -> list[list[FieldElement]]:
     for a, b in monos:
         row: list[FieldElement] = []
         for i in range(bs.r):
-            row.extend(_tr_mul(ctx, xpows[i][a], ypows[i][b], prec))
+            row.extend(FieldElement(ctx, c) for c in _tr_mul(ctx, xpows[i][a], ypows[i][b], prec))
         rows.append(row)
     return rows
 

@@ -321,3 +321,22 @@ def test_kappa_after_delta_reuses_the_branches(monkeypatch):
     kappa(f)
     assert len(calls) == 1
     assert germ(f).kappa == kappa(f)
+
+
+@pytest.mark.parametrize("text", ["x^2-y^3", "3/4*x^2-1/4*y^3"])
+def test_relations_decompose_each_curve_once(monkeypatch, text):
+    # squarefree pieces come back normalized; a piece that is a constant
+    # multiple of f must reuse f's branches instead of decomposing again
+    from curveinv import invariants
+
+    curves = []
+    real = invariants.decompose_reduced
+
+    def counting(f, **kwargs):
+        curves.append(f.normalized())
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    monkeypatch.setattr(invariants, "decompose_reduced", counting)
+    verify_relations(q(text))
+    assert len(curves) == len(set(curves))

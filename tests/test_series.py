@@ -1,108 +1,275 @@
-"""Lazy series: composition, implicit solutions, order detection."""
+"""Truncated series: kernels, pullbacks, Newton-lifted parametrizations."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curveinv.algebra import parse_poly
+from curveinv.algebra import MPoly, parse_poly
+from curveinv.errors import InternalCheckError
 from curveinv.field import FieldCtx
-from curveinv.series import (
-    ImplicitSeries,
-    PolySeries,
-    Product,
-    Sum,
-    series_order,
-    substitute_series,
-)
+from curveinv.hne import branch_decompose
+from curveinv.series import Param, _tr_eval, _tr_inv, _tr_mul, series_order
 
 QQ = FieldCtx.rationals()
+XY = ("x", "y")
+
+
+def cusp_param(ctx: FieldCtx) -> Param:
+    """(t^2, t^3): the leaf x = y^2 solved for x, then the chart x = x, y = x*y."""
+    p = Param(parse_poly("x-y^2", ctx), solve_for="x")
+    p.push("x", None)
+    return p
 
 
 def test_cusp_parametrization_pulls_back_to_zero():
     f = parse_poly("y^2-x^3", QQ)
-    s = substitute_series(f, PolySeries(QQ, [0, 0, 1]), PolySeries(QQ, [0, 0, 0, 1]))
-    assert series_order(s, 30) is None
+    p = cusp_param(QQ)
+    assert p.at(5) == ([0, 0, 1, 0, 0], [0, 0, 0, 1, 0])
+    assert series_order(f, p, 30) is None
 
 
 def test_composition_example_with_nonzero_result():
     f2 = parse_poly("y^2+x^3", QQ)
-    s = substitute_series(f2, PolySeries(QQ, [0, 0, 1]), PolySeries(QQ, [0, 0, 0, 1]))
+    p = cusp_param(QQ)
     # t^6 + t^6 = 2 t^6
-    assert series_order(s, 30) == 6
-    assert s.coefficient(6) == QQ.from_int(2)
+    assert series_order(f2, p, 30) == 6
+    xs, ys = p.at(7)
+    assert _tr_eval(QQ, f2, xs, ys, 7)[6] == 2
 
 
 def test_substitution_is_ring_hom_on_random_pairs():
     rng = random.Random(1234)
+    n = 30
     for ctx in [QQ, FieldCtx.prime(5)]:
         for _ in range(25):
-            f = parse_poly("x^2+y^2", ctx)  # placeholder, replaced below
-            terms = {}
-            for _ in range(4):
-                terms[(rng.randint(0, 3), rng.randint(0, 3))] = ctx.sample(rng)
-            from curveinv.algebra import MPoly
-
-            f = MPoly(ctx, ("x", "y"), dict(terms))
-            g_terms = {
-                (rng.randint(0, 3), rng.randint(0, 3)): ctx.sample(rng)
-                for _ in range(4)
-            }
-            g = MPoly(ctx, ("x", "y"), g_terms)
-            sx = PolySeries(ctx, [ctx.sample(rng) for _ in range(4)])
-            sy = PolySeries(ctx, [ctx.sample(rng) for _ in range(4)])
-            lhs = substitute_series(f * g, sx, sy)
-            rhs = Product(substitute_series(f, sx, sy), substitute_series(g, sx, sy))
-            for n in range(30):
-                assert lhs.coefficient(n) == rhs.coefficient(n)
-            lhs2 = substitute_series(f + g, sx, sy)
-            rhs2 = Sum(substitute_series(f, sx, sy), substitute_series(g, sx, sy))
-            for n in range(30):
-                assert lhs2.coefficient(n) == rhs2.coefficient(n)
+            f = MPoly(
+                ctx, XY, {(rng.randint(0, 3), rng.randint(0, 3)): ctx.sample(rng) for _ in range(4)}
+            )
+            g = MPoly(
+                ctx, XY, {(rng.randint(0, 3), rng.randint(0, 3)): ctx.sample(rng) for _ in range(4)}
+            )
+            sx = [ctx.sample(rng).rep for _ in range(4)]
+            sy = [ctx.sample(rng).rep for _ in range(4)]
+            lhs = _tr_eval(ctx, f * g, sx, sy, n)
+            rhs = _tr_mul(ctx, _tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n), n)
+            assert lhs == rhs
+            lhs2 = _tr_eval(ctx, f + g, sx, sy, n)
+            pf, pg = _tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n)
+            assert lhs2 == [ctx.radd(a, b) for a, b in zip(pf, pg)]
 
 
 def test_coefficients_are_stable_under_further_pulls():
-    f = parse_poly("y^2-x^3+x*y", QQ)
-    s = substitute_series(f, PolySeries(QQ, [0, 1, 2]), PolySeries(QQ, [0, 3]))
-    early = [s.coefficient(i) for i in range(5)]
-    s.coefficient(40)
-    assert [s.coefficient(i) for i in range(5)] == early
+    p = Param(parse_poly("y-x^2-x*y+y^3", QQ))
+    early = p.at(5)
+    p.at(40)
+    assert p.at(5) == early
 
 
 def test_implicit_series_solves_smooth_branch():
     # y = x^2 + higher terms on y - x^2 - x*y = 0
     f = parse_poly("y-x^2-x*y", QQ)
-    phi = ImplicitSeries(f)
-    check = substitute_series(f, PolySeries(QQ, [0, 1]), phi)
-    assert series_order(check, 40) is None
-    assert phi.coefficient(0).is_zero()
-    assert phi.coefficient(2) == QQ.one
+    p = Param(f)
+    assert series_order(f, p, 40) is None
+    xs, ys = p.at(3)
+    assert xs == [0, 1, 0]
+    assert ys[0] == 0 and ys[2] == 1
 
 
 def test_implicit_series_char_p():
     f2 = FieldCtx.prime(2)
     f = parse_poly("y+x^3+y^2", f2)
-    phi = ImplicitSeries(f)
-    check = substitute_series(f, PolySeries(f2, [0, 1]), phi)
-    assert series_order(check, 40) is None
+    assert series_order(f, Param(f), 40) is None
 
 
 def test_implicit_series_solve_for_x():
-    f = parse_poly("x-y^2", QQ)
-    psi = ImplicitSeries(f, solve_for="x")
-    assert psi.coefficient(2) == QQ.one
-    assert psi.coefficient(1).is_zero()
+    p = Param(parse_poly("x-y^2", QQ), solve_for="x")
+    xs, ys = p.at(3)
+    assert xs[2] == 1 and xs[1] == 0
+    assert ys == [0, 1, 0]
 
 
 def test_implicit_series_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ImplicitSeries(parse_poly("y^2-x^3", QQ))  # derivative not a unit
-    with pytest.raises(ValueError):
-        ImplicitSeries(parse_poly("y+1", QQ))  # misses the origin
+    with pytest.raises(InternalCheckError):
+        Param(parse_poly("y^2-x^3", QQ))  # derivative not a unit
+    with pytest.raises(InternalCheckError):
+        Param(parse_poly("y+1", QQ))  # misses the origin
+    with pytest.raises(InternalCheckError):
+        Param(parse_poly("y-x^2", QQ), solve_for="z")
+    with pytest.raises(InternalCheckError):
+        series_order(parse_poly("x+y+z", QQ, ("x", "y", "z")), Param(parse_poly("y", QQ)), 4)
 
 
 def test_series_order_bound_semantics():
-    s = PolySeries(QQ, [0] * 10 + [1])
-    assert series_order(s, 9) is None
-    assert series_order(s, 10) == 10
+    p = Param(parse_poly("y-x^10", QQ))  # (t, t^10)
+    y = MPoly.variable(QQ, XY, "y")
+    assert series_order(y, p, 9) is None
+    assert series_order(y, p, 10) == 10
+
+
+# ---------------------------------------------------------------------------
+# Raw-rep kernels against a FieldElement reference, in every context kind
+
+
+def _contexts() -> dict[str, FieldCtx]:
+    f7 = FieldCtx.prime(7)
+    return {
+        "F2": FieldCtx.prime(2),
+        "F7": f7,
+        "F7^3": branch_decompose(parse_poly("5*x^3+6*y^3+y^5", f7)).ctx,
+        "QQ": QQ,
+        "QQ(a)": branch_decompose(parse_poly("y^2-2*x^2", QQ)).ctx,
+    }
+
+
+CONTEXTS = _contexts()
+assert CONTEXTS["F7^3"].order == 7**3 and CONTEXTS["QQ(a)"].absdegree == 2
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def elements(ctx: FieldCtx):
+    sampled = st.integers(0, 2**32).map(lambda s: ctx.sample(random.Random(s)))
+    return st.one_of(st.just(ctx.zero), sampled)
+
+
+def series(ctx: FieldCtx, max_size: int = 12):
+    return st.lists(elements(ctx), max_size=max_size)
+
+
+def naive_mul(ctx: FieldCtx, a: list, b: list, n: int) -> list:
+    out = []
+    for k in range(n):
+        acc = ctx.zero
+        for i in range(k + 1):
+            if i < len(a) and k - i < len(b):
+                acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def naive_inv(ctx: FieldCtx, b: list, n: int) -> list:
+    # out solves b*out = 1 coefficient by coefficient
+    out = []
+    for k in range(n):
+        acc = ctx.one if k == 0 else ctx.zero
+        for i in range(1, k + 1):
+            if i < len(b):
+                acc = acc - b[i] * out[k - i]
+        out.append(acc / b[0])
+    return out
+
+
+def naive_pullback(ctx: FieldCtx, g: MPoly, xs: list, ys: list, n: int) -> list:
+    out = [ctx.zero] * n
+    for (i, j), c in g.terms.items():
+        term = [ctx.one]
+        for _ in range(i):
+            term = naive_mul(ctx, term, xs, n)
+        for _ in range(j):
+            term = naive_mul(ctx, term, ys, n)
+        term = term + [ctx.zero] * (n - len(term))
+        out = [o + c * u for o, u in zip(out, term)]
+    return out
+
+
+def reps(v: list) -> list:
+    return [c.rep for c in v]
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_tr_mul_matches_naive_convolution(name):
+    ctx = CONTEXTS[name]
+
+    @PROPERTY
+    @given(series(ctx), series(ctx), st.integers(1, 16))
+    def check(a, b, n):
+        assert _tr_mul(ctx, reps(a), reps(b), n) == reps(naive_mul(ctx, a, b, n))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_tr_inv_matches_naive_reciprocal(name):
+    ctx = CONTEXTS[name]
+    units = elements(ctx).filter(lambda c: not c.is_zero())
+
+    @PROPERTY
+    @given(units, series(ctx), st.integers(1, 16))
+    def check(b0, rest, n):
+        b = [b0] + rest
+        inv = _tr_inv(ctx, reps(b), n)
+        assert inv == reps(naive_inv(ctx, b, n))
+        one = [ctx.rone] + [ctx.rzero] * (n - 1)
+        assert _tr_mul(ctx, reps(b), inv, n) == one
+
+    check()
+
+
+def polys(ctx: FieldCtx):
+    mono = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return st.dictionaries(mono, elements(ctx), max_size=6).map(
+        lambda terms: MPoly(ctx, XY, {e: c for e, c in terms.items() if not c.is_zero()})
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_pullback_matches_naive_substitution(name):
+    ctx = CONTEXTS[name]
+
+    @PROPERTY
+    @given(polys(ctx), series(ctx, 8), series(ctx, 8), st.integers(1, 14))
+    def check(g, xs, ys, n):
+        assert _tr_eval(ctx, g, reps(xs), reps(ys), n) == reps(naive_pullback(ctx, g, xs, ys, n))
+
+    check()
+
+
+def leaves(ctx: FieldCtx):
+    """Curves through the origin with a unit y-partial there."""
+    unit = elements(ctx).filter(lambda c: not c.is_zero())
+
+    def build(args):
+        c01, terms = args
+        terms = {e: c for e, c in terms.items() if e != (0, 0) and e != (0, 1) and not c.is_zero()}
+        terms[(0, 1)] = c01
+        return MPoly(ctx, XY, terms)
+
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.tuples(unit, st.dictionaries(mono, elements(ctx), max_size=5)).map(build)
+
+
+def chains(ctx: FieldCtx):
+    return st.lists(st.tuples(st.sampled_from(["x", "y"]), elements(ctx)), max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_param_precision_is_a_prefix(name):
+    ctx = CONTEXTS[name]
+
+    def build(leaf, chain):
+        p = Param(leaf)
+        for chart, c in chain:
+            p.push(chart, c)
+        return p
+
+    @PROPERTY
+    @given(leaves(ctx), chains(ctx), st.integers(1, 12))
+    def check(leaf, chain, n):
+        short = build(leaf, chain).at(n)
+        long_x, long_y = build(leaf, chain).at(2 * n)
+        assert short == (long_x[:n], long_y[:n])
+        # pushing onto a parametrization already known to some precision
+        # agrees with replaying the chain from the leaf
+        early = Param(leaf)
+        early.at(n)
+        for chart, c in chain:
+            early.push(chart, c)
+        assert early.at(n) == short
+        assert series_order(leaf, Param(leaf), n) is None
+
+    check()
+
