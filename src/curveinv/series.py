@@ -27,12 +27,12 @@ from .errors import IncompatibleContexts, InternalCheckError
 from .field import FieldCtx
 
 
-def _support(v: list, zero) -> tuple[int, int]:
+def _support(v: list) -> tuple[int, int]:
     """lo, hi with every nonzero entry of v in v[lo:hi] (lo == hi for zero)."""
     lo, hi = 0, len(v)
-    while lo < hi and v[lo] == zero:
+    while lo < hi and not v[lo]:
         lo += 1
-    while hi > lo and v[hi - 1] == zero:
+    while hi > lo and not v[hi - 1]:
         hi -= 1
     return lo, hi
 
@@ -40,11 +40,11 @@ def _support(v: list, zero) -> tuple[int, int]:
 def _int_conv(a: list, b: list, prec: int) -> list:
     """Integer a*b mod t^prec: one C-level dot product per coefficient."""
     out = [0] * prec
-    a0, a1 = _support(a, 0)
-    b0, b1 = _support(b, 0)
+    a0, a1 = _support(a)
+    b0, b1 = _support(b)
     if a0 == a1 or b0 == b1:
         return out
-    rb = b[b1 - 1 :: -1] if b1 else []  # rb[m] = b[b1 - 1 - m]
+    rb = b[b1 - 1 :: -1]  # rb[m] = b[b1 - 1 - m]
     for k in range(a0 + b0, min(prec, a1 + b1 - 1)):
         i0 = max(a0, k - b1 + 1)
         i1 = min(a1 - 1, k - b0)
