@@ -52,7 +52,7 @@ class Branch:
 
     def param(self, prec: int) -> tuple[list[FieldElement], list[FieldElement]]:
         ctx = self.series.ctx
-        xs, ys = self.series.at(prec)
+        xs, ys = self.series.at(max(prec, 0))  # the CLI passes --prec unchecked
         return [FieldElement(ctx, c) for c in xs], [FieldElement(ctx, c) for c in ys]
 
 

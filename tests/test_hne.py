@@ -40,6 +40,13 @@ def test_cusp_branch():
     assert [m for _, m in b.path] == [2, 1]
 
 
+def test_param_of_nonpositive_precision_is_empty():
+    b = branch_decompose(parse_poly("y^2-x^3", QQ)).branches[0]
+    b.param(6)
+    assert b.param(0) == ([], [])
+    assert b.param(-3) == ([], [])
+
+
 def test_char2_cusp():
     f2 = FieldCtx.prime(2)
     bs = branch_decompose(parse_poly("y^2+x^3", f2))
