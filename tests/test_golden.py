@@ -32,9 +32,15 @@ CASES = {
         "local", "analyze", "--char", "0", "--poly", "7*x^3+3/4*x^4+5/4*x^2*y^3-8*x*y^4",
         *_ANALYZE,
     ],
+    "analyze_f7_fq3": [
+        "local", "analyze", "--char", "7", "--poly", "5*x^3+6*y^3+y^5", *_ANALYZE
+    ],
     "verify_f5_a4": ["local", "verify", "--char", "5", "--poly", "y^2-x^5", "--json"],
     "projective_f11_nodal_cubic": [
         "projective", "analyze", "--char", "11", "--poly", "y^2*z-x^3-x^2*z", "--json"
+    ],
+    "projective_f13_quartic": [
+        "projective", "analyze", "--char", "13", "--poly", "x^4+y^4-x^2*z^2", "--json"
     ],
     "projective_qq_cuspidal_cubic": [
         "projective", "analyze", "--char", "0", "--poly", "y^2*z-x^3", "--json"
