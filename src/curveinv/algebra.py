@@ -15,6 +15,7 @@ Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -47,6 +48,15 @@ class MPoly:
         self.ctx = ctx
         self.vars = tuple(vars)
         self.terms = clean
+
+    @classmethod
+    def _from_reps(cls, ctx: FieldCtx, vars: tuple[str, ...], reps: dict) -> "MPoly":
+        """Wrap raw coefficient reps, dropping zeros, without re-checking them."""
+        out = object.__new__(cls)
+        out.ctx, out.vars = ctx, vars
+        zero = ctx.rzero
+        out.terms = {e: FieldElement(ctx, c) for e, c in reps.items() if c != zero}
+        return out
 
     # -- constructors ---------------------------------------------------------
 
@@ -119,20 +129,18 @@ class MPoly:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = terms.get(e)
-            terms[e] = c if cur is None else cur + c
-        return MPoly(self.ctx, self.vars, terms)
+        return self._combine(other, self.ctx.radd)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
+        return self._combine(other, self.ctx.rsub)
+
+    def _combine(self, other: "MPoly", op) -> "MPoly":
         self._check(other)
-        terms = dict(self.terms)
+        zero = self.ctx.rzero
+        terms = {e: c.rep for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            cur = terms.get(e)
-            terms[e] = -c if cur is None else cur - c
-        return MPoly(self.ctx, self.vars, terms)
+            terms[e] = op(terms.get(e, zero), c.rep)
+        return MPoly._from_reps(self.ctx, self.vars, terms)
 
     def __neg__(self) -> "MPoly":
         return MPoly(self.ctx, self.vars, {e: -c for e, c in self.terms.items()})
@@ -143,14 +151,21 @@ class MPoly:
         if isinstance(other, int):
             return self.scale(self.ctx.from_int(other))
         self._check(other)
+        ctx = self.ctx
+        # Over F_p, sum plain integer products and reduce once per term.
+        radd, rmul = (add, mul) if ctx.kind == "prime" else (ctx.radd, ctx.rmul)
+        right = [(e, c.rep) for e, c in other.terms.items()]
         terms: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+            a = c1.rep
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                c = rmul(a, c2)
                 cur = terms.get(e)
-                terms[e] = c if cur is None else cur + c
-        return MPoly(self.ctx, self.vars, terms)
+                terms[e] = c if cur is None else radd(cur, c)
+        if ctx.kind == "prime":
+            terms = {e: c % ctx.char for e, c in terms.items()}
+        return MPoly._from_reps(ctx, self.vars, terms)
 
     def __rmul__(self, other) -> "MPoly":
         if isinstance(other, (FieldElement, int)):
@@ -288,26 +303,27 @@ class MPoly:
         self._check(d)
         if d.is_zero():
             raise DivisionByZero("exact division by zero")
-        rem = dict(self.terms)
+        ctx = self.ctx
+        rsub, rmul, zero = ctx.rsub, ctx.rmul, ctx.rzero
+        rem = {e: c.rep for e, c in self.terms.items()}
         out: dict = {}
         de, dc = d._lead()
-        dc_inv = dc.inverse()
+        dc_inv = ctx.rinv(dc.rep)
+        divisor = [(e, c.rep) for e, c in d.terms.items()]
         while rem:
             re = max(rem, key=lambda t: (sum(t), t))
-            qe = tuple(a - b for a, b in zip(re, de))
+            qe = tuple(map(sub, re, de))
             if any(k < 0 for k in qe):
                 raise InternalCheckError("division is not exact")
-            qc = rem[re] * dc_inv
-            out[qe] = qc
-            for e2, c2 in d.terms.items():
-                key = tuple(a + b for a, b in zip(qe, e2))
-                cur = rem.get(key, self.ctx.zero)
-                nv = cur - qc * c2
-                if nv.is_zero():
+            qc = out[qe] = rmul(rem[re], dc_inv)
+            for e2, c2 in divisor:
+                key = tuple(map(add, qe, e2))
+                nv = rsub(rem.get(key, zero), rmul(qc, c2))
+                if nv == zero:
                     rem.pop(key, None)
                 else:
                     rem[key] = nv
-        return MPoly(self.ctx, self.vars, out)
+        return MPoly._from_reps(ctx, self.vars, out)
 
     def normalized(self) -> "MPoly":
         """Divided by its graded-lex leading coefficient, which becomes one."""
@@ -327,7 +343,7 @@ class MPoly:
         terms = {}
         for e, c in self.terms.items():
             if any(k % p for k in e):
-                raise ValueError("polynomial is not a p-th power")
+                raise InternalCheckError("polynomial is not a p-th power")
             terms[tuple(k // p for k in e)] = self.ctx.pth_root(c)
         return MPoly(self.ctx, self.vars, terms)
 

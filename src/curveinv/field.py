@@ -8,6 +8,17 @@ are structural:
 * prime field      -- ``int`` in ``[0, p)``
 * rationals        -- ``fractions.Fraction`` (always reduced)
 * extension        -- tuple of base reps, fixed length = step degree
+* small F_q        -- ``int`` log code for a one-step extension of F_p of
+  order at most :data:`LOG_TABLE_MAX_ORDER`: 0 is zero and e+1 is g^e, g
+  the first primitive element in :meth:`FieldCtx.element_at` order
+
+Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
+``rfrom_int`` once, when it is built.  A small F_q multiplies by adding
+exponents mod q-1 and adds through a Zech table, log(1 + g^d) (Jacobi's
+logarithm; Lidl-Niederreiter, *Finite Fields*).  It is presented through the
+polynomial basis: ``element_at(i)`` has the base-p digits of i as
+coefficients, ``sort_key`` is that digit tuple, and ``str``, ``modulus``,
+embeddings and interning keys read the digits, so no output sees the codes.
 
 Extension arithmetic reduces against a monic defining polynomial whose
 irreducibility is verified at construction (Rabin's test over finite fields,
@@ -20,6 +31,7 @@ of the old context, so arithmetic never pays for a tower.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, neg, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -31,6 +43,10 @@ from .errors import (
 )
 
 MAX_TOWER_DEPTH = 4
+
+# Largest F_q computed through log tables.  Building them took 7 ms for
+# F_{7^4} and 50 ms at this cap (F_{2^12}), but 1.3 s for F_{2^16}.
+LOG_TABLE_MAX_ORDER = 4096
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -186,6 +202,172 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
     return h == x_poly
 
 
+# Arithmetic bound to a context: one closure per name in _OPS, in that order.
+_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int")
+
+
+def _power_by_squaring(rone, rmul, rinv):
+    def rpow(a, e):
+        if e < 0:
+            a, e = rinv(a), -e
+        result = rone
+        while e:
+            if e & 1:
+                result = rmul(result, a)
+            a = rmul(a, a)
+            e >>= 1
+        return result
+
+    return rpow
+
+
+def _inverse_of_zero():
+    raise DivisionByZero("inverse of zero")
+
+
+def _prime_ops(p: int) -> tuple:
+    def rinv(a):
+        return pow(a, -1, p) if a else _inverse_of_zero()
+
+    def rmul(a, b):
+        return a * b % p
+
+    return (
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a - b) % p,
+        lambda a: -a % p,
+        rmul,
+        rinv,
+        _power_by_squaring(1 % p, rmul, rinv),
+        lambda n: n % p,
+    )
+
+
+def _rational_ops() -> tuple:
+    def rinv(a):
+        return 1 / a if a else _inverse_of_zero()
+
+    return (add, sub, neg, mul, rinv, _power_by_squaring(Fraction(1), mul, rinv), Fraction)
+
+
+def _tuple_ops(ctx: "FieldCtx") -> tuple:
+    base, n = ctx.base, ctx.deg_step
+    badd, bsub, bneg = base.radd, base.rsub, base.rneg
+
+    def rmul(a, b):
+        return ctx._pad(ctx._reduce(_rp_mul(base, list(a), list(b))))
+
+    def rinv(a):
+        v = _rp_trim(base, list(a))
+        if not v:
+            _inverse_of_zero()
+        # Extended Euclid against the modulus, tracking only the Bezout
+        # coefficient of ``v``; the gcd is a nonzero constant because the
+        # modulus is irreducible and deg v < deg modulus.
+        r0, r1 = list(ctx.modulus), v
+        u0, u1 = [], [base.rone]
+        while r1:
+            q, rem = _rp_divmod(base, r0, r1)
+            r0, r1 = r1, rem
+            u0, u1 = u1, _rp_sub(base, u0, _rp_mul(base, q, u1))
+        u = _rp_scale(base, base.rinv(r0[0]), u0)
+        return ctx._pad(_rp_rem(base, u, list(ctx.modulus)))
+
+    return (
+        lambda a, b: tuple(map(badd, a, b)),
+        lambda a, b: tuple(map(bsub, a, b)),
+        lambda a: tuple(map(bneg, a)),
+        rmul,
+        rinv,
+        _power_by_squaring(ctx.rone, rmul, rinv),
+        lambda k: (base.rfrom_int(k),) + (base.rzero,) * (n - 1),
+    )
+
+
+def _log_tables(p: int, n: int, modulus: tuple) -> tuple[list, list, list]:
+    """Tables of F_p[a]/(modulus) by plain-int loops: ``exp[code]`` is the
+    :meth:`FieldCtx.element_at` index of a code, ``log[index]`` the code of
+    an index and ``zech[d]`` the code of 1 + g^d."""
+    q = p**n
+    low = [-c % p for c in modulus[:n]]  # a^n as a combination of lower powers
+
+    def times(u, v):
+        out = [0] * (2 * n - 1)
+        for i, c in enumerate(u):
+            for j, d in enumerate(v):
+                out[i + j] += c * d
+        for i in range(2 * n - 2, n - 1, -1):
+            c = out[i] % p
+            for k in range(n):
+                out[i - n + k] += c * low[k]
+        return [c % p for c in out[:n]]
+
+    def digits(i):
+        return [i // p**k % p for k in range(n)]
+
+    def power(u, e):
+        r = digits(1)
+        for bit in bin(e)[2:]:
+            r = times(r, r)
+            if bit == "1":
+                r = times(r, u)
+        return r
+
+    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    g = next(
+        i for i in range(1, q) if all(power(digits(i), e) != digits(1) for e in cofactors)
+    )
+    rows = list(zip(*(times(digits(g), digits(p**k)) for k in range(n))))
+    weights = [p**k for k in range(n)]
+    exp, log = [0] * q, [0] * q
+    u = digits(1)
+    for code in range(1, q):
+        i = sum(map(mul, u, weights))
+        exp[code], log[i] = i, code
+        u = [sum(map(mul, row, u)) % p for row in rows]
+    zech = [log[i + 1 if i % p != p - 1 else i + 1 - p] for i in exp[1:]]
+    return exp, log, zech
+
+
+def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
+    log = ctx._log
+    p, m = ctx.char, ctx.order - 1
+    half = m // 2 if p > 2 else 0  # -1 = g^half
+
+    def rmul(a, b):
+        if not a or not b:
+            return 0
+        s = a + b - 1
+        return s if s <= m else s - m
+
+    def radd(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        z = zech[b - a]  # negative indices wrap mod q-1
+        if not z:
+            return 0
+        s = a + z - 1
+        return s if s <= m else s - m
+
+    def rneg(a):
+        if not a:
+            return 0
+        s = a + half
+        return s if s <= m else s - m
+
+    def rinv(a):
+        return m + 2 - a if a > 1 else a or _inverse_of_zero()
+
+    def rpow(a, e):
+        if a:
+            return (a - 1) * e % m + 1
+        return 1 if e == 0 else 0 if e > 0 else _inverse_of_zero()
+
+    return (radd, lambda a, b: radd(a, rneg(b)), rneg, rmul, rinv, rpow, lambda k: log[k % p])
+
+
 # ---------------------------------------------------------------------------
 # Contexts
 # ---------------------------------------------------------------------------
@@ -211,11 +393,14 @@ class FieldCtx:
         "rone",
         "zero",
         "one",
+        *_OPS,
         "_key",
         "_embed_cache",
+        "_exp",
+        "_log",
     )
 
-    def __init__(self, *, _token=None, **attrs):
+    def __init__(self, *, _token=None, tables=None, **attrs):
         if _token is not _NEW_TOKEN:
             raise TypeError("use FieldCtx.prime / FieldCtx.rationals / ctx.extend")
         for name in self.__slots__:
@@ -224,6 +409,17 @@ class FieldCtx:
             object.__setattr__(self, name, attrs.get(name))
         object.__setattr__(self, "_key", attrs["_key"])
         object.__setattr__(self, "_embed_cache", {})
+        exp, log, zech = tables or (None, None, None)
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+        if self.kind == "prime":
+            ops = _prime_ops(self.char)
+        elif self.kind == "rationals":
+            ops = _rational_ops()
+        else:
+            ops = _tuple_ops(self) if exp is None else _log_table_ops(self, zech)
+        for name, op in zip(_OPS, ops):
+            object.__setattr__(self, name, op)
         object.__setattr__(self, "zero", FieldElement(self, self.rzero))
         object.__setattr__(self, "one", FieldElement(self, self.rone))
 
@@ -323,16 +519,20 @@ class FieldCtx:
                     raise ValueError("modulus is reducible")
         if gen_name is None:
             gen_name = chr(ord("a") + self.depth)
-        key = ("ext", self._key, tuple(reps), gen_name)
+        key = ("ext", self._key, tuple(map(self.rsort_key, reps)), gen_name)
         ctx = _CTX_CACHE.get(key)
         if ctx is None:
-            zero = tuple([self.rzero] * n)
-            one = tuple([self.rone] + [self.rzero] * (n - 1))
+            order = None if self.order is None else self.order**n
+            small = self.kind == "prime" and order <= LOG_TABLE_MAX_ORDER
+            tables = _log_tables(self.char, n, reps) if small else None
+            zero = 0 if small else tuple([self.rzero] * n)
+            one = 1 if small else tuple([self.rone] + [self.rzero] * (n - 1))
             ctx = FieldCtx(
                 _token=_NEW_TOKEN,
+                tables=tables,
                 kind="extension",
                 char=self.char,
-                order=None if self.order is None else self.order**n,
+                order=order,
                 base=self,
                 modulus=tuple(reps),
                 gen_name=gen_name,
@@ -392,95 +592,14 @@ class FieldCtx:
     def gen(self) -> "FieldElement":
         if self.kind != "extension":
             raise ValueError("context has no generator")
+        if self._log is not None:
+            return FieldElement(self, self._log[self.char])
         rep = [self.base.rzero] * self.deg_step
         rep[1] = self.base.rone
         return FieldElement(self, tuple(rep))
 
     # -- rep-level arithmetic ------------------------------------------------
-
-    def radd(self, a, b):
-        k = self.kind
-        if k == "prime":
-            return (a + b) % self.char
-        if k == "rationals":
-            return a + b
-        base = self.base
-        return tuple(base.radd(x, y) for x, y in zip(a, b))
-
-    def rneg(self, a):
-        k = self.kind
-        if k == "prime":
-            return -a % self.char
-        if k == "rationals":
-            return -a
-        base = self.base
-        return tuple(base.rneg(x) for x in a)
-
-    def rsub(self, a, b):
-        k = self.kind
-        if k == "prime":
-            return (a - b) % self.char
-        if k == "rationals":
-            return a - b
-        base = self.base
-        return tuple(base.rsub(x, y) for x, y in zip(a, b))
-
-    def rmul(self, a, b):
-        k = self.kind
-        if k == "prime":
-            return a * b % self.char
-        if k == "rationals":
-            return a * b
-        prod = _rp_mul(self.base, list(a), list(b))
-        return self._pad(self._reduce(prod))
-
-    def rinv(self, a):
-        k = self.kind
-        if k == "prime":
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return pow(a, -1, self.char)
-        if k == "rationals":
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return 1 / a
-        base = self.base
-        v = _rp_trim(base, list(a))
-        if not v:
-            raise DivisionByZero("inverse of zero")
-        # Extended Euclid against the modulus, tracking only the Bezout
-        # coefficient of ``v``; the gcd is a nonzero constant because the
-        # modulus is irreducible and deg v < deg modulus.
-        r0, r1 = list(self.modulus), v
-        u0, u1 = [], [base.rone]
-        while r1:
-            q, rem = _rp_divmod(base, r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _rp_sub(base, u0, _rp_mul(base, q, u1))
-        u = _rp_scale(base, base.rinv(r0[0]), u0)
-        u = _rp_rem(base, u, list(self.modulus))
-        return self._pad(u)
-
-    def rpow(self, a, e: int):
-        if e < 0:
-            return self.rpow(self.rinv(a), -e)
-        result, acc = self.rone, a
-        while e:
-            if e & 1:
-                result = self.rmul(result, acc)
-            acc = self.rmul(acc, acc)
-            e >>= 1
-        return result
-
-    def rfrom_int(self, n: int):
-        k = self.kind
-        if k == "prime":
-            return n % self.char
-        if k == "rationals":
-            return Fraction(n)
-        rep = [self.base.rzero] * self.deg_step
-        rep[0] = self.base.rfrom_int(n)
-        return tuple(rep)
+    # radd, rsub, rneg, rmul, rinv, rpow and rfrom_int are bound per context.
 
     def rfrom_fraction(self, q: Fraction):
         if self.kind == "rationals":
@@ -494,8 +613,15 @@ class FieldCtx:
 
     def rsort_key(self, a):
         if self.kind == "extension":
-            return tuple(self.base.rsort_key(x) for x in a)
+            return tuple(map(self.base.rsort_key, self.rcoeffs(a)))
         return a
+
+    def rcoeffs(self, a) -> tuple:
+        """Coefficients of an extension rep in the polynomial basis."""
+        if self._exp is None:
+            return a
+        i, p = self._exp[a], self.char
+        return tuple(i // p**k % p for k in range(self.deg_step))
 
     def _pad(self, v: list) -> tuple:
         n = self.deg_step
@@ -537,6 +663,8 @@ class FieldCtx:
             raise IndexError(i)
         if self.kind == "prime":
             return FieldElement(self, i)
+        if self._log is not None:
+            return FieldElement(self, self._log[i])
         base, q = self.base, self.base.order
         rep = []
         for _ in range(self.deg_step):
@@ -582,7 +710,7 @@ class FieldCtx:
             return str(a)
         if k == "rationals":
             return str(a)
-        base, parts = self.base, []
+        base, parts, a = self.base, [], self.rcoeffs(a)
         for i in range(self.deg_step - 1, -1, -1):
             c = a[i]
             if base.ris_zero(c):
@@ -697,7 +825,7 @@ def embed(elem: "FieldElement", target: FieldCtx) -> "FieldElement":
             rho = _canonical_root_rep(src, target)
             target._embed_cache[src._key] = rho
         acc = target.rzero
-        for c in reversed(elem.rep):
+        for c in reversed(src.rcoeffs(elem.rep)):
             acc = target.radd(target.rmul(acc, rho), target.rfrom_int(c))
         return FieldElement(target, acc)
     raise NoEmbedding(f"no map {src.descriptor()} -> {target.descriptor()}")

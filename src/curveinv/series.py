@@ -202,8 +202,10 @@ class Param:
         while len(phi) < prec:
             n = min(2 * len(phi), prec)
             val = _tr_eval(ctx, self._leaf, t, phi, n)
-            deriv = _tr_eval(ctx, self._leaf_y, t, phi, n)
-            corr = _tr_mul(ctx, val, _tr_inv(ctx, deriv, n), n)
+            # val vanishes below t^len(phi), so leaf_y is needed only mod t^m.
+            m = n - len(phi)
+            deriv = _tr_eval(ctx, self._leaf_y, t, phi, m)
+            corr = _tr_mul(ctx, val, _tr_inv(ctx, deriv, m), n)
             phi = [ctx.rsub(a, b) for a, b in zip(phi + [ctx.rzero] * (n - len(phi)), corr)]
         self._sol = phi
 

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from hashlib import sha256
 
-from .errors import DivisionByZero, IncompatibleContexts
+from .errors import DivisionByZero, IncompatibleContexts, InternalCheckError
 from .field import (
     FieldCtx,
     FieldElement,
@@ -225,7 +225,7 @@ class UniPoly:
             if i % p == 0:
                 out.append(self.ctx.pth_root(c))
             elif not c.is_zero():
-                raise ValueError("polynomial is not a p-th power")
+                raise InternalCheckError("polynomial is not a p-th power")
         return UniPoly(self.ctx, out)
 
     def squarefree_decomposition(self) -> list[tuple["UniPoly", int]]:

@@ -14,8 +14,9 @@ from curveinv.algebra import (
     squarefree_decomposition,
     squarefree_part,
 )
-from curveinv.errors import ParseError, WrongVariables
+from curveinv.errors import InternalCheckError, ParseError, WrongVariables
 from curveinv.field import FieldCtx
+from curveinv.unipoly import UniPoly
 
 QQ = FieldCtx.rationals()
 
@@ -210,3 +211,29 @@ def test_homogeneity_and_axis_restrictions():
     g = parse_poly("y^2-x^3", QQ)
     gx = g.subs_const(1, QQ.zero)
     assert str(gx.to_unipoly(0)) == "-t^3"
+
+
+def test_pth_root_of_a_non_pth_power_is_an_internal_error():
+    # Squarefree decomposition takes p-th roots only after both partials
+    # vanish, so a non-p-th power here is a defect, not bad input.
+    f3 = FieldCtx.prime(3)
+    f = parse_poly("x^3+y^3+x*y", f3)
+    with pytest.raises(InternalCheckError, match="not a p-th power"):
+        f.pth_root()
+    with pytest.raises(InternalCheckError, match="not a p-th power"):
+        UniPoly(f3, [0, 1, 0, 1]).pth_root()
+    assert str(parse_poly("x^3+2*y^6", f3).pth_root()) == "x+2*y^2"
+    assert UniPoly(f3, [1, 0, 0, 2]).pth_root() == UniPoly(f3, [1, 2])
+
+
+def test_raw_product_and_exact_division_over_a_table_field():
+    f9 = FieldCtx.prime(3).extend([1, 0, 1])
+    rng = random.Random(5)
+    for _ in range(10):
+        f, g = _random_poly(f9, rng), _random_poly(f9, rng)
+        if f.is_zero() or g.is_zero():
+            continue
+        assert (f * g).divexact(g) == f
+        assert all(not c.is_zero() and c.ctx is f9 for c in (f * g).terms.values())
+    with pytest.raises(InternalCheckError, match="not exact"):
+        parse_poly("x^2+y", f9).divexact(parse_poly("x", f9))

@@ -14,7 +14,7 @@ from curveinv.errors import (
     NoEmbedding,
     TowerLimitExceeded,
 )
-from curveinv.field import FieldCtx, FieldElement, embed
+from curveinv.field import FieldCtx, FieldElement, _flat_finite_ctx, embed
 from curveinv.unipoly import UniPoly
 
 
@@ -23,9 +23,12 @@ def _field_zoo():
     f7 = FieldCtx.prime(7)
     f4 = f2.extend([1, 1, 1])
     f9 = FieldCtx.prime(3).extend([1, 0, 1])
+    f343 = _flat_finite_ctx(7, 3)  # computed through log tables
+    f16_over_f4 = f4.extend([f4.gen(), f4.one, f4.one])  # x^2+x+a, a tower
+    f2_17 = _flat_finite_ctx(2, 17)  # above the log-table cap
     qq = FieldCtx.rationals()
     qq_sqrt2 = qq.extend([-2, 0, 1])
-    return [f2, f7, f4, f9, qq, qq_sqrt2]
+    return [f2, f7, f4, f9, f343, f16_over_f4, f2_17, qq, qq_sqrt2]
 
 
 def test_field_axioms_random():

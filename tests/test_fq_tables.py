@@ -10,9 +10,12 @@ reference written in this file.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from curveinv.field import FieldCtx, _flat_finite_ctx
+from curveinv.errors import DivisionByZero
+from curveinv.field import LOG_TABLE_MAX_ORDER, FieldCtx, _flat_finite_ctx, embed
 
 
 def _fields():
@@ -96,3 +99,84 @@ def test_frozen_generator_values(name):
     a = ctx.gen()
     got = (str(a**5), str(a.inverse()), str(-a), str(ctx.pth_root(a)))
     assert got == _GEN_VALUES[name]
+
+
+# -- the arithmetic, against digit vectors ------------------------------------
+
+
+class _Ref:
+    """F_p[a]/(modulus) on digit tuples (constant term first)."""
+
+    def __init__(self, p: int, modulus: tuple[int, ...]):
+        self.p, self.mod, self.n = p, modulus, len(modulus) - 1
+
+    def add(self, u, v):
+        return tuple((x + y) % self.p for x, y in zip(u, v))
+
+    def neg(self, u):
+        return tuple(-x % self.p for x in u)
+
+    def mul(self, u, v):
+        p, n = self.p, self.n
+        out = [0] * (2 * n - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+        for i in range(2 * n - 2, n - 1, -1):
+            c = out[i] % p
+            for k in range(n + 1):
+                out[i - n + k] -= c * self.mod[k]
+        return tuple(c % p for c in out[:n])
+
+    def one(self):
+        return (1,) + (0,) * (self.n - 1)
+
+    def pow(self, u, e: int):
+        r = self.one()
+        for _ in range(e):
+            r = self.mul(r, u)
+        return r
+
+
+@pytest.mark.parametrize("name", sorted(_MODULI))
+def test_arithmetic_matches_digit_vectors(name):
+    ctx = _fields()[name]
+    assert ctx._log is not None  # computed through the log tables
+    ref = _Ref(ctx.char, ctx.modulus)
+    q = ctx.order
+    elems = list(ctx.elements())
+    digits = [e.sort_key() for e in elems]
+    inv = {u: v for u in digits for v in digits if ref.mul(u, v) == ref.one()}
+    root = {ref.pow(v, ctx.char): v for v in digits}
+    for a, u in zip(elems, digits):
+        assert (-a).sort_key() == ref.neg(u)
+        assert ctx.pth_root(a).sort_key() == root[u]
+        for e in (0, 1, 2, 5, q - 1, q, 2 * q + 3):
+            assert (a**e).sort_key() == ref.pow(u, e)
+        if u in inv:
+            assert a.inverse().sort_key() == inv[u]
+            assert (a**-3).sort_key() == ref.pow(inv[u], 3)
+        for b, v in zip(elems, digits):
+            assert (a + b).sort_key() == ref.add(u, v)
+            assert (a - b).sort_key() == ref.add(u, ref.neg(v))
+            assert (a * b).sort_key() == ref.mul(u, v)
+            if v in inv:
+                assert (a / b).sort_key() == ref.mul(u, inv[v])
+    assert len(inv) == q - 1
+    with pytest.raises(DivisionByZero):
+        ctx.zero.inverse()
+    with pytest.raises(DivisionByZero):
+        ctx.zero**-1
+
+
+def test_embed_from_table_field_into_a_field_above_the_cap():
+    small, big = _flat_finite_ctx(7, 3), _flat_finite_ctx(7, 6)
+    assert small.order <= LOG_TABLE_MAX_ORDER < big.order
+    rng = random.Random(11)
+    for _ in range(20):
+        a, b = small.sample(rng), small.sample(rng)
+        assert embed(a + b, big) == embed(a, big) + embed(b, big)
+        assert embed(a * b, big) == embed(a, big) * embed(b, big)
+    assert embed(small.one, big) == big.one
+    g = embed(small.gen(), big)
+    assert sum((g**k * c for k, c in enumerate(small.modulus)), big.zero) == big.zero
