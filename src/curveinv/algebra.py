@@ -53,9 +53,11 @@ class MPoly:
     def _from_reps(cls, ctx: FieldCtx, vars: tuple[str, ...], reps: dict) -> "MPoly":
         """Wrap raw coefficient reps, dropping zeros, without re-checking them."""
         out = object.__new__(cls)
-        out.ctx, out.vars = ctx, vars
+        out.ctx, out.vars, out.terms = ctx, vars, {}
         zero = ctx.rzero
-        out.terms = {e: FieldElement(ctx, c) for e, c in reps.items() if c != zero}
+        for e, c in reps.items():
+            if c != zero:
+                out.terms[e] = FieldElement(ctx, c)
         return out
 
     # -- constructors ---------------------------------------------------------
@@ -152,19 +154,20 @@ class MPoly:
             return self.scale(self.ctx.from_int(other))
         self._check(other)
         ctx = self.ctx
+        prime = ctx.kind == "prime"
         # Over F_p, sum plain integer products and reduce once per term.
-        radd, rmul = (add, mul) if ctx.kind == "prime" else (ctx.radd, ctx.rmul)
-        right = [(e, c.rep) for e, c in other.terms.items()]
+        radd, rmul = (add, mul) if prime else (ctx.radd, ctx.rmul)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             a = c1.rep
-            for e2, c2 in right:
+            for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                c = rmul(a, c2)
+                c = rmul(a, c2.rep)
                 cur = terms.get(e)
                 terms[e] = c if cur is None else radd(cur, c)
-        if ctx.kind == "prime":
-            terms = {e: c % ctx.char for e, c in terms.items()}
+        if prime:
+            for e, c in terms.items():
+                terms[e] = c % ctx.char
         return MPoly._from_reps(ctx, self.vars, terms)
 
     def __rmul__(self, other) -> "MPoly":

@@ -206,21 +206,6 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
 _OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int")
 
 
-def _power_by_squaring(rone, rmul, rinv):
-    def rpow(a, e):
-        if e < 0:
-            a, e = rinv(a), -e
-        result = rone
-        while e:
-            if e & 1:
-                result = rmul(result, a)
-            a = rmul(a, a)
-            e >>= 1
-        return result
-
-    return rpow
-
-
 def _inverse_of_zero():
     raise DivisionByZero("inverse of zero")
 
@@ -229,16 +214,13 @@ def _prime_ops(p: int) -> tuple:
     def rinv(a):
         return pow(a, -1, p) if a else _inverse_of_zero()
 
-    def rmul(a, b):
-        return a * b % p
-
     return (
         lambda a, b: (a + b) % p,
         lambda a, b: (a - b) % p,
         lambda a: -a % p,
-        rmul,
+        lambda a, b: a * b % p,
         rinv,
-        _power_by_squaring(1 % p, rmul, rinv),
+        lambda a, e: pow(a, e, p) if a or e >= 0 else _inverse_of_zero(),
         lambda n: n % p,
     )
 
@@ -247,7 +229,10 @@ def _rational_ops() -> tuple:
     def rinv(a):
         return 1 / a if a else _inverse_of_zero()
 
-    return (add, sub, neg, mul, rinv, _power_by_squaring(Fraction(1), mul, rinv), Fraction)
+    def rpow(a, e):
+        return a**e if a or e >= 0 else _inverse_of_zero()
+
+    return (add, sub, neg, mul, rinv, rpow, Fraction)
 
 
 def _tuple_ops(ctx: "FieldCtx") -> tuple:
@@ -273,13 +258,24 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
         u = _rp_scale(base, base.rinv(r0[0]), u0)
         return ctx._pad(_rp_rem(base, u, list(ctx.modulus)))
 
+    def rpow(a, e):
+        if e < 0:
+            a, e = rinv(a), -e
+        result = ctx.rone
+        while e:
+            if e & 1:
+                result = rmul(result, a)
+            a = rmul(a, a)
+            e >>= 1
+        return result
+
     return (
         lambda a, b: tuple(map(badd, a, b)),
         lambda a, b: tuple(map(bsub, a, b)),
         lambda a: tuple(map(bneg, a)),
         rmul,
         rinv,
-        _power_by_squaring(ctx.rone, rmul, rinv),
+        rpow,
         lambda k: (base.rfrom_int(k),) + (base.rzero,) * (n - 1),
     )
 
