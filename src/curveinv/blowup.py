@@ -20,7 +20,8 @@ from .unipoly import UniPoly
 
 
 class NeedsExtension(Exception):
-    """A tangent direction fails to split; carries the offending polynomial."""
+    """A polynomial fails to split over the working field (a tangent
+    direction, or a coordinate of a projective singular point); carries it."""
 
     def __init__(self, poly: UniPoly):
         super().__init__(str(poly))
@@ -157,6 +158,6 @@ def run_with_restarts(f: MPoly, builder):
         except NeedsExtension as e:
             ctx2, _root, _emb = f.ctx.extend_with_root(e.poly)
             if ctx2 is f.ctx:
-                raise InternalCheckError("direction split made no progress")
+                raise InternalCheckError("field extension made no progress")
             f = embed_poly(f, ctx2)
     raise InternalCheckError("too many field extensions while resolving")

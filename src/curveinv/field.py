@@ -13,12 +13,18 @@ are structural:
   the first primitive element in :meth:`FieldCtx.element_at` order
 
 Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
-``rfrom_int`` once, when it is built.  A small F_q multiplies by adding
-exponents mod q-1 and adds through a Zech table, log(1 + g^d) (Jacobi's
-logarithm; Lidl-Niederreiter, *Finite Fields*).  It is presented through the
-polynomial basis: ``element_at(i)`` has the base-p digits of i as
-coefficients, ``sort_key`` is that digit tuple, and ``str``, ``modulus``,
-embeddings and interning keys read the digits, so no output sees the codes.
+``rfrom_int`` and ``rconv`` once, when it is built.  ``rconv`` is the one
+product of coefficient vectors (polynomials, truncated series, extension
+reps): F_p sums Python ints and reduces once per coefficient, QQ convolves
+integers over a common denominator, and every extension loops over its own
+``radd``/``rmul``, so a tower or QQ(a) multiplies through its base's kernel.
+
+A small F_q multiplies by adding exponents mod q-1 and adds through a Zech
+table, log(1 + g^d) (Jacobi's logarithm; Lidl-Niederreiter, *Finite
+Fields*).  It is presented through the polynomial basis: ``element_at(i)``
+has the base-p digits of i as coefficients, ``sort_key`` is that digit
+tuple, and ``str``, ``modulus``, embeddings and interning keys read the
+digits, so no output sees the codes.
 
 Extension arithmetic reduces against a monic defining polynomial whose
 irreducibility is verified at construction (Rabin's test over finite fields,
@@ -31,6 +37,7 @@ of the old context, so arithmetic never pays for a tower.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, mul, neg, sub
 from typing import Callable, Iterator, Sequence
 
@@ -126,15 +133,7 @@ def _rp_scale(ctx: "FieldCtx", c, a: list) -> list:
 
 
 def _rp_mul(ctx: "FieldCtx", a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [ctx.rzero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ctx.ris_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = ctx.radd(out[i + j], ctx.rmul(ca, cb))
-    return _rp_trim(ctx, out)
+    return _rp_trim(ctx, ctx.rconv(a, b, len(a) + len(b) - 1))
 
 
 def _rp_divmod(ctx: "FieldCtx", a: list, b: list) -> tuple[list, list]:
@@ -203,16 +202,32 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
 
 
 # Arithmetic bound to a context: one closure per name in _OPS, in that order.
-_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int")
+# ``rconv(a, b, n)`` is the first n coefficients of the product of two
+# coefficient vectors (missing entries count as zero), untrimmed.
+_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv")
 
 
 def _inverse_of_zero():
     raise DivisionByZero("inverse of zero")
 
 
+def _int_mul_trunc(a, b, n: int) -> list:
+    """Integer vectors a*b mod t^n, summed as Python ints."""
+    out = [0] * n
+    b = b[:n]
+    for i, ca in enumerate(a[:n]):
+        if ca:
+            for j, cb in enumerate(b[: n - i], i):
+                out[j] += ca * cb
+    return out
+
+
 def _prime_ops(p: int) -> tuple:
     def rinv(a):
         return pow(a, -1, p) if a else _inverse_of_zero()
+
+    def rconv(a, b, n):
+        return [c % p for c in _int_mul_trunc(a, b, n)]
 
     return (
         lambda a, b: (a + b) % p,
@@ -222,6 +237,7 @@ def _prime_ops(p: int) -> tuple:
         rinv,
         lambda a, e: pow(a, e, p) if a or e >= 0 else _inverse_of_zero(),
         lambda n: n % p,
+        rconv,
     )
 
 
@@ -232,7 +248,35 @@ def _rational_ops() -> tuple:
     def rpow(a, e):
         return a**e if a or e >= 0 else _inverse_of_zero()
 
-    return (add, sub, neg, mul, rinv, rpow, Fraction)
+    def common_denominator(v):
+        # the numerators over the lcm of the denominators, and that lcm
+        den = lcm(*(c.denominator for c in v))
+        return [c.numerator * (den // c.denominator) for c in v], den
+
+    def rconv(a, b, n):
+        (na, da), (nb, db) = common_denominator(a[:n]), common_denominator(b[:n])
+        den = da * db
+        return [Fraction(c, den) for c in _int_mul_trunc(na, nb, n)]
+
+    return (add, sub, neg, mul, rinv, rpow, Fraction, rconv)
+
+
+def _generic_rconv(zero, radd, rmul) -> Callable:
+    """``rconv`` through a context's own ``radd``/``rmul``, skipping zeros."""
+
+    def rconv(a, b, n):
+        out = [zero] * n
+        nzb = [(j, c) for j, c in enumerate(b[:n]) if c != zero]
+        for i, ca in enumerate(a[:n]):
+            if ca != zero:
+                for j, cb in nzb:
+                    k = i + j
+                    if k >= n:
+                        break
+                    out[k] = radd(out[k], rmul(ca, cb))
+        return out
+
+    return rconv
 
 
 def _tuple_ops(ctx: "FieldCtx") -> tuple:
@@ -240,7 +284,7 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
     badd, bsub, bneg = base.radd, base.rsub, base.rneg
 
     def rmul(a, b):
-        return ctx._pad(ctx._reduce(_rp_mul(base, list(a), list(b))))
+        return tuple(ctx._reduce(base.rconv(a, b, 2 * n - 1)))
 
     def rinv(a):
         v = _rp_trim(base, list(a))
@@ -269,14 +313,18 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
             e >>= 1
         return result
 
+    def radd(a, b):
+        return tuple(map(badd, a, b))
+
     return (
-        lambda a, b: tuple(map(badd, a, b)),
+        radd,
         lambda a, b: tuple(map(bsub, a, b)),
         lambda a: tuple(map(bneg, a)),
         rmul,
         rinv,
         rpow,
         lambda k: (base.rfrom_int(k),) + (base.rzero,) * (n - 1),
+        _generic_rconv(ctx.rzero, radd, rmul),
     )
 
 
@@ -361,7 +409,16 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
             return (a - 1) * e % m + 1
         return 1 if e == 0 else 0 if e > 0 else _inverse_of_zero()
 
-    return (radd, lambda a, b: radd(a, rneg(b)), rneg, rmul, rinv, rpow, lambda k: log[k % p])
+    return (
+        radd,
+        lambda a, b: radd(a, rneg(b)),
+        rneg,
+        rmul,
+        rinv,
+        rpow,
+        lambda k: log[k % p],
+        _generic_rconv(0, radd, rmul),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +652,8 @@ class FieldCtx:
         return FieldElement(self, tuple(rep))
 
     # -- rep-level arithmetic ------------------------------------------------
-    # radd, rsub, rneg, rmul, rinv, rpow and rfrom_int are bound per context.
+    # radd, rsub, rneg, rmul, rinv, rpow, rfrom_int and rconv are bound per
+    # context.
 
     def rfrom_fraction(self, q: Fraction):
         if self.kind == "rationals":

@@ -424,12 +424,12 @@ class CoordinateChange:
         c = self.y_image.terms.get((1, 0), ctx.zero)
         d = self.y_image.terms.get((0, 1), ctx.zero)
         if (a * d - b * c).is_zero():
-            raise ValueError("linear part is not invertible")
+            raise InternalCheckError("linear part is not invertible")
         if not (
             self.x_image.constant_term().is_zero()
             and self.y_image.constant_term().is_zero()
         ):
-            raise ValueError("a coordinate change must fix the origin")
+            raise InternalCheckError("a coordinate change must fix the origin")
         self._lin = (a, b, c, d)
 
     def apply(self, f: MPoly) -> MPoly:

@@ -30,11 +30,10 @@ from .errors import (
     ShearExhausted,
     UndefinedAtOrigin,
 )
-from .field import FieldElement, embed
+from .field import FieldCtx, FieldElement, embed
 from .hne import BranchSet
 from .invariants import INF, ExtNat, germ
 from .projective import _validated_degree, dehomogenize, singular_points
-from .series import _tr_mul
 from .unipoly import UniPoly
 
 __all__ = [
@@ -158,8 +157,9 @@ def i_resultant(f: MPoly, g: MPoly, *, seed: int = 0x51EA4, retries: int = 10) -
 # ---------------------------------------------------------------------------
 
 
-def _pullback_rows(bs: BranchSet, prec: int) -> list[list[FieldElement]]:
-    """One row per monomial that some branch sees below the truncation order.
+def _pullback_rows(bs: BranchSet, prec: int) -> list[list]:
+    """One row of raw reps per monomial that some branch sees below the
+    truncation order.
 
     The row of x^a y^b is the concatenation over branches of the truncated
     pullback (x o phi)^a (y o phi)^b.  Monomials of order > prec - 1 on every
@@ -174,7 +174,7 @@ def _pullback_rows(bs: BranchSet, prec: int) -> list[list[FieldElement]]:
         one_row = [ctx.rone] + [ctx.rzero] * (prec - 1)
         pows = [one_row]
         for _ in range(prec - 1):
-            pows.append(_tr_mul(ctx, pows[-1], ser, prec))
+            pows.append(ctx.rconv(pows[-1], ser, prec))
         return pows
 
     xpows = [axis_pows(xs) for xs, _ in params]
@@ -200,27 +200,27 @@ def _pullback_rows(bs: BranchSet, prec: int) -> list[list[FieldElement]]:
     monos.sort(key=lambda ab: (mono_order(*ab), ab))
     rows = []
     for a, b in monos:
-        row: list[FieldElement] = []
+        row = []
         for i in range(bs.r):
-            row.extend(FieldElement(ctx, c) for c in _tr_mul(ctx, xpows[i][a], ypows[i][b], prec))
+            row.extend(ctx.rconv(xpows[i][a], ypows[i][b], prec))
         rows.append(row)
     return rows
 
 
-def _pivot_columns(rows: list[list[FieldElement]]) -> list[int]:
-    """Pivot columns of the row space; the input is consumed row by row."""
-    pivots: list[tuple[int, list[FieldElement]]] = []
+def _pivot_columns(ctx: FieldCtx, rows: list[list]) -> list[int]:
+    """Pivot columns of the row space of rows of raw reps over ``ctx``."""
+    zero, rsub, rmul = ctx.rzero, ctx.rsub, ctx.rmul
+    pivots: list[tuple[int, list]] = []
     for row in rows:
-        row = list(row)
         for col, prow in pivots:
             c = row[col]
-            if not c.is_zero():
-                row = [a - c * b for a, b in zip(row, prow)]
-        lead = next((j for j, a in enumerate(row) if not a.is_zero()), None)
+            if c != zero:
+                row = [a if b == zero else rsub(a, rmul(c, b)) for a, b in zip(row, prow)]
+        lead = next((j for j, a in enumerate(row) if a != zero), None)
         if lead is None:
             continue
-        inv = row[lead].inverse()
-        pivots.append((lead, [a * inv for a in row]))
+        inv = ctx.rinv(row[lead])
+        pivots.append((lead, [rmul(a, inv) for a in row]))
     return sorted(col for col, _ in pivots)
 
 
@@ -245,7 +245,7 @@ def branch_semigroup(f: MPoly) -> SemigroupData:
     if bs.r != 1:
         raise ValueError("value semigroups are attached to single branches")
     prec = 2 * bs.tree.delta_contribution() + 3
-    values = set(_pivot_columns(_pullback_rows(bs, prec)))
+    values = set(_pivot_columns(bs.ctx, _pullback_rows(bs, prec)))
     missing = sorted(set(range(prec)) - values)
     conductor = missing[-1] + 1 if missing else 0
     return SemigroupData(values=values, conductor=conductor, gaps=len(missing))
@@ -262,7 +262,7 @@ def delta_semigroup(f: MPoly) -> int:
     """
     bs = germ(f).branches
     prec = 2 * bs.tree.delta_contribution() + 3
-    rank = len(_pivot_columns(_pullback_rows(bs, prec)))
+    rank = len(_pivot_columns(bs.ctx, _pullback_rows(bs, prec)))
     return bs.r * prec - rank
 
 

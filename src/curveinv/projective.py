@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MPoly, embed_poly, gcd_bivar, resultant, squarefree_part
+from .algebra import MPoly, gcd_bivar, resultant, squarefree_part
+from .blowup import NeedsExtension, run_with_restarts
 from .errors import (
     InternalCheckError,
     NotHomogeneous,
@@ -71,17 +72,9 @@ def _is_reduced(F: MPoly) -> bool:
     return True
 
 
-class _NeedsRoot(Exception):
-    """A univariate factor refuses to split over the working field."""
-
-    def __init__(self, poly: UniPoly):
-        super().__init__(str(poly))
-        self.poly = poly
-
-
 def _all_roots(u: UniPoly) -> list[FieldElement]:
-    """Distinct roots over the closure; raises _NeedsRoot to demand a bigger
-    field whenever an irreducible factor of degree >= 2 appears."""
+    """Distinct roots over the closure; raises NeedsExtension to demand a
+    bigger field whenever an irreducible factor of degree >= 2 appears."""
     if u.degree() < 1:
         return []
     roots = []
@@ -90,7 +83,7 @@ def _all_roots(u: UniPoly) -> list[FieldElement]:
             gm = g.monic()
             roots.append(-gm.coefficient(0))
         else:
-            raise _NeedsRoot(g)
+            raise NeedsExtension(g)
     roots.sort(key=lambda e: e.sort_key())
     return roots
 
@@ -224,18 +217,7 @@ def singular_points(F: MPoly, *, analyze: bool = True) -> list[SingularPoint]:
         raise PositiveDimensionalSingularLocus(
             "the curve has a repeated component, so its singular locus is a curve"
         )
-    work = F
-    for _ in range(24):
-        try:
-            found = _locate(work)
-            break
-        except _NeedsRoot as e:
-            bigger, _, _ = e.poly.ctx.extend_with_root(e.poly)
-            if bigger is e.poly.ctx:
-                raise InternalCheckError("field extension made no progress")
-            work = embed_poly(F, bigger)
-    else:
-        raise InternalCheckError("singular locus needed more than 24 extensions")
+    work, found = run_with_restarts(F, _locate)
     out = []
     for trip in found:
         local = local_equation(work, trip)

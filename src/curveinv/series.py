@@ -3,10 +3,9 @@
 A series is a list of raw field representations (the ``rep`` of a
 :class:`FieldElement`): the coefficients of t^0 .. t^(n-1), known modulo
 t^n.  Every operation takes the precision it must reach and computes exactly
-that.  The kernels bind the context's arithmetic once per call: over F_p
-they accumulate Python ints and reduce mod p once per output coefficient,
-over QQ they clear denominators and convolve integers, and over an
-extension they go through ``radd``/``rmul``.
+that.  The context owns the kernels: every product is its bound ``rconv``,
+and every other step goes through its bound ``radd``/``rsub``/``rmul``, so
+nothing here depends on how a field represents its elements.
 
 :class:`Param` is one branch's parametrization: a smooth leaf curve solved
 as a graph by Newton lifting (each step doubles the precision, capped at the
@@ -18,105 +17,33 @@ Param to find its order.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from operator import add, mul
-
 from .algebra import MPoly
 from .errors import IncompatibleContexts, InternalCheckError
 from .field import FieldCtx
 
 
-def _support(v: list) -> tuple[int, int]:
-    """lo, hi with every nonzero entry of v in v[lo:hi] (lo == hi for zero)."""
-    lo, hi = 0, len(v)
-    while lo < hi and not v[lo]:
-        lo += 1
-    while hi > lo and not v[hi - 1]:
-        hi -= 1
-    return lo, hi
-
-
-def _int_conv(a: list, b: list, prec: int) -> list:
-    """Integer a*b mod t^prec: one C-level dot product per coefficient."""
-    out = [0] * prec
-    a0, a1 = _support(a)
-    b0, b1 = _support(b)
-    if a0 == a1 or b0 == b1:
-        return out
-    rb = b[b1 - 1 :: -1]  # rb[m] = b[b1 - 1 - m]
-    for k in range(a0 + b0, min(prec, a1 + b1 - 1)):
-        i0 = max(a0, k - b1 + 1)
-        i1 = min(a1 - 1, k - b0)
-        out[k] = sum(map(mul, a[i0 : i1 + 1], rb[b1 - 1 - k + i0 : b1 - k + i1]))
-    return out
-
-
-def _scaled(v: list) -> tuple[list, int]:
-    """Rational coefficients as integers over one common denominator."""
-    den = math.lcm(*(c.denominator for c in v)) if v else 1
-    return [c.numerator * (den // c.denominator) for c in v], den
-
-
-def _tr_mul(ctx: FieldCtx, a: list, b: list, prec: int) -> list:
-    """a*b mod t^prec; missing coefficients of a and b are zero."""
-    a, b = a[:prec], b[:prec]
-    kind = ctx.kind
-    if kind == "prime":
-        p = ctx.char
-        return [c % p for c in _int_conv(a, b, prec)]
-    if kind == "rationals":
-        (na, da), (nb, db) = _scaled(a), _scaled(b)
-        den = da * db
-        return [Fraction(c, den) for c in _int_conv(na, nb, prec)]
-    zero = ctx.rzero
-    radd, rmul = ctx.radd, ctx.rmul
-    out = [zero] * prec
-    nzb = [(j, c) for j, c in enumerate(b) if c != zero]
-    for i, ca in enumerate(a):
-        if ca == zero:
-            continue
-        for j, cb in nzb:
-            k = i + j
-            if k >= prec:
-                break
-            out[k] = radd(out[k], rmul(ca, cb))
-    return out
-
-
 def _tr_inv(ctx: FieldCtx, b: list, prec: int) -> list:
-    """1/b mod t^prec for a unit series b (b[0] nonzero)."""
-    b = b[:prec]
-    lead = ctx.rinv(b[0])
-    out = [lead]
-    if ctx.kind == "prime":
-        p = ctx.char
-        for n in range(1, prec):
-            top = min(n, len(b) - 1)
-            out.append(-lead * sum(map(mul, b[1 : top + 1], reversed(out[n - top : n]))) % p)
-        return out
-    zero = ctx.rzero
-    radd, rmul = (add, mul) if ctx.kind == "rationals" else (ctx.radd, ctx.rmul)
-    nzb = [(i, c) for i, c in enumerate(b) if i and c != zero]
-    for n in range(1, prec):
-        acc = zero
-        for i, c in nzb:
-            if i > n:
-                break
-            acc = radd(acc, rmul(c, out[n - i]))
-        out.append(ctx.rneg(rmul(lead, acc)))
+    """1/b mod t^prec for a unit series b (b[0] nonzero).
+
+    Newton steps out <- out*(2 - b*out) = out - out*(b*out - 1) double the
+    precision k of out.  b*out - 1 vanishes below t^k, so only its
+    coefficients k..n-1 are multiplied back, and nothing is divided, so the
+    step holds in every characteristic.
+    """
+    rconv, rneg = ctx.rconv, ctx.rneg
+    out = [ctx.rinv(b[0])]
+    while len(out) < prec:
+        k = len(out)
+        n = min(2 * k, prec)
+        high = rconv(b, out, n)[k:]
+        out += map(rneg, rconv(out, high, n - k))
     return out
 
 
 def _tr_axpy(ctx: FieldCtx, c, v: list, acc: list) -> list:
     """acc + c*v, coefficientwise; v may be shorter than acc."""
-    tail = acc[len(v) :]
-    if ctx.kind == "prime":
-        p = ctx.char
-        return [(s + c * w) % p for s, w in zip(acc, v)] + tail
-    zero = ctx.rzero
-    radd, rmul = (add, mul) if ctx.kind == "rationals" else (ctx.radd, ctx.rmul)
-    return [s if w == zero else radd(s, rmul(c, w)) for s, w in zip(acc, v)] + tail
+    zero, radd, rmul = ctx.rzero, ctx.radd, ctx.rmul
+    return [s if w == zero else radd(s, rmul(c, w)) for s, w in zip(acc, v)] + acc[len(v) :]
 
 
 def _tr_eval(ctx: FieldCtx, g: MPoly, xs: list, ys: list, prec: int) -> list:
@@ -129,10 +56,10 @@ def _tr_eval(ctx: FieldCtx, g: MPoly, xs: list, ys: list, prec: int) -> list:
     top = max(rows, default=0)
     for j in range(top, -1, -1):
         if j < top:
-            out = _tr_mul(ctx, out, ys, prec)
+            out = ctx.rconv(out, ys, prec)
         for i, c in rows.get(j, ()):
             while len(xpow) <= i:
-                xpow.append(_tr_mul(ctx, xpow[-1], xs, prec))
+                xpow.append(ctx.rconv(xpow[-1], xs, prec))
             out = _tr_axpy(ctx, c, xpow[i], out)
     return out
 
@@ -192,8 +119,8 @@ class Param:
     def _chart(self, chart: str, c, x: list, y: list, prec: int) -> tuple[list, list]:
         ctx = self.ctx
         if chart == "x":
-            return x, _tr_mul(ctx, x, [ctx.radd(y[0], c)] + y[1:], prec)
-        return _tr_mul(ctx, y, [ctx.radd(x[0], c)] + x[1:], prec), y
+            return x, ctx.rconv(x, [ctx.radd(y[0], c)] + y[1:], prec)
+        return ctx.rconv(y, [ctx.radd(x[0], c)] + x[1:], prec), y
 
     def _lift(self, prec: int) -> None:
         ctx = self.ctx
@@ -205,7 +132,7 @@ class Param:
             # val vanishes below t^len(phi), so leaf_y is needed only mod t^m.
             m = n - len(phi)
             deriv = _tr_eval(ctx, self._leaf_y, t, phi, m)
-            corr = _tr_mul(ctx, val, _tr_inv(ctx, deriv, m), n)
+            corr = ctx.rconv(val, _tr_inv(ctx, deriv, m), n)
             phi = [ctx.rsub(a, b) for a, b in zip(phi + [ctx.rzero] * (n - len(phi)), corr)]
         self._sol = phi
 

@@ -1,12 +1,12 @@
 """Dense univariate polynomials over a :class:`~curveinv.field.FieldCtx`.
 
 Beyond ring arithmetic this module carries the machinery the rest of the
-package leans on: squarefree decomposition in every characteristic (Yun in
-characteristic zero, Musser with p-th root extraction otherwise), full
-factorization (distinct-degree plus Cantor-Zassenhaus over finite fields,
-sympy over QQ, Trager's norm descent over algebraic extensions of QQ), and
-canonical root lists.  Randomized splitting draws from a generator seeded by
-the input, so every run factors the same polynomial the same way.
+package leans on: squarefree decomposition in every characteristic
+(Musser's algorithm, with p-th root extraction in positive characteristic),
+full factorization (distinct-degree plus Cantor-Zassenhaus over finite
+fields, sympy over QQ, Trager's norm descent over algebraic extensions of
+QQ), and canonical root lists.  Randomized splitting draws from a generator
+seeded by the input, so every run factors the same polynomial the same way.
 """
 
 from __future__ import annotations
@@ -232,10 +232,7 @@ class UniPoly:
         """Monic pairwise-coprime squarefree factors with multiplicities."""
         if self.degree() < 1:
             return []
-        f = self.monic()
-        if self.ctx.char == 0:
-            return _yun(f)
-        return _musser(f)
+        return _musser(self.monic())
 
     def squarefree_part(self) -> "UniPoly":
         out = UniPoly(self.ctx, [1])
@@ -328,27 +325,12 @@ def _poly_key(g: UniPoly):
     return (g.degree(), tuple(c.sort_key() for c in g.coeffs))
 
 
-def _yun(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    df = f.derivative()
-    a = f.gcd(df)
-    b, c = f // a, df // a - (f // a).derivative()
-    out, i = [], 1
-    while b.degree() > 0:
-        g = b.gcd(c)
-        if g.degree() > 0:
-            out.append((g.monic(), i))
-        b, c = b // g, c // g - (b // g).derivative()
-        i += 1
-    return out
-
-
 def _musser(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Musser's algorithm; c ends as a p-th power (f itself when f' = 0),
+    and as 1 in characteristic zero."""
     p = f.ctx.char
-    df = f.derivative()
-    if df.is_zero():
-        return [(g, e * p) for g, e in f.pth_root().squarefree_decomposition()]
     out: list[tuple[UniPoly, int]] = []
-    c = f.gcd(df)
+    c = f.gcd(f.derivative())
     w = f // c
     i = 1
     while w.degree() > 0:

@@ -263,7 +263,8 @@ def test_squarefree_decomposition_examples():
 
 def test_squarefree_decomposition_random_reassembly():
     rng = random.Random(11)
-    for ctx in [FieldCtx.prime(2), FieldCtx.prime(3), FieldCtx.rationals()]:
+    qq = FieldCtx.rationals()
+    for ctx in [FieldCtx.prime(2), FieldCtx.prime(3), qq, qq.extend([-2, 0, 1])]:
         for _ in range(10):
             f = UniPoly(ctx, [1])
             for _ in range(rng.randint(1, 3)):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
-from curveinv.errors import NotReduced, UndefinedAtOrigin
+from curveinv.errors import InternalCheckError, NotReduced, UndefinedAtOrigin
 from curveinv.field import FieldCtx
 from curveinv.invariants import (
     INF,
@@ -209,8 +209,10 @@ def test_coordinate_change_inverse_check():
     ch = CoordinateChange(x + y * y, y - x * x, truncation=4)
     u, v = ch.truncated_inverse()
     assert u.terms[(1, 0)] == QQ.one
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         CoordinateChange(x + y, x + y, truncation=3)
+    with pytest.raises(InternalCheckError):
+        CoordinateChange(x + MPoly.constant(QQ, XY, QQ.one), y, truncation=3)
 
 
 def test_relations_named_curves():

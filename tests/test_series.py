@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from curveinv.algebra import MPoly, parse_poly
 from curveinv.errors import InternalCheckError
-from curveinv.field import FieldCtx
+from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.hne import branch_decompose
-from curveinv.series import Param, _tr_eval, _tr_inv, _tr_mul, series_order
+from curveinv.series import Param, _tr_eval, _tr_inv, series_order
 
 QQ = FieldCtx.rationals()
 XY = ("x", "y")
@@ -55,7 +55,7 @@ def test_substitution_is_ring_hom_on_random_pairs():
             sx = [ctx.sample(rng).rep for _ in range(4)]
             sy = [ctx.sample(rng).rep for _ in range(4)]
             lhs = _tr_eval(ctx, f * g, sx, sy, n)
-            rhs = _tr_mul(ctx, _tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n), n)
+            rhs = ctx.rconv(_tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n), n)
             assert lhs == rhs
             lhs2 = _tr_eval(ctx, f + g, sx, sy, n)
             pf, pg = _tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n)
@@ -115,11 +115,16 @@ def test_series_order_bound_semantics():
 
 
 def _contexts() -> dict[str, FieldCtx]:
-    f7 = FieldCtx.prime(7)
+    f2, f7 = FieldCtx.prime(2), FieldCtx.prime(7)
+    f4 = f2.extend([1, 1, 1])
+    f2_17 = _flat_finite_ctx(2, 17)  # above the log-table cap
     return {
-        "F2": FieldCtx.prime(2),
+        "F2": f2,
         "F7": f7,
         "F7^3": branch_decompose(parse_poly("5*x^3+6*y^3+y^5", f7)).ctx,
+        # towers: tuples over log-table F_4, and over F_{2^17}, itself tuples over F_2
+        "F4(b)": f4.extend([f4.gen(), f4.one, f4.one]),  # b^2+b+a
+        "F2^17(b)": f2_17.extend([f2_17.gen() + 1, f2_17.one, f2_17.one]),  # b^2+b+a+1
         "QQ": QQ,
         "QQ(a)": branch_decompose(parse_poly("y^2-2*x^2", QQ)).ctx,
     }
@@ -127,6 +132,7 @@ def _contexts() -> dict[str, FieldCtx]:
 
 CONTEXTS = _contexts()
 assert CONTEXTS["F7^3"].order == 7**3 and CONTEXTS["QQ(a)"].absdegree == 2
+assert CONTEXTS["F4(b)"].base._exp is not None and CONTEXTS["F2^17(b)"].base._exp is None
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -187,7 +193,7 @@ def test_tr_mul_matches_naive_convolution(name):
     @PROPERTY
     @given(series(ctx), series(ctx), st.integers(1, 16))
     def check(a, b, n):
-        assert _tr_mul(ctx, reps(a), reps(b), n) == reps(naive_mul(ctx, a, b, n))
+        assert ctx.rconv(reps(a), reps(b), n) == reps(naive_mul(ctx, a, b, n))
 
     check()
 
@@ -204,7 +210,7 @@ def test_tr_inv_matches_naive_reciprocal(name):
         inv = _tr_inv(ctx, reps(b), n)
         assert inv == reps(naive_inv(ctx, b, n))
         one = [ctx.rone] + [ctx.rzero] * (n - 1)
-        assert _tr_mul(ctx, reps(b), inv, n) == one
+        assert ctx.rconv(reps(b), inv, n) == one
 
     check()
 
