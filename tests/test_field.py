@@ -328,6 +328,31 @@ def test_factor_trager_over_quadratic_extension():
     assert g.is_irreducible()
 
 
+def test_factor_over_towers():
+    qq = FieldCtx.rationals()
+    cbrt2 = qq.extend([-2, 0, 0, 1])
+    k = qq.extend([-2, 0, 1])
+    k2 = k.extend([k.from_int(-3), k.zero, k.one])
+    cases = [
+        (cbrt2, [-2, 0, 0, 1], [("t-a", 1), ("t^2+a*t+a^2", 1)]),
+        (k2, [-6, 0, 1], [("t-a*b", 1), ("t+a*b", 1)]),
+        (
+            k2,
+            [1, 0, -10, 0, 1],
+            [("t-b-a", 1), ("t+b-a", 1), ("t-b+a", 1), ("t+b+a", 1)],
+        ),
+    ]
+    for ctx, coeffs, expected in cases:
+        f = UniPoly(ctx, coeffs)
+        factors = f.factor()
+        assert [(str(g), e) for g, e in factors] == expected
+        rebuilt = UniPoly(ctx, [1])
+        for g, e in factors:
+            assert g.leading().is_one()
+            rebuilt = rebuilt * g**e
+        assert rebuilt == f
+
+
 def test_roots_deterministic_and_complete():
     f9 = FieldCtx.prime(3).extend([1, 0, 1])
     x = UniPoly.x(f9)

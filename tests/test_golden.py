@@ -32,6 +32,9 @@ CASES = {
         "local", "analyze", "--char", "0", "--poly", "7*x^3+3/4*x^4+5/4*x^2*y^3-8*x*y^4",
         *_ANALYZE,
     ],
+    "analyze_qq_tower_cubic": [
+        "local", "analyze", "--char", "0", "--poly", "y^3-2*x^3", *_ANALYZE
+    ],
     "analyze_f7_fq3": [
         "local", "analyze", "--char", "7", "--poly", "5*x^3+6*y^3+y^5", *_ANALYZE
     ],
