@@ -1,12 +1,16 @@
 """Point blow-ups of plane curve germs and the infinitely near tree.
 
-A germ of multiplicity m is pulled back through (x, y) -> (x, x(y+c)) in the
-x-chart, or (x, y) -> (y(x+c), y) in the y-chart, and the exceptional factor
-x^m (resp. y^m) is stripped exactly; the identity f(u, u(v+c)) = u^m * g(u,v)
-is an invariant the tests replay literally.  Chart centers are the tangent
-directions of the germ; when one lives outside the coefficient field the
-private :class:`NeedsExtension` escapes to a driver that enlarges the field
-and restarts, so all published results live in a single context.
+``blow_up(f, chart, center)`` pulls a germ of multiplicity m back through
+(x, y) -> (x, x(y+c)) in the x-chart, or (x, y) -> (y(x+c), y) in the
+y-chart, and strips the exceptional factor x^m (resp. y^m) exactly; the
+identity f(u, u(v+c)) = u^m * g(u,v) is an invariant the tests replay
+literally.  Chart centers are the tangent directions of the germ.  Every
+"does it split, or which field comes next" question goes through
+:func:`split`: it returns the roots when a univariate splits over the
+coefficient field, and otherwise raises the private :class:`NeedsExtension`
+with the least nonlinear factor, which escapes to :func:`run_with_restarts`;
+that driver enlarges the field and restarts, so all published results live
+in a single context.
 """
 
 from __future__ import annotations
@@ -28,54 +32,49 @@ class NeedsExtension(Exception):
         self.poly = poly
 
 
-def blow_up_x(f: MPoly, center: FieldElement) -> MPoly:
-    """Strict transform in the x-chart at direction y/x = center.
+def split(u: UniPoly) -> list[tuple[FieldElement, int]]:
+    """Roots of ``u`` with multiplicities, sorted by sort key, when ``u``
+    splits over its field; otherwise :class:`NeedsExtension` carrying the
+    least nonlinear factor by (degree, sort key)."""
+    factors = u.factor()
+    for g, _ in factors:
+        if g.degree() > 1:
+            raise NeedsExtension(g)
+    out = [(-g.coeffs[0], mult) for g, mult in factors]
+    out.sort(key=lambda rm: rm[0].sort_key())
+    return out
 
-    Returns g with f(x, x*(y+center)) = x^m * g(x, y), m = ord f; the new
+
+def blow_up(f: MPoly, chart: str, center: FieldElement) -> MPoly:
+    """Strict transform in the x- or y-chart at the direction ``center``.
+
+    Returns g with f(x, x*(y+center)) = x^m * g(x, y) in the x-chart, or
+    f(y*(x+center), y) = y^m * g(x, y) in the y-chart, m = ord f; the new
     origin is the intersection with the exceptional line.
     """
     m = f.order()
     assert m is not None and m >= 1
     ctx, vars = f.ctx, f.vars
-    ypc = MPoly(ctx, vars, {(0, 1): ctx.one, (0, 0): center})
+    k = 1 if chart == "x" else 0  # the variable that moves by the center
+    moved = MPoly(ctx, vars, {(1 - k, k): ctx.one, (0, 0): center})
     pows = [MPoly.constant(ctx, vars, ctx.one)]
     out = MPoly.zero(ctx, vars)
-    for (i, j), c in sorted(f.terms.items()):
-        while len(pows) <= j:
-            pows.append(pows[-1] * ypc)
-        shift = MPoly(ctx, vars, {(i + j - m, 0): c})
-        out = out + shift * pows[j]
+    for e, c in sorted(f.terms.items()):
+        while len(pows) <= e[k]:
+            pows.append(pows[-1] * moved)
+        shift = [0, 0]
+        shift[1 - k] = e[0] + e[1] - m
+        out = out + MPoly(ctx, vars, {tuple(shift): c}) * pows[e[k]]
     return out
 
 
-def blow_up_y(f: MPoly, center: FieldElement) -> MPoly:
-    """Strict transform in the y-chart at direction x/y = center."""
+def tangent_cone_poly(f: MPoly) -> UniPoly:
+    """The multiplicity-m part in the x-chart, sum of c_ij w^j over i+j = m."""
     m = f.order()
-    assert m is not None and m >= 1
-    ctx, vars = f.ctx, f.vars
-    xpc = MPoly(ctx, vars, {(1, 0): ctx.one, (0, 0): center})
-    pows = [MPoly.constant(ctx, vars, ctx.one)]
-    out = MPoly.zero(ctx, vars)
-    for (i, j), c in sorted(f.terms.items()):
-        while len(pows) <= i:
-            pows.append(pows[-1] * xpc)
-        shift = MPoly(ctx, vars, {(0, i + j - m): c})
-        out = out + shift * pows[i]
-    return out
-
-
-def tangent_cone_poly(f: MPoly, chart: str) -> UniPoly:
-    """The multiplicity-m part as a univariate: sum of c_ij w^j (x-chart)
-    or c_ij w^i (y-chart) over i+j = m."""
-    m = f.order()
-    coeffs: dict[int, FieldElement] = {}
+    out = [f.ctx.zero] * (m + 1)
     for (i, j), c in f.terms.items():
         if i + j == m:
-            k = j if chart == "x" else i
-            coeffs[k] = coeffs.get(k, f.ctx.zero) + c
-    out = [f.ctx.zero] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
+            out[j] = c
     return UniPoly(f.ctx, out)
 
 
@@ -87,7 +86,7 @@ class StrictTransformChart:
     m: int
 
 
-def strict_transform(f: MPoly, prefer: str = "x_first") -> list[StrictTransformChart]:
+def strict_transform(f: MPoly) -> list[StrictTransformChart]:
     """One chart per point of the strict transform on the exceptional line.
 
     Raises :class:`NeedsExtension` when a tangent direction is not rational
@@ -97,23 +96,10 @@ def strict_transform(f: MPoly, prefer: str = "x_first") -> list[StrictTransformC
     m = f.order()
     if m is None or m < 1:
         raise NotSingularAtOrigin("germ does not vanish at the origin")
-    primary = "x" if prefer == "x_first" else "y"
-    cone = tangent_cone_poly(f, primary)
-    roots = cone.roots_with_multiplicity()
-    covered = sum(mult for _, mult in roots)
-    if covered < cone.degree():
-        residual = cone
-        for r, mult in roots:
-            residual = residual // UniPoly(f.ctx, [-r, f.ctx.one]) ** mult
-        raise NeedsExtension(residual)
-    charts = []
-    for r, _ in roots:
-        local = blow_up_x(f, r) if primary == "x" else blow_up_y(f, r)
-        charts.append(StrictTransformChart(primary, r, local, m))
+    cone = tangent_cone_poly(f)
+    charts = [StrictTransformChart("x", r, blow_up(f, "x", r), m) for r, _ in split(cone)]
     if cone.degree() < m:
-        other = "y" if primary == "x" else "x"
-        local = blow_up_y(f, f.ctx.zero) if other == "y" else blow_up_x(f, f.ctx.zero)
-        charts.append(StrictTransformChart(other, None, local, m))
+        charts.append(StrictTransformChart("y", None, blow_up(f, "y", f.ctx.zero), m))
     return charts
 
 

@@ -257,6 +257,8 @@ def _compare_dual(char: int, seed: int) -> list[dict]:
 
 
 def cmd_oracle_compare(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be nonnegative")
     if args.suite == "intersection":
         rows = _compare_intersection(args.char, args.count, args.seed)
     elif args.suite == "delta":

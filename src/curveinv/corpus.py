@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import MPoly, parse_poly, resultant, squarefree_part
 from .errors import ShearExhausted
-from .field import FieldCtx
+from .field import FieldCtx, _is_prime
 from .invariants import delta, intersection_multiplicity, verify_relations
 from .oracle import delta_semigroup, i_resultant
 
@@ -78,6 +78,9 @@ class CorpusSpec:
             raise ValueError("max degree must be at least one")
         if not self.chars:
             raise ValueError("at least one characteristic is required")
+        for p in self.chars:
+            if p != 0 and not _is_prime(p):
+                raise ValueError(f"characteristic {p} is neither 0 nor a prime")
         if len(self.mix) != 3 or any(w < 0 for w in self.mix) or sum(self.mix) == 0:
             raise ValueError("mix needs three nonnegative weights, not all zero")
 

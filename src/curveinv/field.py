@@ -531,7 +531,6 @@ class FieldCtx:
         modulus,
         gen_name: str | None = None,
         *,
-        max_depth: int = MAX_TOWER_DEPTH,
         _verified: bool = False,
     ) -> "FieldCtx":
         """Extension by a root of ``modulus`` (irreducible over this context).
@@ -555,9 +554,9 @@ class FieldCtx:
         n = len(reps) - 1
         if n < 2:
             raise ValueError("extension degree must be at least 2")
-        if self.depth + 1 > max_depth:
+        if self.depth + 1 > MAX_TOWER_DEPTH:
             raise TowerLimitExceeded(
-                f"tower depth {self.depth + 1} exceeds the cap {max_depth}"
+                f"tower depth {self.depth + 1} exceeds the cap {MAX_TOWER_DEPTH}"
             )
         reps = _rp_monic(self, reps)
         if not _verified:

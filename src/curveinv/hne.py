@@ -98,15 +98,15 @@ def _coordinate_orders(param: Param, vars: tuple[str, ...], bound: int):
     return tuple(series_order(MPoly.variable(param.ctx, vars, v), param, bound) for v in vars)
 
 
-def _decompose(g: MPoly, prefer: str) -> tuple[InfinitelyNearTree, list[_Raw]]:
+def _decompose(g: MPoly) -> tuple[InfinitelyNearTree, list[_Raw]]:
     m = g.order()
     node = InfinitelyNearTree(m)
     if m == 1:
         return node, [_solve_leaf(g)]
     out: list[_Raw] = []
     total_here = 0
-    for ch in strict_transform(g, prefer):
-        subtree, subs = _decompose(ch.local_eq, prefer)
+    for ch in strict_transform(g):
+        subtree, subs = _decompose(ch.local_eq)
         node.children.append((ch.chart, ch.center, subtree))
         for raw in subs:
             raw.series.push(ch.chart, ch.center)
@@ -152,7 +152,7 @@ def _certify(f: MPoly, param: Param, delta_b: int, mt_b: int) -> None:
         raise InternalCheckError("parametrization is not primitive")
 
 
-def branch_decompose(f: MPoly, *, prefer: str = "x_first", certify: bool = True) -> BranchSet:
+def branch_decompose(f: MPoly, *, certify: bool = True) -> BranchSet:
     """All branches of the reduced germ f at the origin, over one common field.
 
     Tangent directions met during resolution that are not rational over the
@@ -163,19 +163,17 @@ def branch_decompose(f: MPoly, *, prefer: str = "x_first", certify: bool = True)
         raise NotReduced("the zero polynomial is not reduced")
     if f.constant_term().is_zero() and not squarefree_part(f)[1]:
         raise NotReduced("the curve has a repeated component")
-    return decompose_reduced(f, prefer=prefer, certify=certify)
+    return decompose_reduced(f, certify=certify)
 
 
-def decompose_reduced(
-    f: MPoly, *, prefer: str = "x_first", certify: bool = True
-) -> BranchSet:
+def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:
     """:func:`branch_decompose` for a germ whose caller has already checked
     that it is reduced."""
     if not f.constant_term().is_zero():
         raise NotSingularAtOrigin(
             "branch decomposition was requested for a curve missing the origin"
         )
-    f2, (tree, raws) = run_with_restarts(f, lambda g: _decompose(g, prefer))
+    f2, (tree, raws) = run_with_restarts(f, _decompose)
     ctx = f2.ctx
     deg = f2.degree()
 

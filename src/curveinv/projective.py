@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MPoly, gcd_bivar, resultant, squarefree_part
-from .blowup import NeedsExtension, run_with_restarts
+from .blowup import run_with_restarts, split
 from .errors import (
     InternalCheckError,
     NotHomogeneous,
@@ -72,22 +72,6 @@ def _is_reduced(F: MPoly) -> bool:
     return True
 
 
-def _all_roots(u: UniPoly) -> list[FieldElement]:
-    """Distinct roots over the closure; raises NeedsExtension to demand a
-    bigger field whenever an irreducible factor of degree >= 2 appears."""
-    if u.degree() < 1:
-        return []
-    roots = []
-    for g, _ in u.factor():
-        if g.degree() == 1:
-            gm = g.monic()
-            roots.append(-gm.coefficient(0))
-        else:
-            raise NeedsExtension(g)
-    roots.sort(key=lambda e: e.sort_key())
-    return roots
-
-
 def _chart_points(system: list[MPoly], chart: str) -> list[tuple[FieldElement, FieldElement]]:
     """Common zeros of the dehomogenized system in one affine chart."""
     polys = [g for g in (dehomogenize(s, chart) for s in system) if not g.is_zero()]
@@ -119,14 +103,14 @@ def _chart_points(system: list[MPoly], chart: str) -> list[tuple[FieldElement, F
     if pinned is None:
         raise InternalCheckError("pairwise resultants all vanished in a chart solve")
     points = []
-    for a in _all_roots(pinned.to_unipoly(0)):
+    for a, _ in split(pinned.to_unipoly(0)):
         rest: UniPoly | None = None
         for g in polys:
             u = g.subs_const(0, a).to_unipoly(1)
             rest = u if rest is None else rest.gcd(u)
         if rest is None or rest.is_zero():
             raise InternalCheckError("a whole line survived the chart solve")
-        for b in _all_roots(rest):
+        for b, _ in split(rest):
             points.append((a, b))
     return points
 

@@ -5,8 +5,11 @@ package leans on: squarefree decomposition in every characteristic
 (Musser's algorithm, with p-th root extraction in positive characteristic),
 full factorization (distinct-degree plus Cantor-Zassenhaus over finite
 fields, sympy over QQ, Trager's norm descent over algebraic extensions of
-QQ), and canonical root lists.  Randomized splitting draws from a generator
-seeded by the input, so every run factors the same polynomial the same way.
+QQ, the norm being the resultant Res_z(minpoly(z), h(t, z)) from
+:func:`curveinv.algebra.resultant`), and canonical root lists, which are
+read off the linear factors of :meth:`UniPoly.factor` over every field.
+Randomized splitting draws from a generator seeded by the input, so every
+run factors the same polynomial the same way.
 """
 
 from __future__ import annotations
@@ -172,23 +175,6 @@ class UniPoly:
         g = _rp_gcd(self.ctx, self._reps(), other._reps())
         return UniPoly._from_reps(self.ctx, g)
 
-    def xgcd(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly", "UniPoly"]:
-        """Monic gcd ``g`` with cofactors: ``u*self + v*other = g``."""
-        self._check(other)
-        ctx = self.ctx
-        r0, r1 = self, other
-        u0, u1 = UniPoly(ctx, [1]), UniPoly(ctx, [])
-        v0, v1 = UniPoly(ctx, []), UniPoly(ctx, [1])
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        if r0.is_zero():
-            return r0, u0, v0
-        c = r0.leading().inverse()
-        return r0.scale(c), u0.scale(c), v0.scale(c)
-
     def derivative(self) -> "UniPoly":
         return UniPoly(
             self.ctx,
@@ -271,23 +257,6 @@ class UniPoly:
         return [r for r, _ in self.roots_with_multiplicity()]
 
     def roots_with_multiplicity(self) -> list[tuple[FieldElement, int]]:
-        if self.degree() < 1:
-            return []
-        ctx = self.ctx
-        if ctx.order is not None and ctx.order <= 256:
-            found = []
-            for e in ctx.elements():
-                if self.eval(e).is_zero():
-                    f, mult = self, 0
-                    lin = UniPoly(ctx, [-e, ctx.one])
-                    while True:
-                        q, r = divmod(f, lin)
-                        if not r.is_zero():
-                            break
-                        f, mult = q, mult + 1
-                    found.append((e, mult))
-            found.sort(key=lambda rm: rm[0].sort_key())
-            return found
         out = [
             (-g.coeffs[0], mult) for g, mult in self.factor() if g.degree() == 1
         ]
@@ -450,12 +419,11 @@ def _factor_trager(f: UniPoly) -> list[UniPoly]:
     """Factor a squarefree monic poly over QQ(alpha, ...) by norm descent."""
     ctx = f.ctx
     base = ctx.base
-    k = ctx.deg_step
     minpoly = UniPoly(base, [FieldElement(base, r) for r in ctx.modulus])
     alpha = ctx.gen()
     for s in range(0, 40):
         shifted = f.compose(UniPoly(ctx, [alpha * s, ctx.one]))
-        norm = _norm_poly(shifted, minpoly, k)
+        norm = _norm(shifted, minpoly)
         if norm.gcd(norm.derivative()).degree() == 0:
             break
     else:
@@ -481,71 +449,16 @@ def _factor_squarefree_over(f: UniPoly) -> list[UniPoly]:
     return _factor_trager(f)
 
 
-def _norm_poly(h: UniPoly, minpoly: UniPoly, k: int) -> UniPoly:
-    """Norm of ``h`` down one tower step, by evaluation and interpolation.
+def _norm(h: UniPoly, minpoly: UniPoly) -> UniPoly:
+    """Norm of ``h`` down one tower step: Res_z(minpoly(z), h(t, z)), with
+    the generator of ``h``'s coefficient field replaced by z."""
+    from . import algebra
 
-    Coefficients of ``h`` live in base[alpha]; replacing alpha by a fresh
-    variable and taking Res_alpha against the minimal polynomial multiplies
-    the conjugates together.  The resultant is evaluated at enough base
-    points to interpolate the degree bound deg(h) * k exactly.
-    """
-    ctx = h.ctx
-    base = ctx.base
-    bound = h.degree() * k
-    points: list[FieldElement] = []
-    values: list[FieldElement] = []
-    n = 0
-    while len(points) <= bound:
-        cand = base.from_int((-1) ** n * ((n + 1) // 2))
-        n += 1
-        if any(p == cand for p in points):
-            continue
-        # H(cand, w): substitute z = cand, leaving a univariate in w (the
-        # lifted generator); its coefficients come from the reps of h's
-        # coefficients, which are polynomials in alpha of degree < k.
-        w_coeffs = [base.zero] * k
-        zpow = base.one
-        for c in h.coeffs:
-            for j in range(k):
-                w_coeffs[j] = w_coeffs[j] + FieldElement(base, c.rep[j]) * zpow
-            zpow = zpow * cand
-        hv = UniPoly(base, w_coeffs)
-        values.append(_res_univ(minpoly, hv))
-        points.append(cand)
-    return _lagrange(points, values)
-
-
-def _res_univ(a: UniPoly, b: UniPoly) -> FieldElement:
-    """Resultant of univariates over a field, by the Euclidean recursion."""
-    ctx = a.ctx
-    if a.is_zero() or b.is_zero():
-        return ctx.zero
-    res = ctx.one
-    sign = 1
-    while b.degree() > 0:
-        r = a % b
-        if r.is_zero():
-            return ctx.zero if b.degree() > 0 else res
-        if (a.degree() * b.degree()) % 2 == 1:
-            sign = -sign
-        res = res * b.leading() ** (a.degree() - r.degree())
-        a, b = b, r
-    res = res * b.coeffs[0] ** a.degree()
-    if sign < 0:
-        res = -res
-    return res
-
-
-def _lagrange(points: list[FieldElement], values: list[FieldElement]) -> UniPoly:
-    ctx = points[0].ctx
-    out = UniPoly(ctx, [])
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        num = UniPoly(ctx, [yi])
-        den = ctx.one
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            num = num * UniPoly(ctx, [-xj, ctx.one])
-            den = den * (xi - xj)
-        out = out + num.scale(den.inverse())
-    return out
+    base = minpoly.ctx
+    vars = ("t", "z")
+    hz = {}
+    for i, c in enumerate(h.coeffs):
+        for j, r in enumerate(c.rep):
+            hz[(i, j)] = FieldElement(base, r)
+    mz = algebra.MPoly.from_unipoly(minpoly, vars, 1)
+    return algebra.resultant(mz, algebra.MPoly(base, vars, hz), "z").to_unipoly(0)

@@ -7,10 +7,11 @@ import random
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
-from curveinv.blowup import NeedsExtension, strict_transform
+from curveinv.blowup import NeedsExtension, split, strict_transform
 from curveinv.errors import NotSingularAtOrigin
 from curveinv.field import FieldCtx
 from curveinv.hne import branch_decompose
+from curveinv.unipoly import UniPoly
 
 QQ = FieldCtx.rationals()
 XY = ("x", "y")
@@ -84,8 +85,10 @@ def test_chart_preference_gives_same_delta():
     ]:
         ctx = QQ if p == 0 else FieldCtx.prime(p)
         f = parse_poly(text, ctx)
-        a = branch_decompose(f, prefer="x_first").tree.delta_contribution()
-        b = branch_decompose(f, prefer="y_first").tree.delta_contribution()
+        x = MPoly.variable(ctx, XY, "x")
+        y = MPoly.variable(ctx, XY, "y")
+        a = branch_decompose(f).tree.delta_contribution()
+        b = branch_decompose(f.substitute([y, x])).tree.delta_contribution()
         assert a == b
 
 
@@ -125,3 +128,59 @@ def test_tree_json_shape():
     assert data["children"][0]["chart"] == "x"
     assert data["children"][0]["center"] == "0"
     assert data["children"][0]["tree"] == {"mult": 1, "children": []}
+
+
+def _enumerated_roots(f):
+    """Roots by trying every field element, multiplicities by repeated
+    division by (t - e)."""
+    ctx = f.ctx
+    found = []
+    for e in ctx.elements():
+        lin = UniPoly(ctx, [-e, ctx.one])
+        rest, mult = f, 0
+        while True:
+            q, r = divmod(rest, lin)
+            if not r.is_zero():
+                break
+            rest, mult = q, mult + 1
+        if mult:
+            found.append((e, mult))
+    found.sort(key=lambda rm: rm[0].sort_key())
+    return found
+
+
+def test_roots_and_split_match_enumeration():
+    f2, f3, f5 = FieldCtx.prime(2), FieldCtx.prime(3), FieldCtx.prime(5)
+    fields = [
+        f2,
+        f3,
+        f2.extend([1, 1, 1]),
+        FieldCtx.prime(7),
+        f3.extend([1, 0, 1]),
+        f5.extend([2, 0, 1]),
+    ]
+    rng = random.Random(0x5B1)
+    outcomes = set()
+    for ctx in fields:
+        for _ in range(25):
+            nlin = rng.randint(0, 4)
+            f = UniPoly(ctx, [ctx.sample(rng) for _ in range(rng.randint(1, 7 - nlin))])
+            for _ in range(nlin):
+                f = f * UniPoly(ctx, [ctx.sample(rng), ctx.one])
+            if f.is_zero():
+                continue
+            expected = _enumerated_roots(f)
+            assert f.roots_with_multiplicity() == expected
+            nonlinear = [g for g, _ in f.factor() if g.degree() > 1]
+            if not nonlinear:
+                outcomes.add("split")
+                assert split(f) == expected
+                continue
+            outcomes.add("extend")
+            least = min(
+                nonlinear, key=lambda g: (g.degree(), tuple(c.sort_key() for c in g.coeffs))
+            )
+            with pytest.raises(NeedsExtension) as info:
+                split(f)
+            assert info.value.poly == least
+    assert outcomes == {"split", "extend"}

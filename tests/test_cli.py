@@ -192,6 +192,17 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["1", "6"])
+    def test_corpus_composite_characteristic(self, capsys, count):
+        code, _ = run_cli(capsys, "corpus", "run", "--char", "4", "--count", count)
+        assert code == 1
+
+    def test_oracle_negative_count(self, capsys):
+        code, _ = run_cli(
+            capsys, "oracle", "compare", "--suite", "delta", "--count", "-2"
+        )
+        assert code == 1
+
     def test_nonreduced_input(self, capsys):
         code, _ = run_cli(
             capsys, "local", "analyze", "--char", "0", "--poly", "x^2"

@@ -243,10 +243,13 @@ def test_unipoly_gcd_properties():
         c = UniPoly(f7, [f7.sample(rng) for _ in range(rng.randint(1, 3))])
         if a.is_zero() or b.is_zero():
             continue
-        g, u, v = (a * c).xgcd(b * c)
-        assert u * a * c + v * b * c == g
-        if not c.is_zero():
-            assert (g % c.monic()).is_zero()
+        g = (a * c).gcd(b * c)
+        if c.is_zero():
+            assert g.is_zero()
+            continue
+        assert g.leading().is_one()
+        assert ((a * c) % g).is_zero() and ((b * c) % g).is_zero()
+        assert (g % c.monic()).is_zero()
 
 
 def test_squarefree_decomposition_examples():
