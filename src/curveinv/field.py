@@ -16,8 +16,11 @@ Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
 ``rfrom_int`` and ``rconv`` once, when it is built.  ``rconv`` is the one
 product of coefficient vectors (polynomials, truncated series, extension
 reps): F_p sums Python ints and reduces once per coefficient, QQ convolves
-integers over a common denominator, and every extension loops over its own
-``radd``/``rmul``, so a tower or QQ(a) multiplies through its base's kernel.
+integers over a common denominator, and both skip zeros.  A tuple extension
+of step degree d puts coefficient i of each operand in slots i*(2d-1) ..
+i*(2d-1)+d-1 of one base vector, runs its base's ``rconv`` once and reduces
+once per output coefficient; a tower such as QQ(a, b) recurses down to the
+integer kernel (Kronecker substitution; *Modern Computer Algebra*, 8.4).
 
 A small F_q multiplies by adding exponents mod q-1 and adds through a Zech
 table, log(1 + g^d) (Jacobi's logarithm; Lidl-Niederreiter, *Finite
@@ -118,12 +121,8 @@ def _rp_add(ctx: "FieldCtx", a: list, b: list) -> list:
     return _rp_trim(ctx, out)
 
 
-def _rp_neg(ctx: "FieldCtx", a: list) -> list:
-    return [ctx.rneg(c) for c in a]
-
-
 def _rp_sub(ctx: "FieldCtx", a: list, b: list) -> list:
-    return _rp_add(ctx, a, _rp_neg(ctx, b))
+    return _rp_add(ctx, a, [ctx.rneg(c) for c in b])
 
 
 def _rp_scale(ctx: "FieldCtx", c, a: list) -> list:
@@ -203,7 +202,11 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
 
 # Arithmetic bound to a context: one closure per name in _OPS, in that order.
 # ``rconv(a, b, n)`` is the first n coefficients of the product of two
-# coefficient vectors (missing entries count as zero), untrimmed.
+# coefficient vectors (missing entries count as zero), untrimmed.  A tuple
+# extension of step degree d writes each operand into one base vector at
+# stride 2d-1, so the partial products of distinct coefficients never overlap,
+# runs one base ``rconv`` and reduces once per output coefficient.  Only a
+# log-table F_q loops over its own ``radd``/``rmul``.
 _OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv")
 
 
@@ -214,11 +217,14 @@ def _inverse_of_zero():
 def _int_mul_trunc(a, b, n: int) -> list:
     """Integer vectors a*b mod t^n, summed as Python ints."""
     out = [0] * n
-    b = b[:n]
+    nzb = [(j, cb) for j, cb in enumerate(b[:n]) if cb]
     for i, ca in enumerate(a[:n]):
         if ca:
-            for j, cb in enumerate(b[: n - i], i):
-                out[j] += ca * cb
+            for j, cb in nzb:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] += ca * cb
     return out
 
 
@@ -241,7 +247,7 @@ def _prime_ops(p: int) -> tuple:
     )
 
 
-def _rational_ops() -> tuple:
+def _rational_ops(zero: Fraction) -> tuple:
     def rinv(a):
         return 1 / a if a else _inverse_of_zero()
 
@@ -249,42 +255,52 @@ def _rational_ops() -> tuple:
         return a**e if a or e >= 0 else _inverse_of_zero()
 
     def common_denominator(v):
-        # the numerators over the lcm of the denominators, and that lcm
-        den = lcm(*(c.denominator for c in v))
-        return [c.numerator * (den // c.denominator) for c in v], den
+        # the numerators over the lcm of their denominators, skipping the shared zero
+        den = lcm(*(c.denominator for c in v if c is not zero))
+        return [0 if c is zero else c.numerator * (den // c.denominator) for c in v], den
 
     def rconv(a, b, n):
         (na, da), (nb, db) = common_denominator(a[:n]), common_denominator(b[:n])
         den = da * db
-        return [Fraction(c, den) for c in _int_mul_trunc(na, nb, n)]
+        return [Fraction(c, den) if c else zero for c in _int_mul_trunc(na, nb, n)]
 
     return (add, sub, neg, mul, rinv, rpow, Fraction, rconv)
 
 
-def _generic_rconv(zero, radd, rmul) -> Callable:
-    """``rconv`` through a context's own ``radd``/``rmul``, skipping zeros."""
+def _tuple_ops(ctx: "FieldCtx") -> tuple:
+    base, d = ctx.base, ctx.deg_step
+    badd, bsub, bneg = base.radd, base.rsub, base.rneg
+    bmul, bzero, zero, w = base.rmul, base.rzero, ctx.rzero, 2 * d - 1
+    gap, blank = [bzero] * (d - 1), [bzero] * w
+    low = [(j, c) for j, c in enumerate(ctx.modulus[:d]) if not base.ris_zero(c)]
 
-    def rconv(a, b, n):
-        out = [zero] * n
-        nzb = [(j, c) for j, c in enumerate(b[:n]) if c != zero]
-        for i, ca in enumerate(a[:n]):
-            if ca != zero:
-                for j, cb in nzb:
-                    k = i + j
-                    if k >= n:
-                        break
-                    out[k] = radd(out[k], rmul(ca, cb))
+    def reduce(v):
+        # v mod the modulus, in place; the base's shared zero is skipped (another
+        # zero rep would only cost time) and so are zero terms of the modulus
+        for i in range(len(v) - 1, d - 1, -1):
+            c = v[i]
+            if c is not bzero:
+                for j, mj in low:
+                    v[i - d + j] = bsub(v[i - d + j], bmul(c, mj))
+        del v[d:]
+        return v
+
+    def flat(v):
+        out = []
+        for c in v:
+            out += c
+            out += gap
         return out
 
-    return rconv
+    def rconv(a, b, n):
+        # coefficient k of the product is slots k*w .. k*w+w-1 of the base one
+        m = min(n, len(a) + len(b) - 1) if a and b else 0
+        prod = base.rconv(flat(a[:m]), flat(b[:m]), m * w)
+        blocks = (prod[k : k + w] for k in range(0, m * w, w))
+        return [zero if v == blank else tuple(reduce(v)) for v in blocks] + [zero] * (n - m)
 
-
-def _tuple_ops(ctx: "FieldCtx") -> tuple:
-    base, n = ctx.base, ctx.deg_step
-    badd, bsub, bneg = base.radd, base.rsub, base.rneg
-
-    def rmul(a, b):
-        return tuple(ctx._reduce(base.rconv(a, b, 2 * n - 1)))
+    def rmul(a, b):  # the length-1 case of rconv
+        return tuple(reduce(base.rconv(a, b, w)))
 
     def rinv(a):
         v = _rp_trim(base, list(a))
@@ -299,8 +315,8 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
             q, rem = _rp_divmod(base, r0, r1)
             r0, r1 = r1, rem
             u0, u1 = u1, _rp_sub(base, u0, _rp_mul(base, q, u1))
-        u = _rp_scale(base, base.rinv(r0[0]), u0)
-        return ctx._pad(_rp_rem(base, u, list(ctx.modulus)))
+        u = _rp_rem(base, _rp_scale(base, base.rinv(r0[0]), u0), list(ctx.modulus))
+        return tuple(u + [bzero] * (d - len(u)))
 
     def rpow(a, e):
         if e < 0:
@@ -323,8 +339,8 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
         rmul,
         rinv,
         rpow,
-        lambda k: (base.rfrom_int(k),) + (base.rzero,) * (n - 1),
-        _generic_rconv(ctx.rzero, radd, rmul),
+        lambda k: (base.rfrom_int(k),) + (base.rzero,) * (d - 1),
+        rconv,
     )
 
 
@@ -409,6 +425,18 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
             return (a - 1) * e % m + 1
         return 1 if e == 0 else 0 if e > 0 else _inverse_of_zero()
 
+    def rconv(a, b, n):
+        out = [0] * n
+        nzb = [(j, c) for j, c in enumerate(b[:n]) if c]
+        for i, ca in enumerate(a[:n]):
+            if ca:
+                for j, cb in nzb:
+                    k = i + j
+                    if k >= n:
+                        break
+                    out[k] = radd(out[k], rmul(ca, cb))
+        return out
+
     return (
         radd,
         lambda a, b: radd(a, rneg(b)),
@@ -417,7 +445,7 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
         rinv,
         rpow,
         lambda k: log[k % p],
-        _generic_rconv(0, radd, rmul),
+        rconv,
     )
 
 
@@ -468,7 +496,7 @@ class FieldCtx:
         if self.kind == "prime":
             ops = _prime_ops(self.char)
         elif self.kind == "rationals":
-            ops = _rational_ops()
+            ops = _rational_ops(self.rzero)
         else:
             ops = _tuple_ops(self) if exp is None else _log_table_ops(self, zech)
         for name, op in zip(_OPS, ops):
@@ -675,22 +703,6 @@ class FieldCtx:
             return a
         i, p = self._exp[a], self.char
         return tuple(i // p**k % p for k in range(self.deg_step))
-
-    def _pad(self, v: list) -> tuple:
-        n = self.deg_step
-        if len(v) < n:
-            v = v + [self.base.rzero] * (n - len(v))
-        return tuple(v)
-
-    def _reduce(self, v: list) -> list:
-        n, m, base = self.deg_step, self.modulus, self.base
-        for i in range(len(v) - 1, n - 1, -1):
-            c = v[i]
-            if not base.ris_zero(c):
-                for j in range(n):
-                    v[i - n + j] = base.rsub(v[i - n + j], base.rmul(c, m[j]))
-        del v[n:]
-        return v
 
     # -- elements ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from curveinv.errors import (
     NoEmbedding,
     TowerLimitExceeded,
 )
-from curveinv.field import FieldCtx, FieldElement, _flat_finite_ctx, embed
+from curveinv.field import FieldCtx, FieldElement, _flat_finite_ctx, _int_mul_trunc, embed
 from curveinv.unipoly import UniPoly
 
 
@@ -46,6 +46,33 @@ def test_field_axioms_random():
             if not b.is_zero():
                 assert (a / b) * b == a
                 assert b * b.inverse() == ctx.one
+
+
+def test_int_mul_trunc_matches_schoolbook():
+    # the integer kernel under every F_p and QQ product, which skips zeros in both operands
+    rng = random.Random(7)
+
+    def schoolbook(a, b, n):
+        return [
+            sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
+            for k in range(n)
+        ]
+
+    def vector(kind, length):
+        if kind == "signed":
+            return [rng.randint(-9, 9) for _ in range(length)]
+        if kind == "zero-heavy":
+            return [rng.randint(-5, 5) if rng.random() < 0.2 else 0 for _ in range(length)]
+        return [rng.randint(-(2**200), 2**200) for _ in range(length)]  # multi-word
+
+    for kind in ("signed", "zero-heavy", "multi-word"):
+        for _ in range(30):
+            a, b = vector(kind, rng.randint(0, 25)), vector(kind, rng.randint(0, 25))
+            full = len(a) + len(b) - 1
+            for n in (0, 1, max(full // 2, 0), max(full, 0), full + 4):
+                assert _int_mul_trunc(a, b, n) == schoolbook(a, b, n)
+    assert _int_mul_trunc([], [1, 2], 3) == _int_mul_trunc([1, 2], [], 3) == [0, 0, 0]
+    assert _int_mul_trunc([], [], 0) == []
 
 
 def test_prime_field_basics():

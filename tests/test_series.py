@@ -127,12 +127,15 @@ def _contexts() -> dict[str, FieldCtx]:
         "F2^17(b)": f2_17.extend([f2_17.gen() + 1, f2_17.one, f2_17.one]),  # b^2+b+a+1
         "QQ": QQ,
         "QQ(a)": branch_decompose(parse_poly("y^2-2*x^2", QQ)).ctx,
+        "QQ(a,b)": branch_decompose(parse_poly("y^3-2*x^3", QQ)).ctx,  # a^3 = 2, b^2+ab+a^2
     }
 
 
 CONTEXTS = _contexts()
 assert CONTEXTS["F7^3"].order == 7**3 and CONTEXTS["QQ(a)"].absdegree == 2
 assert CONTEXTS["F4(b)"].base._exp is not None and CONTEXTS["F2^17(b)"].base._exp is None
+assert CONTEXTS["QQ(a,b)"].absdegree == 6 and CONTEXTS["QQ(a,b)"].base.kind == "extension"
+TUPLE_CONTEXTS = ["F4(b)", "F2^17(b)", "QQ(a)", "QQ(a,b)"]
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -194,6 +197,27 @@ def test_tr_mul_matches_naive_convolution(name):
     @given(series(ctx), series(ctx), st.integers(1, 16))
     def check(a, b, n):
         assert ctx.rconv(reps(a), reps(b), n) == reps(naive_mul(ctx, a, b, n))
+
+    check()
+
+
+@pytest.mark.parametrize("name", TUPLE_CONTEXTS)
+def test_flattened_tower_product_matches_naive(name):
+    # a tuple extension's rconv is one base product of flattened operands
+    ctx = CONTEXTS[name]
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 3), st.data())
+    def check(la, lb, which, data):
+        a, b = (data.draw(st.lists(elements(ctx), min_size=k, max_size=k)) for k in (la, lb))
+        full = la + lb - 1
+        n = [0, max(full // 2, 1), max(full, 1), full + 3][which]
+        assert ctx.rconv(reps(a), reps(b), n) == reps(naive_mul(ctx, a, b, n))
+        assert ctx.rconv([], reps(b), n) == ctx.rconv(reps(a), [], n) == [ctx.rzero] * n
+        x, y = data.draw(elements(ctx)), data.draw(elements(ctx))
+        assert ctx.rmul(x.rep, y.rep) == ctx.rconv([x.rep], [y.rep], 1)[0]
+        if not y.is_zero():  # rinv runs Euclid over the base, independent of the flat product
+            assert ctx.rmul(ctx.rmul(x.rep, y.rep), ctx.rinv(y.rep)) == x.rep
 
     check()
 
