@@ -15,7 +15,8 @@ Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from heapq import heapify, heappop, heappush
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -302,25 +303,33 @@ class MPoly:
         return e, self.terms[e]
 
     def divexact(self, d: "MPoly") -> "MPoly":
-        """Exact division; raises InternalCheckError if it does not divide."""
+        """Exact division; raises InternalCheckError if it does not divide.
+        Leading terms come off a heap of exponents, where a cancelled key is
+        skipped when it surfaces (Monagan & Pearce's lazy deletion)."""
         self._check(d)
         if d.is_zero():
             raise DivisionByZero("exact division by zero")
         ctx = self.ctx
         rsub, rmul, zero = ctx.rsub, ctx.rmul, ctx.rzero
         rem = {e: c.rep for e, c in self.terms.items()}
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heapify(heap)
         out: dict = {}
         de, dc = d._lead()
         dc_inv = ctx.rinv(dc.rep)
         divisor = [(e, c.rep) for e, c in d.terms.items()]
-        while rem:
-            re = max(rem, key=lambda t: (sum(t), t))
+        while heap:
+            re = heappop(heap)[2]
+            if re not in rem:
+                continue
             qe = tuple(map(sub, re, de))
             if any(k < 0 for k in qe):
                 raise InternalCheckError("division is not exact")
             qc = out[qe] = rmul(rem[re], dc_inv)
             for e2, c2 in divisor:
                 key = tuple(map(add, qe, e2))
+                if key not in rem:  # then nv below is nonzero
+                    heappush(heap, (-sum(key), tuple(map(neg, key)), key))
                 nv = rsub(rem.get(key, zero), rmul(qc, c2))
                 if nv == zero:
                     rem.pop(key, None)

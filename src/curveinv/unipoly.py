@@ -4,10 +4,11 @@ Beyond ring arithmetic this module carries the machinery the rest of the
 package leans on: squarefree decomposition in every characteristic
 (Musser's algorithm, with p-th root extraction in positive characteristic),
 full factorization (distinct-degree plus Cantor-Zassenhaus over finite
-fields, sympy over QQ, Trager's norm descent over algebraic extensions of
-QQ, the norm being the resultant Res_z(minpoly(z), h(t, z)) from
-:func:`curveinv.algebra.resultant`), and canonical root lists, which are
-read off the linear factors of :meth:`UniPoly.factor` over every field.
+fields, Zassenhaus with Hensel lifting over QQ, Trager's norm descent over
+algebraic extensions of QQ, the norm being the resultant Res_z(minpoly(z),
+h(t, z)) from :func:`curveinv.algebra.resultant`), and canonical root lists,
+which are read off the linear factors of :meth:`UniPoly.factor` over every
+field.
 Randomized splitting draws from a generator seeded by the input, so every
 run factors the same polynomial the same way.
 """
@@ -16,16 +17,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial, reduce
 from hashlib import sha256
+from itertools import combinations, count
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import DivisionByZero, IncompatibleContexts, InternalCheckError
 from .field import (
     FieldCtx,
     FieldElement,
+    _is_prime,
+    _prime_ops,
+    _rp_add,
     _rp_divmod,
     _rp_gcd,
+    _rp_monic,
     _rp_mul,
     _rp_pow_mod,
+    _rp_scale,
+    _rp_sub,
     _rp_trim,
     embed,
 )
@@ -325,18 +336,18 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
         return [f]
     ctx = f.ctx
     if ctx.char > 0:
-        return _factor_finite(f)
+        return [g for part, d in _distinct_degree(f) for g in _edf(part, d)]
     if ctx.kind == "rationals":
         return _factor_rationals(f)
     return _factor_trager(f)
 
 
-def _factor_finite(f: UniPoly) -> list[UniPoly]:
-    ctx = f.ctx
-    q = ctx.order
+def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Pairs (g, d) over F_q: g is the product of f's degree-d irreducible factors."""
+    q = f.ctx.order
     assert q is not None
-    out: list[UniPoly] = []
-    x = UniPoly.x(ctx)
+    out: list[tuple[UniPoly, int]] = []
+    x = UniPoly.x(f.ctx)
     h, rest = x, f
     d = 0
     while rest.degree() > 2 * (d + 1) - 1 and rest.degree() > 0:
@@ -344,11 +355,11 @@ def _factor_finite(f: UniPoly) -> list[UniPoly]:
         h = h.pow_mod(q, rest)
         g = (h - x).gcd(rest)
         if g.degree() > 0:
-            out.extend(_edf(g, d))
+            out.append((g, d))
             rest = rest // g
             h = h % rest
     if rest.degree() > 0:
-        out.append(rest.monic())
+        out.append((rest.monic(), rest.degree()))
     return out
 
 
@@ -394,25 +405,113 @@ def _edf(f: UniPoly, d: int) -> list[UniPoly]:
     return out
 
 
-def _factor_rationals(f: UniPoly) -> list[UniPoly]:
-    import sympy
+class _IntegersMod:
+    """Z/mZ behind the raw-rep interface of a prime context, so the ``_rp_``
+    helpers of :mod:`curveinv.field` run modulo a prime power; only units
+    are ever inverted."""
 
-    t = sympy.Symbol("t")
-    expr_coeffs = [
-        sympy.Rational(c.rep.numerator, c.rep.denominator)
-        for c in reversed(f.coeffs)
-    ]
-    _, factors = sympy.Poly(expr_coeffs, t, domain="QQ").factor_list()
-    ctx = f.ctx
-    out = []
-    for g, mult in factors:
-        assert mult == 1, "squarefree input must factor without multiplicity"
-        coeffs = [
-            ctx.from_fraction(Fraction(int(c.p), int(c.q)))
-            for c in reversed(g.all_coeffs())
-        ]
-        out.append(UniPoly(ctx, coeffs).monic())
-    return out
+    def __init__(self, m: int):
+        self.radd, self.rsub, self.rneg, self.rmul, self.rinv, *_, self.rconv = _prime_ops(m)
+        self.rzero, self.rone = 0, 1
+
+    def ris_zero(self, a: int) -> bool:
+        return a == 0
+
+
+def _zdiv_exact(a: list, b: list) -> list | None:
+    """a / b over Z, or None unless b divides a."""
+    r, db, q = list(a), len(b) - 1, [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(r[k + db], b[-1])
+        if rem:
+            return None
+        for j in range(db):
+            r[k + j] -= q[k] * b[j]
+    return None if any(r[:db]) else q
+
+
+def _bezout(R, a: list, b: list) -> tuple[list, list]:
+    """s, t with s*a + t*b = 1 over a field R, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _rp_divmod(R, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _rp_sub(R, s0, _rp_mul(R, q, s1))
+        t0, t1 = t1, _rp_sub(R, t0, _rp_mul(R, q, t1))
+    inv = R.rinv(r0[0])
+    return _rp_scale(R, inv, s0), _rp_scale(R, inv, t0)
+
+
+def _hensel_lift(g: list, fs: list[list], p: int, m: int) -> list[list]:
+    """Monic lifts modulo m = p**k of the pairwise coprime monic factors fs of
+    g = lc(g) * prod(fs) mod p, down a balanced factor tree with quadratic
+    steps (von zur Gathen & Gerhard, Algorithms 15.10 and 15.17)."""
+    if len(fs) == 1:
+        return [_rp_monic(_IntegersMod(m), g)]
+    Fp, half = FieldCtx.prime(p), len(fs) // 2
+    a, b = (reduce(partial(_rp_mul, Fp), part, [1]) for part in (fs[:half], fs[half:]))
+    s, t = _bezout(Fp, a, b)
+    mod = p
+    while mod < m:
+        mod = min(mod * mod, m)
+        R = _IntegersMod(mod)
+        e = _rp_sub(R, _rp_monic(R, g), _rp_mul(R, a, b))
+        q, r = _rp_divmod(R, _rp_mul(R, s, e), b)
+        a = _rp_add(R, a, _rp_add(R, _rp_mul(R, t, e), _rp_mul(R, q, a)))
+        b = _rp_add(R, b, r)
+        if mod < m:
+            c0 = _rp_sub(R, _rp_add(R, _rp_mul(R, s, a), _rp_mul(R, t, b)), [1])
+            c, d = _rp_divmod(R, _rp_mul(R, s, c0), b)
+            s = _rp_sub(R, s, d)
+            t = _rp_sub(R, t, _rp_add(R, _rp_mul(R, t, c0), _rp_mul(R, c, a)))
+    return _hensel_lift(a, fs[:half], p, m) + _hensel_lift(b, fs[half:], p, m)
+
+
+def _factor_rationals(f: UniPoly) -> list[UniPoly]:
+    """Zassenhaus's method for a squarefree monic ``f``: factor modulo a small
+    prime, Hensel-lift past the Mignotte bound, and recombine subsets of the
+    lifted factors (von zur Gathen & Gerhard, Section 15.6).  A candidate is
+    accepted only when it divides exactly, so no result depends on the prime."""
+    den = lcm(*(c.rep.denominator for c in f.coeffs))
+    g = [int(c.rep * den) for c in f.coeffs]  # primitive, since f is monic
+    n, lc, tried = len(g) - 1, den, []
+    for p in filter(_is_prime, count(3)):
+        gp = UniPoly(FieldCtx.prime(p), g).monic()
+        if gp.degree() < n or gp.gcd(gp.derivative()).degree() > 0:
+            continue
+        split = _distinct_degree(gp)
+        tried.append((sum(h.degree() // d for h, d in split), p, split))
+        if tried[-1][0] == 1:
+            return [f]
+        if len(tried) == 5:  # lift from the best of five usable primes
+            break
+    _, p, split = min(tried)
+    mods = [[c.rep for c in h.coeffs] for part, d in split for h in _edf(part, d)]
+    # the modulus exceeds twice B = ceil(sqrt(n+1)) * 2^n * |g|_inf * lc, which
+    # bounds the coefficients of lc(g) times any monic factor of g
+    m = p
+    while m <= (isqrt(n) + 1 << n + 1) * max(map(abs, g)) * lc:
+        m *= p
+    fs, out, size, R = _hensel_lift(g, mods, p, m), [], 1, _IntegersMod(m)
+    while 2 * size <= len(fs):
+        for subset in combinations(range(len(fs)), size):
+            cand = reduce(partial(_rp_mul, R), (fs[i] for i in subset), [g[-1]])
+            cand = [c - m if 2 * c > m else c for c in cand]
+            content = gcd(*cand)
+            cand = [c // content for c in cand]
+            if g[0] and (not cand[0] or g[0] % cand[0]):
+                continue
+            quo = _zdiv_exact(g, cand)
+            if quo is not None:
+                out.append(cand)
+                g, fs = quo, [h for i, h in enumerate(fs) if i not in subset]
+                break
+        else:
+            size += 1
+    factors = [UniPoly(f.ctx, [Fraction(c, h[-1]) for c in h]) for h in out + [g]]
+    if reduce(mul, factors) != f:
+        raise InternalCheckError("Zassenhaus factors must multiply back to the input")
+    return factors
 
 
 def _factor_trager(f: UniPoly) -> list[UniPoly]:
@@ -427,8 +526,8 @@ def _factor_trager(f: UniPoly) -> list[UniPoly]:
         if norm.gcd(norm.derivative()).degree() == 0:
             break
     else:
-        raise RuntimeError("no squarefree norm found; input may not be squarefree")
-    pieces = _factor_squarefree_over(norm)
+        raise InternalCheckError("no squarefree norm found; input may not be squarefree")
+    pieces = _factor_squarefree(norm)
     out = []
     shift_back = UniPoly(ctx, [-(alpha * s), ctx.one])
     for piece in pieces:
@@ -439,14 +538,9 @@ def _factor_trager(f: UniPoly) -> list[UniPoly]:
     total = UniPoly(ctx, [1])
     for g in out:
         total = total * g
-    assert total == f.monic(), "norm descent must reproduce the input"
+    if total != f.monic():
+        raise InternalCheckError("norm descent must reproduce the input")
     return out
-
-
-def _factor_squarefree_over(f: UniPoly) -> list[UniPoly]:
-    if f.ctx.kind == "rationals":
-        return _factor_rationals(f)
-    return _factor_trager(f)
 
 
 def _norm(h: UniPoly, minpoly: UniPoly) -> UniPoly:

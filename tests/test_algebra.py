@@ -149,6 +149,22 @@ def test_divexact_roundtrip():
             assert (f * g).divexact(g) == f
 
 
+def test_divexact_three_variables_and_late_inexact_remainders():
+    # f*g + 1 is never a multiple of a non-constant g, yet its leading terms
+    # are those of f*g, so the division only fails after several quotient terms
+    rng = random.Random(29)
+    xyz = ("x", "y", "z")
+    for ctx in [QQ, FieldCtx.prime(5)]:
+        for _ in range(8):
+            f = _random_poly(ctx, rng, max_deg=3, nterms=6, vars=xyz)
+            g = _random_poly(ctx, rng, max_deg=2, nterms=4, vars=xyz)
+            if f.is_zero() or g.degree() < 1:
+                continue
+            assert (f * g).divexact(g) == f
+            with pytest.raises(InternalCheckError, match="not exact"):
+                (f * g + MPoly.constant(ctx, xyz, 1)).divexact(g)
+
+
 def test_gcd_bivar_extracts_common_factor():
     rng = random.Random(23)
     for ctx in [QQ, FieldCtx.prime(2), FieldCtx.prime(7)]:

@@ -1,13 +1,19 @@
 """End-to-end checks of the command-line surface.
 
-Everything goes through main(argv) in-process; stdout is parsed back from
-JSON where the content matters, and exit codes are asserted everywhere.
+Everything except the dependency guard goes through main(argv) in-process;
+stdout is parsed back from JSON where the content matters, and exit codes are
+asserted everywhere.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curveinv
 from curveinv.cli import main
 from curveinv.corpus import CorpusSpec, generate
 
@@ -262,3 +268,26 @@ class TestErrorContract:
         assert rows[0]["relations"] == "error:AssertionError"
         assert rows[0]["status"] == "fail"
         assert rows[1]["status"] == "pass"
+
+
+class TestNoThirdPartyDependency:
+    def test_char_zero_towers_factor_with_sympy_blocked(self):
+        # None in sys.modules makes every later `import sympy` raise ImportError.
+        # The germ factors over QQ, QQ(a) and QQ(a,b), with Trager norms up to
+        # degree 24 going through the factorizer over QQ.
+        argv = ["local", "analyze", "--char", "0", "--poly", "y^3-2*x^3",
+                "--emit-branches", "--emit-tree", "--json"]
+        child = (
+            "import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from curveinv.cli import main\n"
+            f"raise SystemExit(main({argv!r}))\n"
+        )
+        src = str(Path(curveinv.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env
+        )
+        golden = Path(__file__).resolve().parent / "golden" / "analyze_qq_tower_cubic.out"
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == golden.read_text()

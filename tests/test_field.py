@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curveinv.errors import (
     CharZeroPthRoot,
@@ -341,6 +343,103 @@ def test_factor_over_rationals():
     f = (x**2 - UniPoly(qq, [2])) * (x - UniPoly(qq, [Fraction(1, 2)])) ** 2
     factors = f.factor()
     assert [(str(g), e) for g, e in factors] == [("t-1/2", 2), ("t^2-2", 1)]
+
+
+def _monic_factor_strings(f: UniPoly) -> list[str]:
+    factors = f.factor()
+    assert all(e == 1 for _, e in factors)
+    return sorted(str(g) for g, _ in factors)
+
+
+@st.composite
+def _eisenstein(draw):
+    """An integer polynomial, Eisenstein at 2 or 3 and so irreducible over QQ."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6))
+    lead = p * draw(st.integers(0, 13)) + draw(st.integers(1, p - 1))
+    const = p * (p * draw(st.integers(-10, 10)) + draw(st.integers(1, p - 1)))
+    middle = [p * draw(st.integers(-30, 30)) for _ in range(n - 1)]
+    return [const, *middle, lead]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    st.lists(_eisenstein(), min_size=1, max_size=2),
+    st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=9), max_size=3, unique=True
+    ),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 50)).filter(
+        lambda c: c and abs(c) != 1
+    ),
+)
+def test_factor_over_rationals_recovers_eisenstein_and_linear_factors(
+    eisenstein, roots, content
+):
+    qq = FieldCtx.rationals()
+    parts = [UniPoly(qq, coeffs) for coeffs in eisenstein]
+    parts += [UniPoly(qq, [-r, 1]) for r in roots]
+    f = UniPoly(qq, [content])
+    for g in parts:
+        f = f * g
+    assume(f.gcd(f.derivative()).degree() == 0)
+    assert _monic_factor_strings(f) == sorted(str(g.monic()) for g in parts)
+
+
+def test_factor_over_rationals_known_answers():
+    qq = FieldCtx.rationals()
+    # Swinnerton-Dyer polynomials of sqrt2+sqrt3 and sqrt2+sqrt3+sqrt5: each is
+    # irreducible over QQ and splits into factors of degree at most 2 modulo
+    # every prime, the most recombination work for its degree
+    for coeffs in ([1, 0, -10, 0, 1], [576, 0, -960, 0, 352, 0, -40, 0, 1]):
+        f = UniPoly(qq, coeffs)
+        assert _monic_factor_strings(f) == [str(f)]
+    # a large leading coefficient; the lift must clear it and the bound grows by it
+    parts = [
+        UniPoly(qq, [2, 0, 0, 10**15]),
+        UniPoly(qq, [1, -(10**8), 3]),
+        UniPoly(qq, [Fraction(1, 7), 1]),
+    ]
+    f = UniPoly(qq, [Fraction(5, 3)]) * parts[0] * parts[1] * parts[2]
+    assert _monic_factor_strings(f) == sorted(str(g.monic()) for g in parts)
+    # the degree-24 Trager norm met by `local analyze --char 0 --poly y^3-2*x^3`
+    norm = UniPoly(
+        qq,
+        [
+            2286486719741952, 0, 0, -39569783537664, 0, 0, 1402315628608, 0, 0,
+            8606822208, 0, 0, 298764528, 0, 0, 1990496, 0, 0, 27708, 0, 0, -12, 0, 0, 1,
+        ],
+    )
+    assert _monic_factor_strings(norm) == [
+        "t^6+140*t^3+8788",
+        "t^6+6912",
+        "t^6-112*t^3+27436",
+        "t^6-40*t^3+1372",
+    ]
+
+
+def test_factor_over_rationals_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    qq = FieldCtx.rationals()
+    t = sympy.Symbol("t")
+    rng = random.Random(31)
+    for _ in range(15):
+        f = UniPoly(qq, [1])
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [
+                Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 5))
+            ]
+            f = f * UniPoly(qq, [*coeffs, rng.randint(1, 5)])
+        if f.degree() < 1 or f.gcd(f.derivative()).degree() > 0:
+            continue
+        expr = sympy.Poly(
+            [sympy.Rational(c.rep.numerator, c.rep.denominator) for c in reversed(f.coeffs)], t
+        )
+        expected = sorted(
+            str(UniPoly(qq, [Fraction(int(c.p), int(c.q)) for c in g.all_coeffs()[::-1]]).monic())
+            for g, _ in expr.factor_list()[1]
+        )
+        assert _monic_factor_strings(f) == expected
 
 
 def test_factor_trager_over_quadratic_extension():
