@@ -3,8 +3,9 @@ structure.
 
 :class:`MPoly` stores ``{exponent tuple: coefficient}`` over a fixed variable
 alphabet, usually ``(x, y)`` and occasionally ``(x, y, z)`` or ``(t, x, y)``.
-Resultants go through a fraction-free Bareiss elimination of the Sylvester
-matrix, so every intermediate division is exact.  The bivariate gcd is a
+Resultants run Bareiss's fraction-free elimination of the Sylvester matrix
+on dense rep vectors, the other variables Kronecker-packed into one under a
+degree bound, and check that every division is exact.  The bivariate gcd is a
 primitive polynomial-remainder sequence; on top of it sits a squarefree
 decomposition that works uniformly in characteristic zero and p, peeling
 p-th powers when both partials collapse.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -26,7 +28,7 @@ from .errors import (
     ParseError,
     WrongVariables,
 )
-from .field import FieldCtx, FieldElement, embed
+from .field import FieldCtx, FieldElement, _rp_divmod, _rp_mul, _rp_sub, embed
 from .unipoly import UniPoly
 
 
@@ -415,6 +417,11 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
 
     Row convention: the ``deg g`` rows of f-coefficients come first.  With it,
     Res_y(y^2 - x^3, y) = -x^3 and Res_y(y - x, y + x) = 2x.
+
+    Sylvester entries, polynomials in the other variables u_i, are packed into
+    dense vectors by u_i -> z^(B_1...B_{i-1}) (Kronecker substitution), where
+    B_i = deg_var(g)*deg_{u_i}(f) + deg_var(f)*deg_{u_i}(g) + 1 exceeds the
+    degree in u_i of every minor, so the determinant unpacks uniquely.
     """
     f._check(g)
     idx = f.vars.index(var)
@@ -423,48 +430,57 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     fc = f.coeff_list(idx)
     gc = g.coeff_list(idx)
     m, n = len(fc) - 1, len(gc) - 1
-    one = MPoly.constant(f.ctx, f.vars, f.ctx.one)
     if m == 0 and n == 0:
-        return one
+        return MPoly.constant(f.ctx, f.vars, f.ctx.one)
     if m == 0:
         return f**n
     if n == 0:
         return g**m
-    size = m + n
-    zero = MPoly.zero(f.ctx, f.vars)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + list(reversed(fc)) + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + list(reversed(gc)) + [zero] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return _bareiss_det(rows)
+    ctx, zero = f.ctx, f.ctx.rzero
+    others = [i for i in range(len(f.vars)) if i != idx]
+    bounds = [n * f.degree_in(i) + m * g.degree_in(i) + 1 for i in others]
+    weights = list(accumulate([1] + bounds[:-1], mul))
+
+    def pack(c: MPoly) -> list:
+        v = {sum(e[i] * w for i, w in zip(others, weights)): a.rep for e, a in c.terms.items()}
+        return [v.get(k, zero) for k in range(max(v, default=-1) + 1)]
+
+    fv, gv = ([pack(c) for c in reversed(h)] for h in (fc, gc))
+    rows = [[[]] * i + fv + [[]] * (n - 1 - i) for i in range(n)]
+    rows += [[[]] * i + gv + [[]] * (m - 1 - i) for i in range(m)]
+    terms = {}
+    for k, c in enumerate(_bareiss_det(ctx, rows)):
+        e = [0] * len(f.vars)
+        for i, b in zip(others, bounds):
+            k, e[i] = divmod(k, b)
+        terms[tuple(e)] = c
+    return MPoly._from_reps(ctx, f.vars, terms)
 
 
-def _bareiss_det(mat: list[list[MPoly]]) -> MPoly:
+def _bareiss_det(ctx: FieldCtx, mat: list[list[list]]) -> list:
+    """Determinant of a matrix of rep vectors by Bareiss's elimination; each
+    division by the last pivot is exact in F[z], and checked to be."""
     n = len(mat)
-    ctx, vars = mat[0][0].ctx, mat[0][0].vars
-    if n == 0:
-        return MPoly.constant(ctx, vars, ctx.one)
-    sign = 1
-    prev = MPoly.constant(ctx, vars, ctx.one)
+    sign, prev = 1, None
     for k in range(n - 1):
-        if mat[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not mat[i][k].is_zero()), None
-            )
+        if not mat[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if mat[i][k]), None)
             if pivot_row is None:
-                return MPoly.zero(ctx, vars)
+                return []
             mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top, pivot = mat[k], mat[k][k]
+        for row in mat[k + 1 :]:
             for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.divexact(prev)
-            mat[i][k] = MPoly.zero(ctx, vars)
-        prev = mat[k][k]
+                num = _rp_sub(ctx, _rp_mul(ctx, row[j], pivot), _rp_mul(ctx, row[k], top[j]))
+                if prev is not None:
+                    num, rem = _rp_divmod(ctx, num, prev)
+                    if rem:
+                        raise InternalCheckError("Bareiss division is not exact")
+                row[j] = num
+        prev = pivot
     det = mat[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return [ctx.rneg(c) for c in det] if sign < 0 else det
 
 
 # ---------------------------------------------------------------------------

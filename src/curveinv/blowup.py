@@ -53,7 +53,8 @@ def blow_up(f: MPoly, chart: str, center: FieldElement) -> MPoly:
     origin is the intersection with the exceptional line.
     """
     m = f.order()
-    assert m is not None and m >= 1
+    if m is None or m < 1:
+        raise InternalCheckError("blow-up needs a germ through the origin")
     ctx, vars = f.ctx, f.vars
     k = 1 if chart == "x" else 0  # the variable that moves by the center
     moved = MPoly(ctx, vars, {(1 - k, k): ctx.one, (0, 0): center})

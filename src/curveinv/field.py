@@ -48,6 +48,7 @@ from .errors import (
     CharZeroPthRoot,
     DivisionByZero,
     IncompatibleContexts,
+    InternalCheckError,
     NoEmbedding,
     TowerLimitExceeded,
 )
@@ -138,17 +139,18 @@ def _rp_mul(ctx: "FieldCtx", a: list, b: list) -> list:
 def _rp_divmod(ctx: "FieldCtx", a: list, b: list) -> tuple[list, list]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    r = list(a)
+    radd, rmul, ris_zero = ctx.radd, ctx.rmul, ctx.ris_zero
+    r, low = list(a), [ctx.rneg(c) for c in b[:-1]]
     db, inv_lead = len(b) - 1, ctx.rinv(b[-1])
     q = [ctx.rzero] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        c = ctx.rmul(r[-1], inv_lead)
-        k = len(r) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            r[k + j] = ctx.rsub(r[k + j], ctx.rmul(c, b[j]))
-        _rp_trim(ctx, r)
-    return _rp_trim(ctx, q), r
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r.pop()  # the top term, which c*b[-1] cancels by construction
+        if ris_zero(c):
+            continue
+        q[k] = c = rmul(c, inv_lead)
+        for j, bj in enumerate(low, k):
+            r[j] = radd(r[j], rmul(c, bj))
+    return _rp_trim(ctx, q), _rp_trim(ctx, r)
 
 
 def _rp_rem(ctx: "FieldCtx", a: list, b: list) -> list:
@@ -187,7 +189,8 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
     if n == 1:
         return True
     q = ctx.order
-    assert q is not None
+    if q is None:
+        raise InternalCheckError("Rabin's test needs a finite field")
     x_poly = [ctx.rzero, ctx.rone]
     checkpoints = {n // ell for ell in _prime_divisors(n)}
     h = x_poly
@@ -660,7 +663,8 @@ class FieldCtx:
 
             lifted = _up.UniPoly(target, [emb(c) for c in pick.coeffs])
             roots = lifted.roots()
-            assert roots, "irreducible factor must split in the flattened field"
+            if not roots:
+                raise InternalCheckError("irreducible factor must split in the flattened field")
             return target, roots[0], emb
         target = self.extend(pick.coeffs, _verified=True)
 
@@ -718,7 +722,8 @@ class FieldCtx:
             raise CharZeroPthRoot("p-th roots need positive characteristic")
         if a.ctx is not self:
             raise IncompatibleContexts("element from another context")
-        assert self.order is not None
+        if self.order is None:
+            raise InternalCheckError("p-th roots are taken in finite fields only")
         return FieldElement(self, self.rpow(a.rep, self.order // self.char))
 
     def element_at(self, i: int) -> "FieldElement":

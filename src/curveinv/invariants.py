@@ -237,7 +237,8 @@ class Germ:
         for axis, split in ((0, k), (1, l)):
             if split:
                 o = _axis_order(g, axis)
-                assert o is not None
+                if o is None:
+                    raise InternalCheckError("an axis divides the cofactor")
                 cross += o
         rest = germ(g).gamma_tilde if g.constant_term().is_zero() else 1
         return base + rest + 2 * cross - 1
@@ -261,7 +262,8 @@ class Germ:
             total += o
         ix = _axis_order(g, 0)
         iy = _axis_order(g, 1)
-        assert ix is not None and iy is not None
+        if ix is None or iy is None:
+            raise InternalCheckError("an axis divides a convenient germ")
         return total - ix - iy + 1
 
     @cached_property
@@ -730,7 +732,8 @@ def verify_relations(f: MPoly) -> dict[str, str]:
     else:
         prod, ln = germ(f * line), germ(line)
         i_fl = intersection_multiplicity(f, line)
-        assert i_fl.is_finite
+        if not i_fl.is_finite:
+            raise InternalCheckError("the line shares a component with the curve")
         verdict("R7", True, prod.gamma_tilde == gt + ln.gamma_tilde + 2 * int(i_fl) - 1)
         applicable = kap.is_finite and prod.kappa.is_finite and ln.kappa.is_finite
         verdict(

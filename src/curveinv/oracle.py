@@ -84,9 +84,7 @@ def _certified_order(F: MPoly, G: MPoly) -> int | None:
     r = resultant(F, G, F.vars[1])
     if r.is_zero():
         raise InternalCheckError("common factor survived the gcd division")
-    o = r.order_in(0)
-    assert o is not None
-    return o
+    return r.order_in(0)
 
 
 def _quadratic_ctx(ctx):

@@ -345,7 +345,8 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
 def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Pairs (g, d) over F_q: g is the product of f's degree-d irreducible factors."""
     q = f.ctx.order
-    assert q is not None
+    if q is None:
+        raise InternalCheckError("distinct-degree splitting needs a finite field")
     out: list[tuple[UniPoly, int]] = []
     x = UniPoly.x(f.ctx)
     h, rest = x, f
@@ -369,7 +370,8 @@ def _edf(f: UniPoly, d: int) -> list[UniPoly]:
     if f.degree() == d:
         return [f.monic()]
     q = ctx.order
-    assert q is not None
+    if q is None:
+        raise InternalCheckError("equal-degree splitting needs a finite field")
     p = ctx.char
     k = ctx.absdegree
     tag = f"{ctx.descriptor()}|{f}|edf"

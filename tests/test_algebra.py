@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveinv.algebra import (
     MPoly,
@@ -15,7 +17,7 @@ from curveinv.algebra import (
     squarefree_part,
 )
 from curveinv.errors import InternalCheckError, ParseError, WrongVariables
-from curveinv.field import FieldCtx
+from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.unipoly import UniPoly
 
 QQ = FieldCtx.rationals()
@@ -125,7 +127,8 @@ def test_resultant_symmetry_up_to_sign():
                 continue
             a = resultant(f, g, "y")
             b = resultant(g, f, "y")
-            assert a == b or a == -b
+            # Res(g, f) = (-1)^(mn) Res(f, g), m and n the degrees in y
+            assert b == (-a if f.degree_in(1) * g.degree_in(1) % 2 else a)
 
 
 def test_resultant_eliminates_third_variable():
@@ -136,6 +139,95 @@ def test_resultant_eliminates_third_variable():
     y = MPoly.variable(QQ, txy, "y")
     r = resultant(x - t**2, y - t**3, "t")
     assert r == y**2 - x**3 or r == -(y**2) + x**3
+
+
+# The four kinds of coefficient arithmetic a resultant runs on: F_p ints,
+# log-table codes, Fractions and tuples over QQ.
+RESULTANT_CONTEXTS = {
+    "F7": FieldCtx.prime(7),
+    "F13^2": _flat_finite_ctx(13, 2),
+    "QQ": QQ,
+    "QQ(a)": QQ.extend([-2, 0, 1]),
+}
+assert RESULTANT_CONTEXTS["F13^2"]._exp is not None
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def elements(ctx):
+    sampled = st.integers(0, 2**32).map(lambda s: ctx.sample(random.Random(s)))
+    return st.one_of(st.just(ctx.zero), sampled)
+
+
+def polys_in_x(ctx, max_deg=3):
+    """Polynomials in x alone, over the alphabet (x, y)."""
+    coeffs = st.lists(elements(ctx), max_size=max_deg + 1)
+    return coeffs.map(lambda cs: MPoly(ctx, ("x", "y"), {(i, 0): c for i, c in enumerate(cs)}))
+
+
+def _product(ctx, factors):
+    out = MPoly.constant(ctx, ("x", "y"), ctx.one)
+    for h in factors:
+        out = out * h
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))
+def test_resultant_is_the_product_of_root_differences(name):
+    ctx = RESULTANT_CONTEXTS[name]
+    y = MPoly.variable(ctx, ("x", "y"), "y")
+    roots = st.lists(polys_in_x(ctx), min_size=1, max_size=3)
+
+    @PROPERTY
+    @given(roots, roots)
+    def check(a, b):
+        f = _product(ctx, [y - ai for ai in a])
+        g = _product(ctx, [y - bj for bj in b])
+        assert resultant(f, g, "y") == _product(ctx, [ai - bj for ai in a for bj in b])
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))
+def test_resultant_through_a_zero_pivot(name):
+    # f = y^m + a_{m-2} y^{m-2} + ... + a_0 has no y^(m-1) term, so after the
+    # first elimination step the second pivot of the Sylvester matrix of f and
+    # c*y is zero and a row swap follows; Res_y(f, c*y) = (-c)^m f(x, 0).
+    ctx = RESULTANT_CONTEXTS[name]
+    y = MPoly.variable(ctx, ("x", "y"), "y")
+
+    @PROPERTY
+    @given(st.integers(2, 4), st.lists(polys_in_x(ctx), min_size=3, max_size=3), st.data())
+    def check(m, low, data):
+        c = data.draw(polys_in_x(ctx).filter(lambda h: not h.is_zero()))
+        f = y**m
+        for k, ak in enumerate(low[: m - 1]):
+            f = f + ak * y**k
+        expected = (-c) ** m * f.subs_const(1, ctx.zero)
+        assert resultant(f, c * y, "y") == expected
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))
+def test_resultant_packing_reaches_its_degree_bound(name):
+    # Res_t(x - t^m, y - P(t)) has degree deg P = B_x - 1 in x and m = B_y - 1
+    # in y, the largest the packing admits, and vanishes on (t^m, P(t)).
+    ctx = RESULTANT_CONTEXTS[name]
+    txy = ("t", "x", "y")
+    t, x, y = (MPoly.variable(ctx, txy, v) for v in txy)
+
+    @PROPERTY
+    @given(st.integers(1, 3), st.lists(elements(ctx), min_size=1, max_size=4), elements(ctx))
+    def check(m, low, top):
+        if top.is_zero():
+            top = ctx.one
+        d = len(low)
+        p = MPoly(ctx, txy, {(k, 0, 0): c for k, c in enumerate(low + [top])})
+        r = resultant(x - t**m, y - p, "t")
+        assert r.degree_in(0) == 0 and r.degree_in(1) == d and r.degree_in(2) == m
+        assert r.substitute([t, t**m, p]).is_zero()
+
+    check()
 
 
 def test_divexact_roundtrip():

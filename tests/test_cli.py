@@ -5,6 +5,7 @@ stdout is parsed back from JSON where the content matters, and exit codes are
 asserted everywhere.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -268,6 +269,18 @@ class TestErrorContract:
         assert rows[0]["relations"] == "error:AssertionError"
         assert rows[0]["status"] == "fail"
         assert rows[1]["status"] == "pass"
+
+    def test_library_checks_survive_python_O(self):
+        # `python -O` strips assert statements; internal checks raise
+        # InternalCheckError instead, which the CLI maps to exit 2
+        package = Path(curveinv.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestNoThirdPartyDependency:
