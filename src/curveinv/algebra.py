@@ -6,9 +6,10 @@ alphabet, usually ``(x, y)`` and occasionally ``(x, y, z)`` or ``(t, x, y)``.
 Resultants run Bareiss's fraction-free elimination of the Sylvester matrix
 on dense rep vectors, the other variables Kronecker-packed into one under a
 degree bound, and check that every division is exact.  The bivariate gcd is a
-primitive polynomial-remainder sequence; on top of it sits a squarefree
-decomposition that works uniformly in characteristic zero and p, peeling
-p-th powers when both partials collapse.
+primitive polynomial-remainder sequence on dense vectors in y over F[x]
+(contents by Euclid in F[x], exact divisions checked); on top of it, on the
+same vectors, sits a squarefree decomposition that works uniformly in
+characteristic zero and p, peeling p-th powers when both partials collapse.
 
 Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
 """
@@ -28,7 +29,8 @@ from .errors import (
     ParseError,
     WrongVariables,
 )
-from .field import FieldCtx, FieldElement, _rp_divmod, _rp_mul, _rp_sub, embed
+from .field import FieldCtx, FieldElement, embed
+from .field import _rp_divexact, _rp_gcd, _rp_mul, _rp_scale, _rp_sub, _rp_trim
 from .unipoly import UniPoly
 
 
@@ -57,9 +59,9 @@ class MPoly:
         """Wrap raw coefficient reps, dropping zeros, without re-checking them."""
         out = object.__new__(cls)
         out.ctx, out.vars, out.terms = ctx, vars, {}
-        zero = ctx.rzero
+        ris_zero = ctx.ris_zero
         for e, c in reps.items():
-            if c != zero:
+            if not ris_zero(c):
                 out.terms[e] = FieldElement(ctx, c)
         return out
 
@@ -185,7 +187,7 @@ class MPoly:
 
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise InternalCheckError("negative polynomial power")
         result = MPoly.constant(self.ctx, self.vars, self.ctx.one)
         acc = self
         while e:
@@ -247,7 +249,7 @@ class MPoly:
     def substitute(self, images: Sequence["MPoly"]) -> "MPoly":
         """Simultaneous substitution; one image per variable."""
         if len(images) != len(self.vars):
-            raise ValueError("one image per variable required")
+            raise InternalCheckError("one image per variable required")
         for img in images:
             self._check(img)
         caches: list[list[MPoly]] = [
@@ -283,7 +285,7 @@ class MPoly:
         coeffs = [self.ctx.zero] * (self.degree_in(var_idx) + 1)
         for e, c in self.terms.items():
             if any(k != 0 for i, k in enumerate(e) if i != var_idx):
-                raise ValueError("polynomial involves other variables")
+                raise InternalCheckError("polynomial involves other variables")
             coeffs[e[var_idx]] = c
         return UniPoly(self.ctx, coeffs)
 
@@ -353,7 +355,7 @@ class MPoly:
     def pth_root(self) -> "MPoly":
         p = self.ctx.char
         if p == 0:
-            raise ValueError("p-th root needs positive characteristic")
+            raise InternalCheckError("p-th root needs positive characteristic")
         terms = {}
         for e, c in self.terms.items():
             if any(k % p for k in e):
@@ -473,11 +475,7 @@ def _bareiss_det(ctx: FieldCtx, mat: list[list[list]]) -> list:
         for row in mat[k + 1 :]:
             for j in range(k + 1, n):
                 num = _rp_sub(ctx, _rp_mul(ctx, row[j], pivot), _rp_mul(ctx, row[k], top[j]))
-                if prev is not None:
-                    num, rem = _rp_divmod(ctx, num, prev)
-                    if rem:
-                        raise InternalCheckError("Bareiss division is not exact")
-                row[j] = num
+                row[j] = num if prev is None else _rp_divexact(ctx, num, prev)
         prev = pivot
     det = mat[n - 1][n - 1]
     return [ctx.rneg(c) for c in det] if sign < 0 else det
@@ -488,82 +486,105 @@ def _bareiss_det(ctx: FieldCtx, mat: list[list[list]]) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _content_in(f: MPoly, main_idx: int, other_idx: int) -> UniPoly:
-    coeffs = f.coeff_list(main_idx)
-    cont = UniPoly(f.ctx, [])
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        cont = cont.gcd(c.to_unipoly(other_idx))
-        if cont.degree() == 0:
-            break
-    return cont
+def _to_dense(f: MPoly, mi: int) -> list[list]:
+    """f as rep vectors in the other variable, indexed by the degree in vars[mi]."""
+    if len(f.vars) != 2:  # a third variable would be dropped
+        raise InternalCheckError(f"bivariate polynomial expected, not one in {f.vars}")
+    zero, rows = f.ctx.rzero, [{} for _ in range(f.degree_in(mi) + 1)]
+    for e, c in f.terms.items():
+        rows[e[mi]][e[1 - mi]] = c.rep
+    return [[r.get(k, zero) for k in range(max(r, default=-1) + 1)] for r in rows]
 
 
-def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
-    """Pseudo-remainder of coefficient vectors in the main variable."""
-    lead = b[-1]
-    r = list(a)
-    while len(r) >= len(b) and r:
-        if r[-1].is_zero():
-            r.pop()
-            continue
-        shift = len(r) - len(b)
-        top = r[-1]
-        r = [c * lead for c in r]
-        for j in range(len(b)):
-            r[shift + j] = r[shift + j] - top * b[j]
-        r.pop()
-        while r and r[-1].is_zero():
-            r.pop()
+def _from_dense(f: MPoly, mi: int, a: list[list]) -> MPoly:
+    """The dense ``a`` as a polynomial in the ring of f."""
+    terms = {}
+    for k, row in enumerate(a):
+        for i, c in enumerate(row):
+            terms[(i, k) if mi == 1 else (k, i)] = c
+    return MPoly._from_reps(f.ctx, f.vars, terms)
+
+
+def _strip(a: list[list]) -> list[list]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divexact(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
+    """a/b for dense polynomials, checked to be exact: every quotient
+    coefficient is an exact division by the leading coefficient of b."""
+    r, lead = list(a), b[-1]
+    q = [[]] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = _rp_divexact(ctx, r.pop(), lead)
+        if c:
+            for j, bj in enumerate(b[:-1], k):
+                r[j] = _rp_sub(ctx, r[j], _rp_mul(ctx, c, bj))
+    if any(r):
+        raise InternalCheckError("division is not exact")
+    return q
+
+
+def _primitive(ctx: FieldCtx, a: list[list]) -> tuple[list, list[list]]:
+    """The content of a nonzero dense polynomial, the monic gcd of its
+    coefficients, and its primitive part."""
+    cont: list = []
+    for c in sorted(filter(None, a), key=len):  # a constant ends it at once
+        cont = _rp_gcd(ctx, cont, c)
+        if len(cont) == 1:
+            return cont, a
+    return cont, [_rp_divexact(ctx, c, cont) for c in a]
+
+
+def _prem(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
+    """Pseudo-remainder of a by b in the main variable."""
+    lead, r = b[-1], list(a)
+    scaled = lead != [ctx.rone]
+    while len(r) >= len(b):
+        top = r.pop()  # cancelled by top*lead, so never formed
+        if scaled:
+            r = [_rp_mul(ctx, c, lead) for c in r]
+        for j, bj in enumerate(b[:-1], len(r) + 1 - len(b)):
+            r[j] = _rp_sub(ctx, r[j], _rp_mul(ctx, top, bj))
+        _strip(r)
     return r
+
+
+def _gcd_dense(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
+    """Gcd of dense polynomials by the primitive PRS (Brown 1971), scaled so
+    its leading coefficient is one."""
+    if not a or not b:
+        return a or b
+    ca, a = _primitive(ctx, a)
+    cb, b = _primitive(ctx, b)
+    if len(a) < len(b):
+        a, b = b, a
+    # a primitive b of degree zero is a unit, and so is the gcd's primitive part
+    while len(b) > 1 and (r := _prem(ctx, a, b)):
+        a, b = b, _primitive(ctx, r)[1]
+    scale = _rp_scale(ctx, ctx.rinv(b[-1][-1]), _rp_gcd(ctx, ca, cb))
+    return [_rp_mul(ctx, c, scale) for c in b]
 
 
 def gcd_bivar(f: MPoly, g: MPoly, main: str = "y") -> MPoly:
     """Monic-normalized gcd of two bivariate polynomials."""
     f._check(g)
-    if f.is_zero():
-        return g.normalized()
-    if g.is_zero():
-        return f.normalized()
     mi = f.vars.index(main)
-    oi = next(i for i in range(len(f.vars)) if i != mi)
-    dm_f, dm_g = f.degree_in(mi), g.degree_in(mi)
-    if dm_f == 0 and dm_g == 0:
-        u = f.to_unipoly(oi).gcd(g.to_unipoly(oi))
-        return MPoly.from_unipoly(u, f.vars, oi)
-    if dm_f == 0:
-        u = f.to_unipoly(oi).gcd(_content_in(g, mi, oi))
-        return MPoly.from_unipoly(u, f.vars, oi)
-    if dm_g == 0:
-        u = g.to_unipoly(oi).gcd(_content_in(f, mi, oi))
-        return MPoly.from_unipoly(u, f.vars, oi)
-    cf, cg = _content_in(f, mi, oi), _content_in(g, mi, oi)
-    cont = cf.gcd(cg)
-    fp = f.divexact(MPoly.from_unipoly(cf, f.vars, oi))
-    gp = g.divexact(MPoly.from_unipoly(cg, f.vars, oi))
-    a, b = fp.coeff_list(mi), gp.coeff_list(mi)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _prem(a, b)
-        if not r:
-            break
-        rp = MPoly.zero(f.ctx, f.vars)
-        for k, c in enumerate(r):
-            e = [0, 0]
-            e[mi] = k
-            rp = rp + c * MPoly(f.ctx, f.vars, {tuple(e): f.ctx.one})
-        rc = _content_in(rp, mi, oi)
-        rp = rp.divexact(MPoly.from_unipoly(rc, f.vars, oi))
-        a, b = b, rp.coeff_list(mi)
-    gcd_pp = MPoly.zero(f.ctx, f.vars)
-    for k, c in enumerate(b):
-        e = [0, 0]
-        e[mi] = k
-        gcd_pp = gcd_pp + c * MPoly(f.ctx, f.vars, {tuple(e): f.ctx.one})
-    out = gcd_pp * MPoly.from_unipoly(cont, f.vars, oi)
-    return out.normalized()
+    d = _gcd_dense(f.ctx, _to_dense(f, mi), _to_dense(g, mi))
+    return _from_dense(f, mi, d).normalized()
+
+
+def _partials(ctx: FieldCtx, a: list[list]) -> tuple[list[list], list[list]]:
+    """The partials of a dense polynomial in the inner and main variable."""
+    ints = [ctx.rfrom_int(k) for k in range(max(len(a), *map(len, a)))]
+    rmul = ctx.rmul
+    inner = [_rp_trim(ctx, list(map(rmul, ints[1:], row[1:]))) for row in a]
+    return _strip(inner), _strip([_rp_scale(ctx, k, c) for k, c in zip(ints[1:], a[1:])])
+
+
+def _nonconstant(a: list[list]) -> bool:
+    return len(a) > 1 or len(a[0]) > 1
 
 
 def squarefree_decomposition(f: MPoly) -> list[tuple[MPoly, int]]:
@@ -571,29 +592,29 @@ def squarefree_decomposition(f: MPoly) -> list[tuple[MPoly, int]]:
 
     Uniform in the characteristic: the triple gcd (f, f_x, f_y) isolates
     the tame radical, a Musser-style peel recovers tame multiplicities, and
-    whatever remains is an exact p-th power handled by recursion.
+    whatever remains is an exact p-th power handled by recursion.  The work
+    runs on dense vectors in vars[1] over F[vars[0]]; each factor becomes an
+    :class:`MPoly` once, normalized.
     """
+    ctx, a = f.ctx, _to_dense(f, 1)
     if f.degree() < 1:
         return []
-    fx, fy = f.partial(0), f.partial(1)
-    a = gcd_bivar(gcd_bivar(f, fx), fy)
-    w = f.divexact(a)
+    fx, fy = _partials(ctx, a)
+    c = _gcd_dense(ctx, _gcd_dense(ctx, a, fx), fy)
+    w = _divexact(ctx, a, c)
     out: list[tuple[MPoly, int]] = []
-    c, i = a, 1
-    while w.degree() > 0:
-        y = gcd_bivar(w, c)
-        z = w.divexact(y)
-        if z.degree() > 0:
-            out.append((z.normalized(), i))
-        w = y
-        c = c.divexact(y)
-        i += 1
-    if c.degree() > 0:
-        if f.ctx.char == 0:
+    i = 1
+    while _nonconstant(w):
+        y = _gcd_dense(ctx, w, c)
+        z = _divexact(ctx, w, y)
+        if _nonconstant(z):
+            out.append((_from_dense(f, 1, z).normalized(), i))
+        w, c, i = y, _divexact(ctx, c, y), i + 1
+    if _nonconstant(c):
+        if ctx.char == 0:
             raise InternalCheckError("leftover factor in characteristic zero")
-        out.extend(
-            (g, e * f.ctx.char) for g, e in squarefree_decomposition(c.pth_root())
-        )
+        root = _from_dense(f, 1, c).pth_root()
+        out.extend((g, e * ctx.char) for g, e in squarefree_decomposition(root))
     out.sort(key=lambda ge: (ge[0].degree(), ge[0].sort_key()))
     return out
 

@@ -13,8 +13,8 @@ are structural:
   the first primitive element in :meth:`FieldCtx.element_at` order
 
 Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
-``rfrom_int`` and ``rconv`` once, when it is built.  ``rconv`` is the one
-product of coefficient vectors (polynomials, truncated series, extension
+``rfrom_int``/``ris_zero`` and ``rconv`` once, when it is built.  ``rconv`` is
+the one product of coefficient vectors (polynomials, truncated series, extension
 reps): F_p sums Python ints and reduces once per coefficient, QQ convolves
 integers over a common denominator, and both skip zeros.  A tuple extension
 of step degree d puts coefficient i of each operand in slots i*(2d-1) ..
@@ -40,8 +40,9 @@ of the old context, so arithmetic never pays for a tower.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from operator import add, mul, neg, sub
+from operator import add, eq, mul, neg, not_, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -155,6 +156,13 @@ def _rp_divmod(ctx: "FieldCtx", a: list, b: list) -> tuple[list, list]:
 
 def _rp_rem(ctx: "FieldCtx", a: list, b: list) -> list:
     return _rp_divmod(ctx, a, b)[1]
+
+
+def _rp_divexact(ctx: "FieldCtx", a: list, b: list) -> list:
+    q, r = _rp_divmod(ctx, a, b)
+    if r:
+        raise InternalCheckError("division is not exact")
+    return q
 
 
 def _rp_monic(ctx: "FieldCtx", a: list) -> list:
@@ -478,6 +486,7 @@ class FieldCtx:
         "zero",
         "one",
         *_OPS,
+        "ris_zero",
         "_key",
         "_embed_cache",
         "_exp",
@@ -504,6 +513,9 @@ class FieldCtx:
             ops = _tuple_ops(self) if exp is None else _log_table_ops(self, zech)
         for name, op in zip(_OPS, ops):
             object.__setattr__(self, name, op)
+        # an int or Fraction rep is zero exactly when it is falsy; a tuple never is
+        tup = isinstance(self.rzero, tuple)
+        object.__setattr__(self, "ris_zero", partial(eq, self.rzero) if tup else not_)
         object.__setattr__(self, "zero", FieldElement(self, self.rzero))
         object.__setattr__(self, "one", FieldElement(self, self.rone))
 
@@ -683,8 +695,8 @@ class FieldCtx:
         return FieldElement(self, tuple(rep))
 
     # -- rep-level arithmetic ------------------------------------------------
-    # radd, rsub, rneg, rmul, rinv, rpow, rfrom_int and rconv are bound per
-    # context.
+    # radd, rsub, rneg, rmul, rinv, rpow, rfrom_int, rconv and ris_zero are
+    # bound per context.
 
     def rfrom_fraction(self, q: Fraction):
         if self.kind == "rationals":
@@ -692,9 +704,6 @@ class FieldCtx:
         num = self.rfrom_int(q.numerator)
         den = self.rfrom_int(q.denominator)
         return self.rmul(num, self.rinv(den))
-
-    def ris_zero(self, a) -> bool:
-        return a == self.rzero
 
     def rsort_key(self, a):
         if self.kind == "extension":

@@ -17,7 +17,7 @@ from curveinv.algebra import (
     squarefree_part,
 )
 from curveinv.errors import InternalCheckError, ParseError, WrongVariables
-from curveinv.field import FieldCtx, _flat_finite_ctx
+from curveinv.field import LOG_TABLE_MAX_ORDER, FieldCtx, _flat_finite_ctx
 from curveinv.unipoly import UniPoly
 
 QQ = FieldCtx.rationals()
@@ -257,9 +257,16 @@ def test_divexact_three_variables_and_late_inexact_remainders():
                 (f * g + MPoly.constant(ctx, xyz, 1)).divexact(g)
 
 
+# Beyond the resultant's four: a flattened F_q too large for log tables, whose
+# reps are tuples over F_p, in characteristic 3 so p-th powers occur.
+F3_8 = _flat_finite_ctx(3, 8)
+assert F3_8._exp is None and F3_8.order > LOG_TABLE_MAX_ORDER
+GCD_CONTEXTS = [RESULTANT_CONTEXTS["F13^2"], F3_8, RESULTANT_CONTEXTS["QQ(a)"]]
+
+
 def test_gcd_bivar_extracts_common_factor():
     rng = random.Random(23)
-    for ctx in [QQ, FieldCtx.prime(2), FieldCtx.prime(7)]:
+    for ctx in [QQ, FieldCtx.prime(2), FieldCtx.prime(7), *GCD_CONTEXTS]:
         for _ in range(8):
             c = _random_poly(ctx, rng, max_deg=2, nterms=3)
             f = _random_poly(ctx, rng, max_deg=2, nterms=3)
@@ -296,7 +303,7 @@ def test_squarefree_decomposition_wild_multiplicity():
 
 def test_squarefree_decomposition_reassembles():
     rng = random.Random(29)
-    for ctx in [QQ, FieldCtx.prime(2), FieldCtx.prime(3)]:
+    for ctx in [QQ, FieldCtx.prime(2), FieldCtx.prime(3), *GCD_CONTEXTS]:
         for _ in range(8):
             f = MPoly.constant(ctx, ("x", "y"), ctx.one)
             for _ in range(rng.randint(1, 2)):
@@ -311,6 +318,83 @@ def test_squarefree_decomposition_reassembles():
                 rebuilt = rebuilt * g**e
             q = f.divexact(rebuilt)
             assert q.degree() == 0
+
+
+def polys(ctx, max_deg=2):
+    exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    terms = st.dictionaries(exps, elements(ctx), max_size=4)
+    return terms.map(lambda d: MPoly(ctx, ("x", "y"), d))
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))
+def test_gcd_bivar_of_a_common_factor_times_coprime_polynomials(name):
+    # y - a(x) and y - b(x) are coprime when a != b, so the gcd of c*f and
+    # c*g is exactly c, normalized
+    ctx = RESULTANT_CONTEXTS[name]
+    y = MPoly.variable(ctx, ("x", "y"), "y")
+    roots = st.lists(polys_in_x(ctx), min_size=2, max_size=4, unique_by=str)
+
+    @PROPERTY
+    @given(roots, st.integers(1, 3), polys(ctx).filter(lambda h: not h.is_zero()))
+    def check(a, k, c):
+        k = min(k, len(a) - 1)
+        f = _product(ctx, [y - ai for ai in a[:k]])
+        g = _product(ctx, [y - ai for ai in a[k:]])
+        assert gcd_bivar(c * f, c * g) == c.normalized()
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_squarefree_decomposition_of_known_factors(p):
+    # g1 * g2^2 * g3^p for pairwise coprime squarefree g_i; in characteristic
+    # 2 the factors of equal multiplicity g2 and g3 come back as one
+    ctx = FieldCtx.prime(p)
+    x, y = (MPoly.variable(ctx, ("x", "y"), v) for v in ("x", "y"))
+    roots = st.lists(polys_in_x(ctx), min_size=3, max_size=5, unique_by=str)
+
+    @PROPERTY
+    @given(roots, st.integers(1, 3), st.booleans())
+    def check(a, k, with_x):
+        g1, g2, g3 = (_product(ctx, [y - ai for ai in part]) for part in (a[:1], a[1:k], a[k:]))
+        if with_x:
+            g2 = g2 * x
+        by_mult: dict[int, MPoly] = {}
+        for g, e in ((g1, 1), (g2, 2), (g3, p)):
+            if g.degree() > 0:
+                by_mult[e] = by_mult.get(e, MPoly.constant(ctx, ("x", "y"), 1)) * g
+        expected = sorted(
+            ((g.normalized(), e) for e, g in by_mult.items()),
+            key=lambda ge: (ge[0].degree(), ge[0].sort_key()),
+        )
+        assert squarefree_decomposition(g1 * g2**2 * g3**p) == expected
+
+    check()
+
+
+def test_gcd_and_squarefree_decomposition_need_two_variables():
+    # the dense form has room for two variables; a third must not be dropped
+    f = parse_poly("x*y*z+y^2", QQ, ("x", "y", "z"))
+    with pytest.raises(InternalCheckError, match="bivariate"):
+        gcd_bivar(f, f)
+    with pytest.raises(InternalCheckError, match="bivariate"):
+        squarefree_decomposition(f)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: f ** -1,
+        lambda f: f.substitute([f]),
+        lambda f: f.to_unipoly(0),
+        lambda f: f.pth_root(),
+    ],
+    ids=["negative_power", "image_count", "other_variables", "pth_root_char_zero"],
+)
+def test_misuse_of_mpoly_is_an_internal_error(call):
+    # none of these is reachable from parsed input, so none is bad input
+    with pytest.raises(InternalCheckError):
+        call(parse_poly("x*y+x^2", QQ))
 
 
 def test_homogeneity_and_axis_restrictions():
