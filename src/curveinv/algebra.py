@@ -486,22 +486,19 @@ def _bareiss_det(ctx: FieldCtx, mat: list[list[list]]) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _to_dense(f: MPoly, mi: int) -> list[list]:
-    """f as rep vectors in the other variable, indexed by the degree in vars[mi]."""
+def _to_dense(f: MPoly) -> list[list]:
+    """f as rep vectors in vars[0], indexed by the degree in vars[1]."""
     if len(f.vars) != 2:  # a third variable would be dropped
         raise InternalCheckError(f"bivariate polynomial expected, not one in {f.vars}")
-    zero, rows = f.ctx.rzero, [{} for _ in range(f.degree_in(mi) + 1)]
-    for e, c in f.terms.items():
-        rows[e[mi]][e[1 - mi]] = c.rep
+    zero, rows = f.ctx.rzero, [{} for _ in range(f.degree_in(1) + 1)]
+    for (i, k), c in f.terms.items():
+        rows[k][i] = c.rep
     return [[r.get(k, zero) for k in range(max(r, default=-1) + 1)] for r in rows]
 
 
-def _from_dense(f: MPoly, mi: int, a: list[list]) -> MPoly:
+def _from_dense(f: MPoly, a: list[list]) -> MPoly:
     """The dense ``a`` as a polynomial in the ring of f."""
-    terms = {}
-    for k, row in enumerate(a):
-        for i, c in enumerate(row):
-            terms[(i, k) if mi == 1 else (k, i)] = c
+    terms = {(i, k): c for k, row in enumerate(a) for i, c in enumerate(row)}
     return MPoly._from_reps(f.ctx, f.vars, terms)
 
 
@@ -567,12 +564,11 @@ def _gcd_dense(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
     return [_rp_mul(ctx, c, scale) for c in b]
 
 
-def gcd_bivar(f: MPoly, g: MPoly, main: str = "y") -> MPoly:
+def gcd_bivar(f: MPoly, g: MPoly) -> MPoly:
     """Monic-normalized gcd of two bivariate polynomials."""
     f._check(g)
-    mi = f.vars.index(main)
-    d = _gcd_dense(f.ctx, _to_dense(f, mi), _to_dense(g, mi))
-    return _from_dense(f, mi, d).normalized()
+    d = _gcd_dense(f.ctx, _to_dense(f), _to_dense(g))
+    return _from_dense(f, d).normalized()
 
 
 def _partials(ctx: FieldCtx, a: list[list]) -> tuple[list[list], list[list]]:
@@ -596,7 +592,7 @@ def squarefree_decomposition(f: MPoly) -> list[tuple[MPoly, int]]:
     runs on dense vectors in vars[1] over F[vars[0]]; each factor becomes an
     :class:`MPoly` once, normalized.
     """
-    ctx, a = f.ctx, _to_dense(f, 1)
+    ctx, a = f.ctx, _to_dense(f)
     if f.degree() < 1:
         return []
     fx, fy = _partials(ctx, a)
@@ -608,12 +604,12 @@ def squarefree_decomposition(f: MPoly) -> list[tuple[MPoly, int]]:
         y = _gcd_dense(ctx, w, c)
         z = _divexact(ctx, w, y)
         if _nonconstant(z):
-            out.append((_from_dense(f, 1, z).normalized(), i))
+            out.append((_from_dense(f, z).normalized(), i))
         w, c, i = y, _divexact(ctx, c, y), i + 1
     if _nonconstant(c):
         if ctx.char == 0:
             raise InternalCheckError("leftover factor in characteristic zero")
-        root = _from_dense(f, 1, c).pth_root()
+        root = _from_dense(f, c).pth_root()
         out.extend((g, e * ctx.char) for g, e in squarefree_decomposition(root))
     out.sort(key=lambda ge: (ge[0].degree(), ge[0].sort_key()))
     return out

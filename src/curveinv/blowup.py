@@ -119,9 +119,6 @@ class InfinitelyNearTree:
     def delta_contribution(self) -> int:
         return sum(n.mult * (n.mult - 1) // 2 for n in self.nodes())
 
-    def multiplicities(self) -> list[int]:
-        return [n.mult for n in self.nodes()]
-
     def to_json(self):
         return {
             "mult": self.mult,

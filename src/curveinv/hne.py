@@ -3,11 +3,13 @@
 The germ is resolved by iterated point blow-ups; each multiplicity-one end is
 solved as a power series graph and the parametrization is lifted back down
 the chart maps, so every branch comes with an exact parametrization
-(x(t), y(t)), its chain of infinitely near multiplicities, and its contact
-orders with the axes.  Pairwise intersection numbers fall out of the shared
-part of the chains.
-
-Every decomposition is certified before it is returned: the parametrization
+(x(t), y(t)), its chain of infinitely near multiplicities, its contact
+orders with the axes and its tangent.  These numbers come from the charts
+alone (Casas-Alvero, *Singularities of Plane Curves*, ch. 3): a leaf's
+coordinate orders are its axis orders, and each chart map fixes them one
+level down.  Pairwise intersection numbers fall out of the shared part of
+the chains.  The series only certifies all this before it is returned: the
+coordinates pull back with exactly the chart orders, the parametrization
 annihilates the input to past the Bezout bound, the exponent window up to
 the conductor proves primitivity, and the multiplicity chains reproduce the
 blow-up tree's delta two ways.
@@ -74,23 +76,44 @@ class BranchSet:
 
     def pairwise(self, i: int, j: int) -> int:
         if i == j:
-            raise ValueError("a branch has no self-intersection number")
+            raise InternalCheckError("a branch has no self-intersection number")
         a, b = min(i, j), max(i, j)
         return self._pairwise[(a, b)]
-
-    def pairwise_total(self) -> int:
-        return sum(self._pairwise.values())
 
 
 @dataclass
 class _Raw:
     series: Param
     path: list[tuple[Edge, int]]
+    orders: tuple  # of x(t) and y(t) in t; None for one that vanishes identically
+
+
+def _axis_order(f: MPoly, axis: int) -> int | None:
+    """Order of f restricted to the axis {x=0} (axis=0) or {y=0} (axis=1);
+    None when the restriction vanishes identically."""
+    other = 1 - axis
+    exps = [e[other] for e in f.terms if e[axis] == 0]
+    return min(exps) if exps else None
 
 
 def _solve_leaf(g: MPoly) -> _Raw:
-    solve_for = "x" if g.partial(1).constant_term().is_zero() else "y"
-    return _Raw(Param(g, solve_for), [(None, 1)])
+    """Solved for one coordinate; its order is the order of g on its axis."""
+    if g.partial(1).constant_term().is_zero():
+        return _Raw(Param(g, "x"), [(None, 1)], (_axis_order(g, 0), 1))
+    return _Raw(Param(g, "y"), [(None, 1)], (1, _axis_order(g, 1)))
+
+
+def _push_orders(orders: tuple, chart: str, center: FieldElement | None) -> tuple[int, tuple]:
+    """The multiplicity at the blown-up point and the orders there of a
+    branch with ``orders`` in the chart: (x, y) -> (x, x(y+c)) or (y(x+c), y)."""
+    own, other = orders if chart == "x" else orders[::-1]
+    if own is None:
+        raise InternalCheckError("a strict-transform branch lies on the exceptional line")
+    if center is not None and not center.is_zero():
+        other = own
+    elif other is not None:
+        other += own
+    return own, ((own, other) if chart == "x" else (other, own))
 
 
 def _coordinate_orders(param: Param, vars: tuple[str, ...], bound: int):
@@ -110,30 +133,25 @@ def _decompose(g: MPoly) -> tuple[InfinitelyNearTree, list[_Raw]]:
         node.children.append((ch.chart, ch.center, subtree))
         for raw in subs:
             raw.series.push(ch.chart, ch.center)
-            orders = [o for o in _coordinate_orders(raw.series, g.vars, m) if o is not None]
-            if not orders:
-                raise InternalCheckError("lifted parametrization lost its order")
-            m_here = min(orders)
+            m_here, orders = _push_orders(raw.orders, ch.chart, ch.center)
             total_here += m_here
-            path = [(None, m_here), ((ch.chart, ch.center), raw.path[0][1])]
-            path.extend(raw.path[1:])
-            out.append(_Raw(raw.series, path))
+            path = [(None, m_here), ((ch.chart, ch.center), raw.path[0][1]), *raw.path[1:]]
+            out.append(_Raw(raw.series, path, orders))
     if total_here != m:
         raise InternalCheckError("branch multiplicities do not add up to the node order")
     return node, out
 
 
-def _tangent(
-    ctx: FieldCtx, param: Param, ix: int | None, iy: int | None
-) -> tuple[FieldElement, FieldElement]:
-    if ix is None:
-        return ctx.zero, ctx.one
-    if iy is None or ix < iy:
-        return ctx.one, ctx.zero
-    if ix > iy:
-        return ctx.zero, ctx.one
-    xs, ys = param.at(ix + 1)
-    return ctx.one, FieldElement(ctx, ys[iy]) / FieldElement(ctx, xs[ix])
+def _tangent(f: MPoly, path: list[tuple[Edge, int]]) -> tuple[FieldElement, FieldElement]:
+    """The tangent direction, from the first chart, or from the linear part
+    a*x + b*y of a smooth germ f."""
+    ctx = f.ctx
+    if len(path) > 1:
+        chart, center = path[1][0]
+        return (ctx.one, center) if chart == "x" else (ctx.zero, ctx.one)
+    a = f.terms.get((1, 0), ctx.zero)
+    b = f.terms.get((0, 1), ctx.zero)
+    return (ctx.zero, ctx.one) if b.is_zero() else (ctx.one, -a / b)
 
 
 def _certify(f: MPoly, param: Param, delta_b: int, mt_b: int) -> None:
@@ -145,9 +163,9 @@ def _certify(f: MPoly, param: Param, delta_b: int, mt_b: int) -> None:
             f"parametrization does not annihilate the curve (order {bad})"
         )
     window = 2 * delta_b + mt_b + 1
-    zero = param.ctx.rzero
+    is_zero = param.ctx.ris_zero
     xs, ys = param.at(window + 1)
-    exps = [n for n in range(1, window + 1) if xs[n] != zero or ys[n] != zero]
+    exps = [n for n in range(1, window + 1) if not (is_zero(xs[n]) and is_zero(ys[n]))]
     if math.gcd(*exps) != 1:
         raise InternalCheckError("parametrization is not primitive")
 
@@ -174,16 +192,14 @@ def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:
             "branch decomposition was requested for a curve missing the origin"
         )
     f2, (tree, raws) = run_with_restarts(f, _decompose)
-    ctx = f2.ctx
     deg = f2.degree()
 
     branches: list[Branch] = []
     for raw in raws:
-        ix, iy = _coordinate_orders(raw.series, f2.vars, deg + 1)
-        finite = [o for o in (ix, iy) if o is not None]
-        if not finite:
-            raise InternalCheckError("branch parametrization is identically zero")
-        mt_b = min(finite)
+        ix, iy = raw.orders
+        if _coordinate_orders(raw.series, f2.vars, deg + 1) != raw.orders:
+            raise InternalCheckError("the chart orders disagree with the parametrization")
+        mt_b = raw.path[0][1]
         delta_b = sum(m * (m - 1) // 2 for _, m in raw.path)
         if certify:
             _certify(f2, raw.series, delta_b, mt_b)
@@ -194,13 +210,10 @@ def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:
                 ix=ix,
                 iy=iy,
                 mt=mt_b,
-                tangent=_tangent(ctx, raw.series, ix, iy),
+                tangent=_tangent(f2, raw.path),
                 delta=delta_b,
             )
         )
-
-    if sum(b.mt for b in branches) != f2.order():
-        raise InternalCheckError("branch multiplicities do not sum to the germ order")
 
     pairwise: dict[tuple[int, int], int] = {}
     for i in range(len(branches)):
@@ -211,7 +224,7 @@ def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:
     if total != tree.delta_contribution():
         raise InternalCheckError("Noether's formula failed on the blow-up tree")
 
-    return BranchSet(f=f2, ctx=ctx, branches=branches, tree=tree, _pairwise=pairwise)
+    return BranchSet(f=f2, ctx=f2.ctx, branches=branches, tree=tree, _pairwise=pairwise)
 
 
 def _contact(pa: list[tuple[Edge, int]], pb: list[tuple[Edge, int]]) -> int:

@@ -30,7 +30,7 @@ from .errors import (
     UndefinedAtOrigin,
 )
 from .field import FieldCtx, FieldElement
-from .hne import BranchSet, decompose_reduced
+from .hne import BranchSet, _axis_order, decompose_reduced
 from .series import series_order
 
 
@@ -68,7 +68,7 @@ class ExtNat:
         if o is NotImplemented:
             return NotImplemented
         if o.value is None:
-            raise ValueError("cannot subtract infinity")
+            raise InternalCheckError("cannot subtract infinity")
         if self.value is None:
             return INF
         return ExtNat(self.value - o.value)
@@ -103,7 +103,7 @@ class ExtNat:
 
     def __int__(self) -> int:
         if self.value is None:
-            raise ValueError("infinite value")
+            raise InternalCheckError("infinite value")
         return self.value
 
     def __repr__(self) -> str:
@@ -125,14 +125,6 @@ def char_exceeds(p: int, n) -> bool:
             return False
         n = n.value
     return p > n
-
-
-def _axis_order(f: MPoly, axis: int) -> int | None:
-    """Order of f restricted to the axis {x=0} (axis=0) or {y=0} (axis=1);
-    None when the restriction vanishes identically."""
-    other = 1 - axis
-    exps = [e[other] for e in f.terms if e[axis] == 0]
-    return min(exps) if exps else None
 
 
 def _require_origin(f: MPoly) -> None:

@@ -42,8 +42,8 @@ def _tr_inv(ctx: FieldCtx, b: list, prec: int) -> list:
 
 def _tr_axpy(ctx: FieldCtx, c, v: list, acc: list) -> list:
     """acc + c*v, coefficientwise; v may be shorter than acc."""
-    zero, radd, rmul = ctx.rzero, ctx.radd, ctx.rmul
-    return [s if w == zero else radd(s, rmul(c, w)) for s, w in zip(acc, v)] + acc[len(v) :]
+    is_zero, radd, rmul = ctx.ris_zero, ctx.radd, ctx.rmul
+    return [s if is_zero(w) else radd(s, rmul(c, w)) for s, w in zip(acc, v)] + acc[len(v) :]
 
 
 def _tr_eval(ctx: FieldCtx, g: MPoly, xs: list, ys: list, prec: int) -> list:
@@ -150,12 +150,12 @@ def series_order(h: MPoly, param: Param, bound: int, *, start: int = 8) -> int |
     ctx = param.ctx
     if h.ctx is not ctx:
         raise IncompatibleContexts(f"{h.ctx.descriptor()} vs {ctx.descriptor()}")
-    zero = ctx.rzero
+    is_zero = ctx.ris_zero
     prec = min(start, bound + 1)
     while True:
         xs, ys = param.at(prec)
         for n, c in enumerate(_tr_eval(ctx, h, xs, ys, prec)):
-            if c != zero:
+            if not is_zero(c):
                 return n
         if prec > bound:
             return None

@@ -57,13 +57,13 @@ def test_chart_identity_is_exact():
 
 def test_cusp_tree():
     tree = branch_decompose(parse_poly("y^2-x^3", QQ)).tree
-    assert tree.multiplicities() == [2, 1]
+    assert [n.mult for n in tree.nodes()] == [2, 1]
     assert tree.delta_contribution() == 1
 
 
 def test_node_tree():
     tree = branch_decompose(parse_poly("x*y", QQ)).tree
-    assert sorted(tree.multiplicities()) == [1, 1, 2]
+    assert sorted([n.mult for n in tree.nodes()]) == [1, 1, 2]
     assert tree.delta_contribution() == 1
     assert len(tree.children) == 2
 
@@ -71,7 +71,7 @@ def test_node_tree():
 def test_tacnode_pair_tree():
     f = parse_poly("(y^2-x^3)*(y^2+x^3)", QQ)
     tree = branch_decompose(f).tree
-    assert sorted(tree.multiplicities()) == [1, 1, 2, 2, 4]
+    assert sorted([n.mult for n in tree.nodes()]) == [1, 1, 2, 2, 4]
     assert tree.delta_contribution() == 8
 
 
@@ -113,7 +113,7 @@ def test_strict_transform_of_reduced_stays_reduced():
 
 def test_irrational_direction_forces_extension():
     tree = branch_decompose(parse_poly("y^2-2*x^2", QQ)).tree
-    assert sorted(tree.multiplicities()) == [1, 1, 2]
+    assert sorted([n.mult for n in tree.nodes()]) == [1, 1, 2]
     assert tree.delta_contribution() == 1
 
 

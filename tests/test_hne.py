@@ -7,9 +7,14 @@ import random
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
-from curveinv.errors import DegenerateDirection, NotReduced, NotSingularAtOrigin
+from curveinv.errors import (
+    DegenerateDirection,
+    InternalCheckError,
+    NotReduced,
+    NotSingularAtOrigin,
+)
 from curveinv.field import FieldCtx
-from curveinv.hne import branch_decompose
+from curveinv.hne import _push_orders, branch_decompose
 from curveinv.invariants import tangent_shear
 from curveinv.series import series_order
 
@@ -136,10 +141,97 @@ def test_multiplicity_sum_on_random_products():
             continue
         bs = branch_decompose(f)
         assert sum(b.mt for b in bs.branches) == bs.mt
-        assert sum(b.delta for b in bs.branches) + bs.pairwise_total() == (
-            bs.tree.delta_contribution()
-        )
+        pairs = sum(bs.pairwise(i, j) for i in range(bs.r) for j in range(i + 1, bs.r))
+        assert sum(b.delta for b in bs.branches) + pairs == bs.tree.delta_contribution()
         done += 1
+
+
+def _series_tangent(bs, b):
+    """The tangent as the ratio of the leading coefficients of x(t), y(t)."""
+    ctx = bs.ctx
+    if b.ix is None or (b.iy is not None and b.ix > b.iy):
+        return ctx.zero, ctx.one
+    if b.iy is None or b.ix < b.iy:
+        return ctx.one, ctx.zero
+    xs, ys = b.param(b.ix + 1)
+    return ctx.one, ys[b.iy] / xs[b.ix]
+
+
+def _assert_chart_data_matches_series(bs):
+    x, y = (MPoly.variable(bs.ctx, XY, v) for v in XY)
+    bound = bs.f.degree() + 1
+    for b in bs.branches:
+        assert (b.ix, b.iy) == (
+            series_order(x, b.series, bound),
+            series_order(y, b.series, bound),
+        )
+        assert b.mt == min(o for o in (b.ix, b.iy) if o is not None) == b.path[0][1]
+        assert b.tangent == _series_tangent(bs, b)
+
+
+def test_chart_orders_match_series_on_random_germs():
+    rng = random.Random(0x4E5)
+    f3 = FieldCtx.prime(3)
+    for ctx in (QQ, f3, FieldCtx.prime(5), f3.extend([1, 0, 1])):
+        done = 0
+        while done < 6:
+            terms = {}
+            for _ in range(4):
+                e = (rng.randint(0, 3), rng.randint(0, 3))
+                if e != (0, 0):
+                    terms[e] = ctx.sample(rng)
+            f = MPoly(ctx, XY, terms)
+            if f.is_zero() or f.degree() > 5 or not squarefree_part(f)[1]:
+                continue
+            _assert_chart_data_matches_series(branch_decompose(f))
+            done += 1
+
+
+def test_axis_branch_through_chart_x():
+    # y = 0 crosses the x-chart at center 0 with y(t) identically zero
+    bs = branch_decompose(parse_poly("y*(y^2-x^3)", QQ))
+    data = sorted((b.ix or 0, b.iy or 0, b.mt, [m for _, m in b.path]) for b in bs.branches)
+    assert data == [(1, 0, 1, [1, 1, 1]), (2, 3, 2, [2, 1, 1])]
+    assert [b.tangent for b in bs.branches] == [(QQ.one, QQ.zero)] * 2
+    _assert_chart_data_matches_series(bs)
+
+
+def test_axis_branch_through_chart_y():
+    bs = branch_decompose(parse_poly("x*(x^2-y^3)", QQ))
+    data = sorted((b.ix or 0, b.iy or 0, b.mt, [m for _, m in b.path]) for b in bs.branches)
+    assert data == [(0, 1, 1, [1, 1, 1]), (3, 2, 2, [2, 1, 1])]
+    assert [b.tangent for b in bs.branches] == [(QQ.zero, QQ.one)] * 2
+    _assert_chart_data_matches_series(bs)
+
+
+@pytest.mark.parametrize(
+    "text, orders, tangent", [("x+y^2", (2, 1), (0, 1)), ("y-3*x+x^2", (1, 1), (1, 3))]
+)
+def test_smooth_germ_tangent_from_linear_part(text, orders, tangent):
+    bs = branch_decompose(parse_poly(text, QQ))
+    (b,) = bs.branches
+    assert ((b.ix, b.iy), [m for _, m in b.path]) == (orders, [1])
+    assert b.tangent == tuple(QQ.from_int(c) for c in tangent)
+    _assert_chart_data_matches_series(bs)
+
+
+def test_push_orders_follows_the_chart_maps():
+    assert _push_orders((2, 3), "x", QQ.one) == (2, (2, 2))
+    assert _push_orders((2, 3), "x", QQ.zero) == (2, (2, 5))
+    assert _push_orders((2, None), "x", QQ.zero) == (2, (2, None))
+    assert _push_orders((2, 3), "y", None) == (3, (5, 3))
+    assert _push_orders((None, 3), "y", None) == (3, (None, 3))
+    # a strict-transform branch never lies on the exceptional line
+    with pytest.raises(InternalCheckError):
+        _push_orders((None, 1), "x", QQ.zero)
+    with pytest.raises(InternalCheckError):
+        _push_orders((1, None), "y", None)
+
+
+def test_pairwise_of_a_branch_with_itself_is_a_defect():
+    bs = branch_decompose(parse_poly("x*y", QQ))
+    with pytest.raises(InternalCheckError):
+        bs.pairwise(1, 1)
 
 
 def test_shear_aligns_diagonal_tangent():

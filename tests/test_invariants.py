@@ -43,10 +43,22 @@ def test_extnat_arithmetic():
     assert INF > ExtNat(10**9)
     assert ExtNat(7) - 2 == 5
     assert (INF - 3) == INF
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         ExtNat(3) - INF
     assert INF.to_json() == "inf"
     assert ExtNat(6).to_json() == 6
+
+
+def test_extnat_subtracting_infinity_is_a_defect():
+    for a in (ExtNat(0), INF):
+        with pytest.raises(InternalCheckError):
+            a - INF
+
+
+def test_extnat_int_of_infinity_is_a_defect():
+    assert int(ExtNat(4)) == 4
+    with pytest.raises(InternalCheckError):
+        int(INF)
 
 
 def test_intersection_basics():
