@@ -3,13 +3,14 @@ structure.
 
 :class:`MPoly` stores ``{exponent tuple: coefficient}`` over a fixed variable
 alphabet, usually ``(x, y)`` and occasionally ``(x, y, z)`` or ``(t, x, y)``.
-Resultants run Bareiss's fraction-free elimination of the Sylvester matrix
-on dense rep vectors, the other variables Kronecker-packed into one under a
-degree bound, and check that every division is exact.  The bivariate gcd is a
-primitive polynomial-remainder sequence on dense vectors in y over F[x]
-(contents by Euclid in F[x], exact divisions checked); on top of it, on the
-same vectors, sits a squarefree decomposition that works uniformly in
-characteristic zero and p, peeling p-th powers when both partials collapse.
+Resultants and bivariate gcds read the two ends of one subresultant remainder
+sequence (Collins 1967; Brown & Traub 1971) on dense vectors in the main
+variable, whose coefficients are rep vectors in one more: every division by
+the predicted factor is exact and checked.  A resultant Kronecker-packs its
+other variables into that one under a degree bound; a gcd takes the contents
+of its inputs and of the last nonzero member only.  On the same vectors sits a
+squarefree decomposition that works uniformly in characteristic zero and p,
+peeling p-th powers when both partials collapse.
 
 Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
 """
@@ -17,6 +18,7 @@ Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add, mul, neg, sub
@@ -410,79 +412,7 @@ def embed_poly(f: MPoly, target: FieldCtx) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants
-# ---------------------------------------------------------------------------
-
-
-def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
-    """Res of f and g with respect to ``var``, by fraction-free elimination.
-
-    Row convention: the ``deg g`` rows of f-coefficients come first.  With it,
-    Res_y(y^2 - x^3, y) = -x^3 and Res_y(y - x, y + x) = 2x.
-
-    Sylvester entries, polynomials in the other variables u_i, are packed into
-    dense vectors by u_i -> z^(B_1...B_{i-1}) (Kronecker substitution), where
-    B_i = deg_var(g)*deg_{u_i}(f) + deg_var(f)*deg_{u_i}(g) + 1 exceeds the
-    degree in u_i of every minor, so the determinant unpacks uniquely.
-    """
-    f._check(g)
-    idx = f.vars.index(var)
-    if f.is_zero() or g.is_zero():
-        return MPoly.zero(f.ctx, f.vars)
-    fc = f.coeff_list(idx)
-    gc = g.coeff_list(idx)
-    m, n = len(fc) - 1, len(gc) - 1
-    if m == 0 and n == 0:
-        return MPoly.constant(f.ctx, f.vars, f.ctx.one)
-    if m == 0:
-        return f**n
-    if n == 0:
-        return g**m
-    ctx, zero = f.ctx, f.ctx.rzero
-    others = [i for i in range(len(f.vars)) if i != idx]
-    bounds = [n * f.degree_in(i) + m * g.degree_in(i) + 1 for i in others]
-    weights = list(accumulate([1] + bounds[:-1], mul))
-
-    def pack(c: MPoly) -> list:
-        v = {sum(e[i] * w for i, w in zip(others, weights)): a.rep for e, a in c.terms.items()}
-        return [v.get(k, zero) for k in range(max(v, default=-1) + 1)]
-
-    fv, gv = ([pack(c) for c in reversed(h)] for h in (fc, gc))
-    rows = [[[]] * i + fv + [[]] * (n - 1 - i) for i in range(n)]
-    rows += [[[]] * i + gv + [[]] * (m - 1 - i) for i in range(m)]
-    terms = {}
-    for k, c in enumerate(_bareiss_det(ctx, rows)):
-        e = [0] * len(f.vars)
-        for i, b in zip(others, bounds):
-            k, e[i] = divmod(k, b)
-        terms[tuple(e)] = c
-    return MPoly._from_reps(ctx, f.vars, terms)
-
-
-def _bareiss_det(ctx: FieldCtx, mat: list[list[list]]) -> list:
-    """Determinant of a matrix of rep vectors by Bareiss's elimination; each
-    division by the last pivot is exact in F[z], and checked to be."""
-    n = len(mat)
-    sign, prev = 1, None
-    for k in range(n - 1):
-        if not mat[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if pivot_row is None:
-                return []
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            sign = -sign
-        top, pivot = mat[k], mat[k][k]
-        for row in mat[k + 1 :]:
-            for j in range(k + 1, n):
-                num = _rp_sub(ctx, _rp_mul(ctx, row[j], pivot), _rp_mul(ctx, row[k], top[j]))
-                row[j] = num if prev is None else _rp_divexact(ctx, num, prev)
-        prev = pivot
-    det = mat[n - 1][n - 1]
-    return [ctx.rneg(c) for c in det] if sign < 0 else det
-
-
-# ---------------------------------------------------------------------------
-# Bivariate gcd and squarefree structure
+# Remainder sequences: resultants, the bivariate gcd, squarefree structure
 # ---------------------------------------------------------------------------
 
 
@@ -534,34 +464,104 @@ def _primitive(ctx: FieldCtx, a: list[list]) -> tuple[list, list[list]]:
     return cont, [_rp_divexact(ctx, c, cont) for c in a]
 
 
+def _power(ctx: FieldCtx, a: list, e: int) -> list:
+    """a^e for a rep vector; the empty product when e <= 0."""
+    return reduce(partial(_rp_mul, ctx), [a] * e, [ctx.rone])
+
+
 def _prem(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
-    """Pseudo-remainder of a by b in the main variable."""
+    """lc(b)^(deg a - deg b + 1) * a mod b in the main variable, for
+    deg a >= deg b: one scaling per degree, whether or not its term vanishes."""
     lead, r = b[-1], list(a)
     scaled = lead != [ctx.rone]
-    while len(r) >= len(b):
+    for _ in range(len(a) - len(b) + 1):
         top = r.pop()  # cancelled by top*lead, so never formed
         if scaled:
             r = [_rp_mul(ctx, c, lead) for c in r]
-        for j, bj in enumerate(b[:-1], len(r) + 1 - len(b)):
-            r[j] = _rp_sub(ctx, r[j], _rp_mul(ctx, top, bj))
-        _strip(r)
-    return r
+        if top:
+            for j, bj in enumerate(b[:-1], len(r) + 1 - len(b)):
+                r[j] = _rp_sub(ctx, r[j], _rp_mul(ctx, top, bj))
+    return _strip(r)
+
+
+def _subresultants(ctx: FieldCtx, a: list[list], b: list[list]) -> tuple:
+    """The subresultant remainder sequence of a and b (Collins 1967; Brown &
+    Traub 1971): each pseudo-remainder is divided, exactly and checked, by
+    g*h^delta, g the dividend's leading coefficient (1 at first) and h the
+    running scale.  Returns the last pair, h, and whether the resultant's sign
+    flips.  Either b is empty and a is the last nonzero member, or b has degree
+    zero and the resultant is lc(b)^deg(a) / h^(deg(a) - 1), negated on a flip.
+    """
+    g = h = [ctx.rone]
+    flip = False  # Res(a, b) = (-1)^(deg a * deg b) Res(b, a)
+    if len(a) < len(b):
+        a, b, flip = b, a, len(a) % 2 == len(b) % 2 == 0
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        flip ^= len(a) % 2 == len(b) % 2 == 0  # both degrees odd
+        r = _prem(ctx, a, b)
+        d = _rp_mul(ctx, g, _power(ctx, h, delta))
+        a, b = b, [_rp_divexact(ctx, c, d) for c in r]
+        g = a[-1]
+        if delta:
+            h = _rp_divexact(ctx, _power(ctx, g, delta), _power(ctx, h, delta - 1))
+    return a, b, h, flip
+
+
+def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
+    """Res of f and g with respect to ``var``, off the end of their
+    subresultant sequence.  It is the Sylvester determinant with the ``deg g``
+    rows of f-coefficients first: Res_y(y^2 - x^3, y) = -x^3.
+
+    Coefficients, polynomials in the other variables u_i, are packed into
+    dense vectors by u_i -> z^(B_1...B_{i-1}) (Kronecker substitution), with
+    B_i = deg_var(g)*deg_{u_i}(f) + deg_var(f)*deg_{u_i}(g) + 1.  Packing is a
+    ring map, so it carries the resultant to the packed polynomials' one, and
+    B_i exceeds the degree in u_i of every Sylvester minor, Res among them, so
+    the packed resultant unpacks uniquely.
+    """
+    f._check(g)
+    idx = f.vars.index(var)
+    if f.is_zero() or g.is_zero():
+        return MPoly.zero(f.ctx, f.vars)
+    fc = f.coeff_list(idx)
+    gc = g.coeff_list(idx)
+    m, n = len(fc) - 1, len(gc) - 1
+    ctx, zero = f.ctx, f.ctx.rzero
+    others = [i for i in range(len(f.vars)) if i != idx]
+    bounds = [n * f.degree_in(i) + m * g.degree_in(i) + 1 for i in others]
+    weights = list(accumulate([1] + bounds[:-1], mul))
+
+    def pack(c: MPoly) -> list:
+        v = {sum(e[i] * w for i, w in zip(others, weights)): a.rep for e, a in c.terms.items()}
+        return [v.get(k, zero) for k in range(max(v, default=-1) + 1)]
+
+    a, b, h, flip = _subresultants(ctx, [pack(c) for c in fc], [pack(c) for c in gc])
+    d = len(a) - 1  # Res = lc(b)^d / h^(d-1), and 0 when a remainder vanished
+    res = _rp_divexact(ctx, _power(ctx, b[0], d), _power(ctx, h, d - 1)) if b else []
+    terms = {}
+    for k, c in enumerate(res):
+        e = [0] * len(f.vars)
+        for i, bd in zip(others, bounds):
+            k, e[i] = divmod(k, bd)
+        terms[tuple(e)] = ctx.rneg(c) if flip else c
+    return MPoly._from_reps(ctx, f.vars, terms)
 
 
 def _gcd_dense(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
-    """Gcd of dense polynomials by the primitive PRS (Brown 1971), scaled so
-    its leading coefficient is one."""
+    """Gcd of dense polynomials, scaled so its leading coefficient is one:
+    the gcd of the contents times the primitive part of the last nonzero
+    member of the primitive parts' subresultant sequence.  No content is taken
+    in between, since the sequence divides out its predicted factors."""
     if not a or not b:
         return a or b
     ca, a = _primitive(ctx, a)
     cb, b = _primitive(ctx, b)
-    if len(a) < len(b):
-        a, b = b, a
-    # a primitive b of degree zero is a unit, and so is the gcd's primitive part
-    while len(b) > 1 and (r := _prem(ctx, a, b)):
-        a, b = b, _primitive(ctx, r)[1]
-    scale = _rp_scale(ctx, ctx.rinv(b[-1][-1]), _rp_gcd(ctx, ca, cb))
-    return [_rp_mul(ctx, c, scale) for c in b]
+    a, b, _, _ = _subresultants(ctx, a, b)
+    # a remainder of degree zero means the primitive parts are coprime
+    a = [[ctx.rone]] if b else _primitive(ctx, a)[1]
+    scale = _rp_scale(ctx, ctx.rinv(a[-1][-1]), _rp_gcd(ctx, ca, cb))
+    return [_rp_mul(ctx, c, scale) for c in a]
 
 
 def gcd_bivar(f: MPoly, g: MPoly) -> MPoly:

@@ -99,8 +99,8 @@ def _axis_order(f: MPoly, axis: int) -> int | None:
 def _solve_leaf(g: MPoly) -> _Raw:
     """Solved for one coordinate; its order is the order of g on its axis."""
     if g.partial(1).constant_term().is_zero():
-        return _Raw(Param(g, "x"), [(None, 1)], (_axis_order(g, 0), 1))
-    return _Raw(Param(g, "y"), [(None, 1)], (1, _axis_order(g, 1)))
+        return _Raw(Param(g, g.vars[0]), [(None, 1)], (_axis_order(g, 0), 1))
+    return _Raw(Param(g, g.vars[1]), [(None, 1)], (1, _axis_order(g, 1)))
 
 
 def _push_orders(orders: tuple, chart: str, center: FieldElement | None) -> tuple[int, tuple]:

@@ -30,7 +30,7 @@ from .errors import (
     ShearExhausted,
     UndefinedAtOrigin,
 )
-from .field import FieldCtx, FieldElement, embed
+from .field import FieldCtx, FieldElement, _flat_finite_ctx, embed
 from .hne import BranchSet
 from .invariants import INF, ExtNat, germ
 from .projective import _validated_degree, dehomogenize, singular_points
@@ -87,19 +87,8 @@ def _certified_order(F: MPoly, G: MPoly) -> int | None:
     return r.order_in(0)
 
 
-def _quadratic_ctx(ctx):
-    one = ctx.one
-    for a in ctx.elements():
-        for b in ctx.elements():
-            q = UniPoly(ctx, [b, a, one])
-            if q.is_irreducible():
-                big, _, _ = ctx.extend_with_root(q)
-                return big
-    raise InternalCheckError("no irreducible quadratic over a finite field")
-
-
 def _quadratic_enlargement(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly]:
-    big = _quadratic_ctx(f.ctx)
+    big = _flat_finite_ctx(f.ctx.char, 2 * f.ctx.absdegree)
     return embed_poly(f, big), embed_poly(g, big)
 
 
@@ -403,7 +392,7 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1, frames: int = 6) -> int:
     # over a tiny field the vantage point lands on a special line too often;
     # a couple of quadratic extensions make that a rarity
     while ctx.order is not None and ctx.order < 100:
-        ctx = _quadratic_ctx(ctx)
+        ctx = _flat_finite_ctx(ctx.char, 2 * ctx.absdegree)
     FT = embed_poly(F, ctx)
     sing = [tuple(embed(c, ctx) for c in p_.coords) for p_ in pts]
 

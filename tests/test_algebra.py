@@ -141,15 +141,18 @@ def test_resultant_eliminates_third_variable():
     assert r == y**2 - x**3 or r == -(y**2) + x**3
 
 
-# The four kinds of coefficient arithmetic a resultant runs on: F_p ints,
-# log-table codes, Fractions and tuples over QQ.
+# The kinds of coefficient arithmetic a resultant runs on: F_p ints,
+# log-table codes, Fractions, tuples over QQ, and tuples of tuples on a tower.
+_QQ_A3 = QQ.extend([-2, 0, 0, 1])  # a^3 = 2
 RESULTANT_CONTEXTS = {
     "F7": FieldCtx.prime(7),
     "F13^2": _flat_finite_ctx(13, 2),
     "QQ": QQ,
     "QQ(a)": QQ.extend([-2, 0, 1]),
+    "QQ(a,b)": _QQ_A3.extend([_QQ_A3.gen() ** 2, _QQ_A3.gen(), _QQ_A3.one]),  # b^2+ab+a^2
 }
 assert RESULTANT_CONTEXTS["F13^2"]._exp is not None
+assert RESULTANT_CONTEXTS["QQ(a,b)"].absdegree == 6
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
@@ -162,6 +165,12 @@ def polys_in_x(ctx, max_deg=3):
     """Polynomials in x alone, over the alphabet (x, y)."""
     coeffs = st.lists(elements(ctx), max_size=max_deg + 1)
     return coeffs.map(lambda cs: MPoly(ctx, ("x", "y"), {(i, 0): c for i, c in enumerate(cs)}))
+
+
+def polys(ctx, max_deg=2):
+    exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    terms = st.dictionaries(exps, elements(ctx), max_size=4)
+    return terms.map(lambda d: MPoly(ctx, ("x", "y"), d))
 
 
 def _product(ctx, factors):
@@ -189,9 +198,10 @@ def test_resultant_is_the_product_of_root_differences(name):
 
 @pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))
 def test_resultant_through_a_zero_pivot(name):
-    # f = y^m + a_{m-2} y^{m-2} + ... + a_0 has no y^(m-1) term, so after the
-    # first elimination step the second pivot of the Sylvester matrix of f and
-    # c*y is zero and a row swap follows; Res_y(f, c*y) = (-c)^m f(x, 0).
+    # f = y^m + a_{m-2} y^{m-2} + ... + a_0 has no y^(m-1) term, so the
+    # pseudo-remainder of f by c*y meets a vanishing top term on its second
+    # step and must scale by c there too, m times in all, to reach
+    # c^m f(x, 0); Res_y(f, c*y) = (-c)^m f(x, 0).
     ctx = RESULTANT_CONTEXTS[name]
     y = MPoly.variable(ctx, ("x", "y"), "y")
 
@@ -204,6 +214,74 @@ def test_resultant_through_a_zero_pivot(name):
             f = f + ak * y**k
         expected = (-c) ** m * f.subs_const(1, ctx.zero)
         assert resultant(f, c * y, "y") == expected
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))
+def test_resultant_of_a_non_normal_sequence(name):
+    # f = q*g + r with deg_y r <= deg_y g - 2, so the remainder sequence of g
+    # and f drops by two degrees or more; for monic g = prod (y - b_j),
+    # Res_y(g, f) = prod f(x, b_j) = prod r(x, b_j).
+    ctx = RESULTANT_CONTEXTS[name]
+    x, y = (MPoly.variable(ctx, ("x", "y"), v) for v in ("x", "y"))
+
+    @PROPERTY
+    @given(st.lists(polys_in_x(ctx), min_size=2, max_size=4), polys(ctx), st.data())
+    def check(b, q, data):
+        g = _product(ctx, [y - bj for bj in b])
+        low = data.draw(st.lists(polys_in_x(ctx), min_size=len(b) - 1, max_size=len(b) - 1))
+        r = MPoly.zero(ctx, ("x", "y"))
+        for k, rk in enumerate(low):
+            r = r + rk * y**k
+        expected = _product(ctx, [r.substitute([x, bj]) for bj in b])
+        assert resultant(g, q * g + r, "y") == expected
+
+    check()
+
+
+def _sylvester_det_mod(f: list[int], g: list[int], p: int) -> int:
+    """det of the Sylvester matrix of f and g (coefficients lowest first, f's
+    rows first) by Gaussian elimination mod p."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    det = 1
+    for k in range(m + n):
+        pivot = next((i for i in range(k, m + n) if rows[i][k] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det = det * rows[k][k] % p
+        inv = pow(rows[k][k], -1, p)
+        for row in rows[k + 1 :]:
+            c = row[k] * inv % p
+            for j in range(k, m + n):
+                row[j] = (row[j] - c * rows[k][j]) % p
+    return det % p
+
+
+def test_resultant_specializes_to_the_sylvester_determinant_over_f7():
+    # at each x = c where both leading coefficients in y survive, Res_y(f, g)
+    # evaluated at c is the Sylvester determinant of f(c, y) and g(c, y)
+    f7 = RESULTANT_CONTEXTS["F7"]
+
+    def at(h, c):
+        u = h.subs_const(0, f7.from_int(c))
+        return [u.terms.get((0, k), f7.zero).rep for k in range(u.degree_in(1) + 1)]
+
+    @PROPERTY
+    @given(polys(f7, max_deg=3).filter(lambda h: not h.is_zero()),
+           polys(f7, max_deg=3).filter(lambda h: not h.is_zero()))
+    def check(f, g):
+        res = resultant(f, g, "y")
+        for c in range(7):
+            fc, gc = at(f, c), at(g, c)
+            if len(fc) - 1 == f.degree_in(1) and len(gc) - 1 == g.degree_in(1):
+                value = res.subs_const(0, f7.from_int(c)).constant_term().rep
+                assert value == _sylvester_det_mod(fc, gc, 7)
 
     check()
 
@@ -318,12 +396,6 @@ def test_squarefree_decomposition_reassembles():
                 rebuilt = rebuilt * g**e
             q = f.divexact(rebuilt)
             assert q.degree() == 0
-
-
-def polys(ctx, max_deg=2):
-    exps = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
-    terms = st.dictionaries(exps, elements(ctx), max_size=4)
-    return terms.map(lambda d: MPoly(ctx, ("x", "y"), d))
 
 
 @pytest.mark.parametrize("name", sorted(RESULTANT_CONTEXTS))

@@ -48,6 +48,10 @@ CASES = {
     "projective_qq_cuspidal_cubic": [
         "projective", "analyze", "--char", "0", "--poly", "y^2*z-x^3", "--json"
     ],
+    "projective_qq_trifolium": [
+        "projective", "analyze", "--char", "0", "--poly", "(x^2+y^2)^2-z*(x^3-3*x*y^2)",
+        "--json",
+    ],
 }
 
 

@@ -215,6 +215,16 @@ def test_smooth_germ_tangent_from_linear_part(text, orders, tangent):
     _assert_chart_data_matches_series(bs)
 
 
+@pytest.mark.parametrize(
+    "text, orders", [("v^2-u^3", (2, 3)), ("v-u^2", (1, 2)), ("u-v^2", (2, 1))]
+)
+def test_leaf_solves_in_the_germs_own_variables(text, orders):
+    # the alphabet (u, v) plays the part of (x, y), whichever variable is solved
+    uv = branch_decompose(parse_poly(text, QQ, ("u", "v")))
+    xy = branch_decompose(parse_poly(text.replace("u", "x").replace("v", "y"), QQ))
+    assert [(b.ix, b.iy) for b in uv.branches] == [(b.ix, b.iy) for b in xy.branches] == [orders]
+
+
 def test_push_orders_follows_the_chart_maps():
     assert _push_orders((2, 3), "x", QQ.one) == (2, (2, 2))
     assert _push_orders((2, 3), "x", QQ.zero) == (2, (2, 5))

@@ -177,6 +177,13 @@ def test_dual_degree_matches_plucker_on_quartic():
     assert dual_degree_elim(F) == 5
 
 
+def test_dual_degree_matches_plucker_on_the_trifolium():
+    # three smooth branches with distinct tangents at the origin (delta 3,
+    # kappa 6), whose gcds run over the QQ(a,b) the singular-point search reaches
+    F = proj("(x^2+y^2)^2-z*(x^3-3*x*y^2)")
+    assert plucker_analysis(F).product == dual_degree_elim(F) == 6
+
+
 def test_dual_degree_preconditions():
     with pytest.raises(ValueError):
         dual_degree_elim(proj("x^5+y^5+x*y^3*z"))
