@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     WrongVariables,
 )
-from .field import FieldCtx, FieldElement, embed
+from .field import FieldCtx, FieldElement, _render_terms, embed
 from .field import _rp_divexact, _rp_gcd, _rp_mul, _rp_scale, _rp_sub, _rp_trim
 from .unipoly import UniPoly
 
@@ -373,34 +373,19 @@ class MPoly:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         items = sorted(
             self.terms.items(),
             key=lambda t: (sum(t[0]), tuple(-k for k in t[0])),
         )
-        parts = []
-        for e, c in items:
-            monos = []
-            for name, k in zip(self.vars, e):
-                if k == 1:
-                    monos.append(name)
-                elif k > 1:
-                    monos.append(f"{name}^{k}")
-            s = str(c)
-            if not monos:
-                parts.append(s)
-                continue
-            m = "*".join(monos)
-            if s == "1":
-                parts.append(m)
-            elif s == "-1":
-                parts.append("-" + m)
-            elif "+" in s or "-" in s[1:]:
-                parts.append(f"({s})*{m}")
-            else:
-                parts.append(f"{s}*{m}")
-        return "+".join(parts).replace("+-", "-")
+        return _render_terms(
+            (
+                str(c),
+                "*".join(
+                    name if k == 1 else f"{name}^{k}" for name, k in zip(self.vars, e) if k
+                ),
+            )
+            for e, c in items
+        )
 
     def __repr__(self) -> str:
         return f"<MPoly {self} over {self.ctx.descriptor()}>"

@@ -9,12 +9,15 @@ or oracle comparison failed or an unexpected exception escaped (a library
 defect, worth a bug report; stderr carries a one-line repro), 3 the
 randomized oracles gave up too often to be conclusive.  ``local verify``
 instead exits with the number of failed relations, so 0 still means clean.
+A reader that closes stdout early (``| head``) ends the command with exit 0
+and nothing on stderr: nothing failed, the rest of the output is dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shlex
 import sys
@@ -42,7 +45,6 @@ from .errors import (
     UndefinedAtOrigin,
 )
 from .invariants import (
-    ExtNat,
     GammaBudget,
     analyze_local,
     delta,
@@ -88,10 +90,6 @@ def _text_lines(data, indent: int = 0) -> list[str]:
         else:
             lines.append(f"{pad}{key}: {value}")
     return lines
-
-
-def _extnat_str(v: ExtNat) -> str:
-    return str(int(v)) if v.is_finite else "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +198,10 @@ def _compare_intersection(char: int, count: int, seed: int) -> list[dict]:
             continue
         g = _companion_germ(ctx, rng)
         expected = intersection_multiplicity(f, g)
-        row = {"index": index, "f": str(f), "g": str(g), "main": _extnat_str(expected)}
+        row = {"index": index, "f": str(f), "g": str(g), "main": str(expected)}
         try:
             got = i_resultant(f, g, seed=rng.randrange(2**32))
-            row["oracle"] = _extnat_str(got)
+            row["oracle"] = str(got)
             row["verdict"] = "agree" if got == expected else "disagree"
         except ShearExhausted:
             row["oracle"] = "none"
@@ -386,6 +384,11 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"relation failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped reading; point stdout at devnull so the final
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:
         # a stray exception is a defect in this library, not bad input
         argv = sys.argv[1:] if argv is None else argv

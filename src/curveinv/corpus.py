@@ -17,7 +17,7 @@ characteristic where it is interesting.
 from __future__ import annotations
 
 import math
-import multiprocessing
+import os
 import random
 import shlex
 from dataclasses import dataclass
@@ -244,9 +244,11 @@ def run_corpus(items: list[CorpusItem], workers: int | None = None) -> list[dict
     """Evaluate every item; results come back in input order regardless of
     scheduling, so the summary is deterministic."""
     if workers is None:
-        workers = min(4, multiprocessing.cpu_count()) if len(items) >= 16 else 1
+        workers = min(4, os.cpu_count() or 1) if len(items) >= 16 else 1
     if workers <= 1 or len(items) < 2:
         return [evaluate_item(it) for it in items]
+    import multiprocessing  # loaded only here, so `local analyze` does not pay for it
+
     with multiprocessing.Pool(workers) as pool:
         return list(pool.imap(evaluate_item, items, chunksize=4))
 

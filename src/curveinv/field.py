@@ -460,6 +460,25 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
     )
 
 
+def _render_terms(terms) -> str:
+    """A sum of (coefficient text, monomial text) pairs, leading term first;
+    the constant term's monomial is "".  A coefficient 1 is dropped, -1
+    becomes a leading minus and a compound coefficient is bracketed."""
+    parts = []
+    for s, mono in terms:
+        if not mono:
+            parts.append(s)
+        elif s == "1":
+            parts.append(mono)
+        elif s == "-1":
+            parts.append("-" + mono)
+        elif "+" in s or "-" in s[1:]:
+            parts.append(f"({s})*{mono}")
+        else:
+            parts.append(f"{s}*{mono}")
+    return "+".join(parts).replace("+-", "-") if parts else "0"
+
+
 # ---------------------------------------------------------------------------
 # Contexts
 # ---------------------------------------------------------------------------
@@ -784,32 +803,14 @@ class FieldCtx:
         return "QQ(" + ",".join(reversed(names)) + ")"
 
     def render_rep(self, a) -> str:
-        k = self.kind
-        if k == "prime":
+        if self.kind in ("prime", "rationals"):
             return str(a)
-        if k == "rationals":
-            return str(a)
-        base, parts, a = self.base, [], self.rcoeffs(a)
-        for i in range(self.deg_step - 1, -1, -1):
-            c = a[i]
-            if base.ris_zero(c):
-                continue
-            s = base.render_rep(c)
-            if i == 0:
-                parts.append(s)
-                continue
-            mono = self.gen_name if i == 1 else f"{self.gen_name}^{i}"
-            if s == "1":
-                parts.append(mono)
-            elif s == "-1":
-                parts.append("-" + mono)
-            elif "+" in s or "-" in s[1:]:
-                parts.append(f"({s})*{mono}")
-            else:
-                parts.append(f"{s}*{mono}")
-        if not parts:
-            return "0"
-        return "+".join(parts).replace("+-", "-")
+        base, a, g = self.base, self.rcoeffs(a), self.gen_name
+        return _render_terms(
+            (base.render_rep(a[i]), "" if i == 0 else g if i == 1 else f"{g}^{i}")
+            for i in range(self.deg_step - 1, -1, -1)
+            if not base.ris_zero(a[i])
+        )
 
     def __repr__(self) -> str:
         return f"FieldCtx({self.descriptor()})"

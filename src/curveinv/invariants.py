@@ -144,12 +144,15 @@ def _min_polar_order(polars: tuple[MPoly, ...], b, bound: int) -> int | None:
 
 
 class Germ:
-    """One reduced polynomial and everything derived from it.
+    """One reduced germ, the ideal (f), and everything derived from it.
 
     Obtained through :func:`germ`, which checks reducedness once.  The branch
     decomposition and each invariant are computed on first use and kept, so
     the public functions below, and every derived curve they build, read one
-    shared copy instead of recomputing it.
+    shared copy instead of recomputing it.  ``f`` is the first generator the
+    memo saw; a constant multiple c*f is the same germ and shares this object,
+    since no invariant and no branch datum sees the constant (tangent-cone
+    factors are monic, and neither Newton's step nor the chart maps scale).
     """
 
     def __init__(self, f: MPoly):
@@ -284,8 +287,8 @@ class Germ:
 
 # One public call and the derived curves it builds (up to ~20 gamma
 # candidates, f*line, f*u, the R9 chart, squarefree pieces) fit well inside
-# this many germs, as do a few separate calls on the same f after gamma;
-# reuse across unrelated calls is not needed.
+# this many germs, as do a few separate calls on the same f, or on a constant
+# multiple of it, after gamma; reuse across unrelated calls is not needed.
 _GERM_MEMO_SIZE = 64
 _GERMS: OrderedDict = OrderedDict()
 
@@ -293,9 +296,11 @@ _GERMS: OrderedDict = OrderedDict()
 def germ(f: MPoly) -> Germ:
     """The :class:`Germ` of f, from a memo of the most recently used ones.
 
+    The memo is keyed on the monic normalization of f, so ``germ(c*f) is
+    germ(f)`` for every constant c != 0: both generate the same ideal.
     Raises NotReduced when f is zero or has a repeated component.
     """
-    key = (f.ctx._key, f.vars, frozenset(f.terms.items()))
+    key = (f.ctx._key, f.vars, frozenset(f.normalized().terms.items()))
     g = _GERMS.get(key)
     if g is not None:
         _GERMS.move_to_end(key)
@@ -334,8 +339,7 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
     for h, e in squarefree_decomposition(f):
         if not h.constant_term().is_zero():
             continue
-        # the pieces come back normalized; a reduced f keeps its own Germ
-        bs = germ(f if h == f.normalized() else h).branches
+        bs = germ(h).branches
         g_loc = g if bs.ctx is g.ctx else embed_poly(g, bs.ctx)
         for b in bs.branches:
             o = series_order(g_loc, b.series, bound)
@@ -575,10 +579,10 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
     best: Optional[int] = None
     best_witness: Optional[CoordinateChange] = None
 
-    def consider(cand: CoordinateChange, g: MPoly) -> Optional[GammaResult]:
+    def consider(cand: CoordinateChange, H: Germ) -> Optional[GammaResult]:
         nonlocal best, best_witness
         cand.truncated_inverse()
-        value = germ(_germ_part(g)).gamma_tilde
+        value = H.gamma_tilde
         if best is None or value < best:
             best, best_witness = value, cand
         if value == target:
@@ -593,12 +597,12 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
             )
         return None
 
-    out = consider(identity_change(f.ctx, f.vars, trunc), f)
+    out = consider(identity_change(f.ctx, f.vars, trunc), G)
     if out:
         return out
 
     for cand in _linear_candidates(f.ctx, f.vars, rng, budget.linear_tries, trunc):
-        out = consider(cand, cand.apply(f))
+        out = consider(cand, germ(_germ_part(cand.apply(f))))
         if out:
             return out
 
@@ -609,14 +613,14 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
         if beta.is_zero() or alpha.is_zero():
             continue
         cand = tangent_shear(bs.ctx, f2.vars, b.tangent, trunc)
-        out = consider(cand, cand.apply(f2))
+        out = consider(cand, germ(_germ_part(cand.apply(f2))))
         if out:
             return out
 
     for cand in _smooth_candidates(
         f.ctx, f.vars, rng, budget.smooth_tries, budget.degree, trunc
     ):
-        out = consider(cand, cand.apply(f))
+        out = consider(cand, germ(_germ_part(cand.apply(f))))
         if out:
             return out
 

@@ -29,6 +29,7 @@ from .field import (
     FieldElement,
     _is_prime,
     _prime_ops,
+    _render_terms,
     _rp_add,
     _rp_divmod,
     _rp_gcd,
@@ -275,27 +276,11 @@ class UniPoly:
         return out
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            s = str(c)
-            if i == 0:
-                parts.append(s)
-                continue
-            mono = "t" if i == 1 else f"t^{i}"
-            if s == "1":
-                parts.append(mono)
-            elif s == "-1":
-                parts.append("-" + mono)
-            elif "+" in s or "-" in s[1:]:
-                parts.append(f"({s})*{mono}")
-            else:
-                parts.append(f"{s}*{mono}")
-        return "+".join(parts).replace("+-", "-")
+        return _render_terms(
+            (str(c), "" if i == 0 else "t" if i == 1 else f"t^{i}")
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if not c.is_zero()
+        )
 
     def __repr__(self) -> str:
         return f"<UniPoly {self} over {self.ctx.descriptor()}>"

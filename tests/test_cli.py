@@ -228,6 +228,14 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_dual_suite_wild_characteristic(self, capsys):
+        # a characteristic the elimination oracle cannot use is bad input:
+        # its precondition is a boundary check, not a library defect
+        code = main(["oracle", "compare", "--suite", "dual", "--char", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: tame characteristic required: zero or p > d(d-1)\n"
+
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 1
 
@@ -269,6 +277,23 @@ class TestErrorContract:
         assert rows[0]["relations"] == "error:AssertionError"
         assert rows[0]["status"] == "fail"
         assert rows[1]["status"] == "pass"
+
+    def test_reader_closing_the_pipe_early_is_not_an_error(self):
+        # about 1.2 MB of branch coefficients, of which the reader takes 100 bytes
+        argv = ["local", "analyze", "--char", "2", "--poly", "y^2+x^3",
+                "--emit-branches", "--prec", "40000", "--json"]
+        src = str(Path(curveinv.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-m", "curveinv.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert len(head) == 100
+        assert (code, err) == (0, b"")
 
     def test_library_checks_survive_python_O(self):
         # `python -O` strips assert statements; internal checks raise

@@ -8,7 +8,7 @@ import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
 from curveinv.errors import InternalCheckError, NotReduced, UndefinedAtOrigin
-from curveinv.field import FieldCtx
+from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.invariants import (
     INF,
     ExtNat,
@@ -30,6 +30,7 @@ from curveinv.invariants import (
 QQ = FieldCtx.rationals()
 F2 = FieldCtx.prime(2)
 F3 = FieldCtx.prime(3)
+F7 = FieldCtx.prime(7)
 XY = ("x", "y")
 
 
@@ -354,3 +355,69 @@ def test_relations_decompose_each_curve_once(monkeypatch, text):
     monkeypatch.setattr(invariants, "decompose_reduced", counting)
     verify_relations(q(text))
     assert len(curves) == len(set(curves))
+
+
+@pytest.mark.parametrize("text, ctx", [("3/4*x^2-1/4*y^3", QQ), ("2*x^3+y^2", F3)])
+def test_analyze_decomposes_each_curve_once(monkeypatch, text, ctx):
+    # a non-monic f and the normalized copies that gamma and the relations
+    # build from it are one germ, decomposed once
+    from curveinv import invariants
+
+    curves = []
+    real = invariants.decompose_reduced
+
+    def counting(f, **kwargs):
+        curves.append(f.normalized())
+        return real(f, **kwargs)
+
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    monkeypatch.setattr(invariants, "decompose_reduced", counting)
+    analyze_local(parse_poly(text, ctx))
+    assert len(curves) == len(set(curves))
+
+
+def test_germ_of_a_constant_multiple_is_the_same_germ():
+    f73 = _flat_finite_ctx(7, 3)
+    qa = QQ.extend([-2, 0, 1])
+    assert f73._log is not None  # computed through the log tables
+    constants = (F3.from_int(2), f73.gen(), QQ.from_int(-5) / 3, qa.gen() + 1)
+    for ctx, c in zip((F3, f73, QQ, qa), constants):
+        f = parse_poly("y^2-x^3+x*y^3", ctx)
+        assert germ(f.scale(c)) is germ(f)
+
+
+def _unmemoized_report(f: MPoly) -> dict:
+    from curveinv import invariants
+    from curveinv.cli import _branch_payload
+
+    invariants._GERMS.clear()
+    data = analyze_local(f).to_json()
+    del data["poly"]
+    data["branches"] = _branch_payload(f, 8)
+    data["tree"] = germ(f).branches.tree.to_json()
+    return data
+
+
+def test_invariants_do_not_see_a_constant_factor(monkeypatch):
+    # the premise of germ's key: every published number and every branch
+    # datum of c*f equals that of f, computed from scratch each time
+    from curveinv import invariants
+    from curveinv.corpus import _branch_built_poly, _nonzero_sample
+
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    rng = random.Random(0xC0F)
+    cases = [
+        (parse_poly("5*x^3+6*y^3+y^5", F7), "Fq:7^3"),  # branches over F_{7^3}
+        (q("y^2-2*x^2+x^3"), "QQ(a)"),
+    ]
+    for ctx in (F3, F7, QQ):  # F_2 has no constant but 1
+        while (f := _branch_built_poly(ctx, rng, 4)) is None:
+            pass
+        cases.append((f, None))
+    for f, field in cases:
+        while (c := _nonzero_sample(f.ctx, rng)).is_one():
+            pass
+        expected = _unmemoized_report(f)
+        assert _unmemoized_report(f.scale(c)) == expected, (str(f), str(c))
+        if field is not None:
+            assert expected["branches"]["field"] == field
