@@ -16,7 +16,12 @@ Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
 ``rfrom_int``/``ris_zero`` and ``rconv`` once, when it is built.  ``rconv`` is
 the one product of coefficient vectors (polynomials, truncated series, extension
 reps): F_p sums Python ints and reduces once per coefficient, QQ convolves
-integers over a common denominator, and both skip zeros.  A tuple extension
+integers over a common denominator, and both skip zeros.  Once both operands
+are longer than :data:`FP_PACK_MIN_LEN`, F_p instead packs each one into a
+single integer and multiplies once, provided the loop would make more
+products than the result has coefficients and a coefficient of the product
+fits a machine word; QQ keeps the loop, which measured faster for it in the
+char-0 workload.  A tuple extension
 of step degree d puts coefficient i of each operand in slots i*(2d-1) ..
 i*(2d-1)+d-1 of one base vector, runs its base's ``rconv`` once and reduces
 once per output coefficient; a tower such as QQ(a, b) recurses down to the
@@ -39,6 +44,8 @@ of the old context, so arithmetic never pays for a tower.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -225,6 +232,53 @@ def _inverse_of_zero():
     raise DivisionByZero("inverse of zero")
 
 
+# F_p products whose operands both have more than this many coefficients (after
+# truncation to the product's length) may go through one packed integer product
+# (see _packed_mul_trunc for when they do).  Replaying every F_p product of one
+# seed-42 pass of each benchmark workload through both kernels (Python 3.11.7,
+# one CPU; BENCH_14.json, ``fp_packing``), packing lost on lengths 9-12 in
+# corpus_charp and cli_local and broke even or won on lengths 13-16 and beyond.
+FP_PACK_MIN_LEN = 12
+
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}  # slot bytes -> typecode
+# the narrowest array item that holds a nonnegative int of each bit length
+_SLOT_BYTES = [min(s for s in _ARRAY_CODES if 8 * s >= k) for k in range(8 * max(_ARRAY_CODES) + 1)]
+
+
+def _packed_mul_trunc(a, b, n: int, m: int) -> list:
+    """a*b mod t^n, reduced mod m, for vectors of ints in [0, m).
+
+    Each operand becomes one integer with a slot of ``size`` bytes per
+    coefficient, wide enough for any coefficient of the product, so one big
+    integer product holds them all (Kronecker substitution; *Modern Computer
+    Algebra*, 8.4).  The slot is the narrowest ``array`` item that fits.
+
+    The loop of :func:`_int_mul_trunc` runs instead in two cases.  When it
+    makes at most n products of nonzero coefficients, it costs less than n
+    slots of packing: corpus_charp's long operands are about a tenth nonzero,
+    and packing all of them cost its median item 2%.  When no array item
+    fits (p above 2^32/sqrt(length)), packing through ``int.to_bytes``
+    measured slower than the loop at length 24 for p = 2^31-1 and at length
+    64 for p = 2^61-1.  (Measurements: BENCH_14.json, ``fp_packing``.)
+    """
+    a, b = a[:n], b[:n]
+    bits = (min(len(a), len(b)) * (m - 1) ** 2).bit_length()
+    if (len(a) - a.count(0)) * (len(b) - b.count(0)) <= n or bits >= len(_SLOT_BYTES):
+        return [c % m for c in _int_mul_trunc(a, b, n)]
+    size = _SLOT_BYTES[bits]
+    code, big = _ARRAY_CODES[size], sys.byteorder == "big"
+    va, vb = array(code, a), array(code, b)
+    if big:  # array items are native-endian, the packing is little-endian
+        va.byteswap()
+        vb.byteswap()
+    k = min(n, len(a) + len(b) - 1)
+    prod = int.from_bytes(va, "little") * int.from_bytes(vb, "little")
+    out = array(code, prod.to_bytes(size * (len(a) + len(b) - 1), "little")[: size * k])
+    if big:
+        out.byteswap()
+    return [c % m for c in out] + [0] * (n - k)
+
+
 def _int_mul_trunc(a, b, n: int) -> list:
     """Integer vectors a*b mod t^n, summed as Python ints."""
     out = [0] * n
@@ -244,6 +298,8 @@ def _prime_ops(p: int) -> tuple:
         return pow(a, -1, p) if a else _inverse_of_zero()
 
     def rconv(a, b, n):
+        if min(len(a), len(b), n) > FP_PACK_MIN_LEN:
+            return _packed_mul_trunc(a, b, n, p)
         return [c % p for c in _int_mul_trunc(a, b, n)]
 
     return (

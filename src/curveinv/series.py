@@ -3,15 +3,20 @@
 A series is a list of raw field representations (the ``rep`` of a
 :class:`FieldElement`): the coefficients of t^0 .. t^(n-1), known modulo
 t^n.  Every operation takes the precision it must reach and computes exactly
-that.  The context owns the kernels: every product is its bound ``rconv``,
-and every other step goes through its bound ``radd``/``rsub``/``rmul``, so
-nothing here depends on how a field represents its elements.
+that, and skips the work that cannot reach it: a pullback drops the terms
+whose order is at least the precision and multiplies each Horner value only
+to the precision it still needs.  The context owns the kernels: every product
+is its bound ``rconv``, and every other step goes through its bound
+``radd``/``rsub``/``rmul``, so nothing here depends on how a field represents
+its elements.
 
 :class:`Param` is one branch's parametrization: a smooth leaf curve solved
 as a graph by Newton lifting (each step doubles the precision, capped at the
 precision asked for, and needs only a unit first derivative, so it works in
 every characteristic), then the chain of blow-up chart maps back to the
-original coordinates.  :func:`series_order` pulls a polynomial back along a
+original coordinates.  The lift keeps the inverse of the derivative from
+step to step, so each step extends it by one Newton step instead of
+inverting afresh.  :func:`series_order` pulls a polynomial back along a
 Param to find its order.
 """
 
@@ -22,22 +27,23 @@ from .errors import IncompatibleContexts, InternalCheckError
 from .field import FieldCtx
 
 
-def _tr_inv(ctx: FieldCtx, b: list, prec: int) -> list:
+def _tr_inv(ctx: FieldCtx, b: list, prec: int, start: list | None = None) -> list:
     """1/b mod t^prec for a unit series b (b[0] nonzero).
 
-    Newton steps out <- out*(2 - b*out) = out - out*(b*out - 1) double the
-    precision k of out.  b*out - 1 vanishes below t^k, so only its
+    ``start``, when given, is 1/b mod t^k for some k >= 1, and the steps
+    begin from it.  Newton steps out <- out*(2 - b*out) = out - out*(b*out - 1)
+    double the precision k of out.  b*out - 1 vanishes below t^k, so only its
     coefficients k..n-1 are multiplied back, and nothing is divided, so the
     step holds in every characteristic.
     """
     rconv, rneg = ctx.rconv, ctx.rneg
-    out = [ctx.rinv(b[0])]
+    out = list(start) if start else [ctx.rinv(b[0])]
     while len(out) < prec:
         k = len(out)
         n = min(2 * k, prec)
         high = rconv(b, out, n)[k:]
         out += map(rneg, rconv(out, high, n - k))
-    return out
+    return out[:prec]
 
 
 def _tr_axpy(ctx: FieldCtx, c, v: list, acc: list) -> list:
@@ -46,21 +52,44 @@ def _tr_axpy(ctx: FieldCtx, c, v: list, acc: list) -> list:
     return [s if is_zero(w) else radd(s, rmul(c, w)) for s, w in zip(acc, v)] + acc[len(v) :]
 
 
+def _order(ctx: FieldCtx, v: list, prec: int) -> int:
+    """The order in t of v, or prec when v vanishes mod t^prec."""
+    is_zero = ctx.ris_zero
+    return next((k for k, c in enumerate(v[:prec]) if not is_zero(c)), prec)
+
+
 def _tr_eval(ctx: FieldCtx, g: MPoly, xs: list, ys: list, prec: int) -> list:
-    """g(x(t), y(t)) mod t^prec, by Horner in y over a table of x powers."""
+    """g(x(t), y(t)) mod t^prec, by Horner in y.
+
+    Only the work that can reach t^prec is done.  A term c*x^i*y^j with
+    i*ord x + j*ord y >= prec vanishes mod t^prec and is dropped, and the
+    Horner value that is still to be multiplied by y^j is needed only mod
+    t^(prec - j*ord y).  When x(t) = a*t^k, each c*x^i is the single
+    coefficient c*a^i at t^(k*i); otherwise the powers of x come from a table.
+    """
+    ox, oy = _order(ctx, xs, prec), _order(ctx, ys, prec)
     rows: dict[int, list] = {}
     for (i, j), c in g.terms.items():
-        rows.setdefault(j, []).append((i, c.rep))
-    xpow = [[ctx.rone]]
-    out = [ctx.rzero] * prec
-    top = max(rows, default=0)
-    for j in range(top, -1, -1):
-        if j < top:
-            out = ctx.rconv(out, ys, prec)
+        if i * ox + j * oy < prec:
+            rows.setdefault(j, []).append((i, c.rep))
+    if not rows:
+        return [ctx.rzero] * prec
+    radd, rmul = ctx.radd, ctx.rmul
+    # x(t) = a*t^ox: the table holds the powers of a, not of x(t)
+    monomial = all(map(ctx.ris_zero, xs[ox + 1 : prec]))
+    a = xs[ox] if monomial and ox < prec else None
+    xpow = [ctx.rone] if monomial else [[ctx.rone]]
+    out: list = []
+    for j in range(max(rows), -1, -1):
+        n = prec - j * oy
+        out = ctx.rconv(out, ys, n)
         for i, c in rows.get(j, ()):
             while len(xpow) <= i:
-                xpow.append(ctx.rconv(xpow[-1], xs, prec))
-            out = _tr_axpy(ctx, c, xpow[i], out)
+                xpow.append(rmul(xpow[-1], a) if monomial else ctx.rconv(xpow[-1], xs, prec))
+            if monomial:
+                out[ox * i] = radd(out[ox * i], rmul(c, xpow[i]))
+            else:
+                out = _tr_axpy(ctx, c, xpow[i], out)
     return out
 
 
@@ -91,6 +120,7 @@ class Param:
             raise InternalCheckError("first derivative is not a unit at the origin")
         self.ctx = leaf.ctx
         self._sol = [self.ctx.rzero]
+        self._inv: list = []  # 1/leaf_y(t, phi) to the precision of the last step
         self._chain: list[tuple[str, object]] = []
         self._x: list = []  # x(t) and y(t) at the highest precision computed
         self._y: list = []
@@ -127,13 +157,20 @@ class Param:
         t = [ctx.rzero, ctx.rone]
         phi = self._sol
         while len(phi) < prec:
-            n = min(2 * len(phi), prec)
+            k = len(phi)
+            n = min(2 * k, prec)
             val = _tr_eval(ctx, self._leaf, t, phi, n)
-            # val vanishes below t^len(phi), so leaf_y is needed only mod t^m.
-            m = n - len(phi)
+            if not all(map(ctx.ris_zero, val[:k])):
+                raise InternalCheckError("Newton lift lost the solution below its precision")
+            # val vanishes below t^k, so leaf_y and its inverse are needed
+            # only mod t^m.  The inverse kept from the last step is still right
+            # to its length, which is at most phi's length before that step,
+            # where phi's changes began; unless that step was capped, one
+            # Newton step of _tr_inv takes it to m.
+            m = n - k
             deriv = _tr_eval(ctx, self._leaf_y, t, phi, m)
-            corr = ctx.rconv(val, _tr_inv(ctx, deriv, m), n)
-            phi = [ctx.rsub(a, b) for a, b in zip(phi + [ctx.rzero] * (n - len(phi)), corr)]
+            self._inv = _tr_inv(ctx, deriv, m, self._inv[:m])
+            phi = phi + [ctx.rneg(c) for c in ctx.rconv(val[k:], self._inv, m)]
         self._sol = phi
 
 

@@ -97,7 +97,7 @@ class UniPoly:
 
     def leading(self) -> FieldElement:
         if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise InternalCheckError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coefficient(self, i: int) -> FieldElement:

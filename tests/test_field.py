@@ -13,6 +13,7 @@ from curveinv.errors import (
     CharZeroPthRoot,
     DivisionByZero,
     IncompatibleContexts,
+    InternalCheckError,
     NoEmbedding,
     TowerLimitExceeded,
 )
@@ -261,6 +262,14 @@ def test_unipoly_divmod_roundtrip():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero() or r.degree() < b.degree()
+
+
+def test_leading_coefficient_of_zero_is_an_internal_error():
+    # no input reaches it: a caller asking for it has a defect (exit 2, not 1)
+    for ctx in (FieldCtx.prime(7), FieldCtx.rationals()):
+        assert UniPoly(ctx, [1, 0, 3]).leading() == ctx.from_int(3)
+        with pytest.raises(InternalCheckError):
+            UniPoly(ctx, []).leading()
 
 
 def test_unipoly_gcd_properties():

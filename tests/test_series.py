@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from curveinv.algebra import MPoly, parse_poly
 from curveinv.errors import InternalCheckError
-from curveinv.field import FieldCtx, _flat_finite_ctx
+from curveinv.field import FP_PACK_MIN_LEN, FieldCtx, _flat_finite_ctx
 from curveinv.hne import branch_decompose
 from curveinv.series import Param, _tr_eval, _tr_inv, series_order
 
@@ -201,6 +201,32 @@ def test_tr_mul_matches_naive_convolution(name):
     check()
 
 
+@pytest.mark.parametrize("p", [2, 7, 65521, 2**61 - 1])
+def test_prime_product_matches_naive_on_both_sides_of_the_packing_cutoff(p):
+    # 65521 packs into 8-byte slots (5 bytes would do); 2^61-1 needs slots
+    # wider than a machine word, so it keeps the loop past the cutoff
+    ctx = FieldCtx.prime(p)
+    assert 2 * FP_PACK_MIN_LEN < 80
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 3), st.data())
+    def check(la, lb, which, data):
+        a, b = (data.draw(st.lists(elements(ctx), min_size=k, max_size=k)) for k in (la, lb))
+        full = la + lb - 1
+        n = [1, max(full // 2, 1), max(full, 1), full + 3][which]
+        assert ctx.rconv(reps(a), reps(b), n) == reps(naive_mul(ctx, a, b, n))
+
+    check()
+    # every coefficient p-1 fills each slot of the packed product to its bound
+    top = ctx.from_int(-1)
+    for k in (FP_PACK_MIN_LEN, FP_PACK_MIN_LEN + 1, 80):
+        a = [top] * k
+        assert ctx.rconv(reps(a), reps(a), 2 * k) == reps(naive_mul(ctx, a, a, 2 * k))
+    # a long operand with one nonzero coefficient keeps the loop
+    one = [top] + [ctx.zero] * 79
+    assert ctx.rconv(reps(one), reps(a), 160) == reps(naive_mul(ctx, one, a, 160))
+
+
 @pytest.mark.parametrize("name", TUPLE_CONTEXTS)
 def test_flattened_tower_product_matches_naive(name):
     # a tuple extension's rconv is one base product of flattened operands
@@ -239,6 +265,20 @@ def test_tr_inv_matches_naive_reciprocal(name):
     check()
 
 
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_tr_inv_from_a_correct_prefix_equals_a_fresh_inversion(name):
+    ctx = CONTEXTS[name]
+    units = elements(ctx).filter(lambda c: not c.is_zero())
+
+    @PROPERTY
+    @given(units, series(ctx), st.integers(1, 16), st.integers(1, 20))
+    def check(b0, rest, n, k):
+        b = reps([b0] + rest)
+        assert _tr_inv(ctx, b, n, _tr_inv(ctx, b, k)) == _tr_inv(ctx, b, n)
+
+    check()
+
+
 def polys(ctx: FieldCtx):
     mono = st.tuples(st.integers(0, 4), st.integers(0, 4))
     return st.dictionaries(mono, elements(ctx), max_size=6).map(
@@ -258,18 +298,56 @@ def test_pullback_matches_naive_substitution(name):
     check()
 
 
-def leaves(ctx: FieldCtx):
-    """Curves through the origin with a unit y-partial there."""
+def shaped(ctx: FieldCtx, shape: str, a, rest: list, n: int) -> list:
+    """A coordinate series of a given shape: a nonzero, n the precision."""
+    zero = ctx.zero
+    if shape == "zero":
+        return []
+    if shape.startswith("t^"):  # a*t^k
+        return [zero] * int(shape[2:]) + [a]
+    lead = {"dense": 0, "order 2": 2, "late": n}[shape]  # late: zero mod t^n
+    return [zero] * lead + [a] + rest
+
+
+X_SHAPES = ["zero", "t^0", "t^1", "t^2", "t^3", "dense", "order 2", "late"]
+Y_SHAPES = ["dense", "order 2", "late"]
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_pullback_matches_naive_substitution_for_every_coordinate_shape(name):
+    # monomial x(t) and the table of powers, rows dropped by order, and
+    # coordinates (one or both) that vanish below the precision
+    ctx = CONTEXTS[name]
+    unit = elements(ctx).filter(lambda c: not c.is_zero())
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(polys(ctx), unit, unit, series(ctx, 5), series(ctx, 5), st.integers(1, 10))
+    def check(g, a, b, xrest, yrest, n):
+        for xshape in X_SHAPES:
+            for yshape in Y_SHAPES:
+                xs, ys = shaped(ctx, xshape, a, xrest, n), shaped(ctx, yshape, b, yrest, n)
+                got = _tr_eval(ctx, g, reps(xs), reps(ys), n)
+                assert got == reps(naive_pullback(ctx, g, xs, ys, n)), (xshape, yshape)
+
+    check()
+
+
+def leaves(ctx: FieldCtx, degree: int = 3, top: bool = False):
+    """Curves through the origin with a unit y-partial there; with ``top``,
+    also a term x^degree*y^degree."""
     unit = elements(ctx).filter(lambda c: not c.is_zero())
 
     def build(args):
-        c01, terms = args
+        c01, terms, *tops = args
         terms = {e: c for e, c in terms.items() if e != (0, 0) and e != (0, 1) and not c.is_zero()}
         terms[(0, 1)] = c01
+        for c in tops:
+            terms[(degree, degree)] = c
         return MPoly(ctx, XY, terms)
 
-    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    return st.tuples(unit, st.dictionaries(mono, elements(ctx), max_size=5)).map(build)
+    mono = st.tuples(st.integers(0, degree), st.integers(0, degree))
+    parts = [unit, st.dictionaries(mono, elements(ctx), max_size=5)] + [unit] * top
+    return st.tuples(*parts).map(build)
 
 
 def chains(ctx: FieldCtx):
@@ -286,12 +364,14 @@ def test_param_precision_is_a_prefix(name):
             p.push(chart, c)
         return p
 
-    @PROPERTY
-    @given(leaves(ctx), chains(ctx), st.integers(1, 12))
     def check(leaf, chain, n):
         short = build(leaf, chain).at(n)
         long_x, long_y = build(leaf, chain).at(2 * n)
         assert short == (long_x[:n], long_y[:n])
+        # lifting on from a capped step (its carried inverse is short) agrees
+        grown = build(leaf, chain)
+        grown.at(n)
+        assert grown.at(2 * n + 1)[0][: 2 * n] == long_x
         # pushing onto a parametrization already known to some precision
         # agrees with replaying the chain from the leaf
         early = Param(leaf)
@@ -301,5 +381,8 @@ def test_param_precision_is_a_prefix(name):
         assert early.at(n) == short
         assert series_order(leaf, Param(leaf), n) is None
 
-    check()
-
+    PROPERTY(given(leaves(ctx), chains(ctx), st.integers(1, 12))(check))()
+    # leaves with a term x^8*y^8 lifted past 40 terms: long products (packed
+    # over F_p) and several steps of the carried inverse
+    big = settings(derandomize=True, max_examples=3, deadline=None)
+    big(given(leaves(ctx, 8, top=True), chains(ctx), st.integers(40, 48))(check))()
