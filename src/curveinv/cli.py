@@ -43,6 +43,7 @@ from .errors import (
     ReducibleCurve,
     ShearExhausted,
     UndefinedAtOrigin,
+    UnsupportedInput,
 )
 from .invariants import (
     GammaBudget,
@@ -361,6 +362,7 @@ _USAGE_ERRORS = (
     NotHomogeneous,
     ReducibleCurve,
     UndefinedAtOrigin,
+    UnsupportedInput,
     ValueError,
 )
 

@@ -22,7 +22,7 @@ import random
 import shlex
 from dataclasses import dataclass
 
-from .algebra import MPoly, parse_poly, resultant, squarefree_part
+from .algebra import MPoly, is_reduced, parse_poly, resultant
 from .errors import ShearExhausted
 from .field import FieldCtx, _is_prime
 from .invariants import delta, intersection_multiplicity, verify_relations
@@ -106,7 +106,7 @@ def _sparse_poly(ctx: FieldCtx, rng: random.Random, dmax: int) -> MPoly | None:
         f = MPoly(ctx, ("x", "y"), terms)
         if f.is_zero() or f.order() is None or f.order() < 1:
             continue
-        if not squarefree_part(f)[1]:
+        if not is_reduced(f):
             continue
         return f
     return None
@@ -141,7 +141,7 @@ def _one_branch(ctx: FieldCtx, rng: random.Random, dmax: int) -> MPoly | None:
         if math.gcd(m, math.gcd(*picks) if len(picks) > 1 else picks[0]) != 1:
             continue
         f = _branch_defining_poly(ctx, m, {j: _nonzero_sample(ctx, rng) for j in picks})
-        if 1 <= f.degree() <= dmax and squarefree_part(f)[1]:
+        if 1 <= f.degree() <= dmax and is_reduced(f):
             return f
     return None
 
@@ -156,7 +156,7 @@ def _branch_built_poly(ctx: FieldCtx, rng: random.Random, dmax: int) -> MPoly | 
             ctx, ("x", "y"), {(0, 1): ctx.one, (1, 0): -_nonzero_sample(ctx, rng)}
         )
         g = f * line
-        if g.degree() <= dmax and squarefree_part(g)[1]:
+        if g.degree() <= dmax and is_reduced(g):
             return g
     return f
 

@@ -15,6 +15,11 @@ class DivisionByZero(CurveInvError, ZeroDivisionError):
     """Inverse or division by the zero element of a field."""
 
 
+class UnsupportedInput(CurveInvError, ValueError):
+    """Input outside what a routine is built for, such as an oracle's degree
+    or characteristic bounds; raised where the input enters, so it is bad input."""
+
+
 class IncompatibleContexts(CurveInvError):
     """Two elements from unrelated field contexts were combined."""
 

@@ -13,10 +13,11 @@ are structural:
   the first primitive element in :meth:`FieldCtx.element_at` order
 
 Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
-``rfrom_int``/``ris_zero`` and ``rconv`` once, when it is built.  ``rconv`` is
-the one product of coefficient vectors (polynomials, truncated series, extension
-reps): F_p sums Python ints and reduces once per coefficient, QQ convolves
-integers over a common denominator, and both skip zeros.  Once both operands
+``rfrom_int``/``ris_zero``/``rdivmod`` and ``rconv`` once, when it is built.
+``rconv`` is the one product of coefficient vectors (polynomials, truncated
+series, extension reps): F_p sums Python ints and reduces once per
+coefficient, QQ convolves integers over a common denominator, and both skip
+zeros.  Once both operands
 are longer than :data:`FP_PACK_MIN_LEN`, F_p instead packs each one into a
 single integer and multiplies once, provided the loop would make more
 products than the result has coefficients and a coefficient of the product
@@ -147,18 +148,7 @@ def _rp_mul(ctx: "FieldCtx", a: list, b: list) -> list:
 def _rp_divmod(ctx: "FieldCtx", a: list, b: list) -> tuple[list, list]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    radd, rmul, ris_zero = ctx.radd, ctx.rmul, ctx.ris_zero
-    r, low = list(a), [ctx.rneg(c) for c in b[:-1]]
-    db, inv_lead = len(b) - 1, ctx.rinv(b[-1])
-    q = [ctx.rzero] * max(len(r) - db, 0)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r.pop()  # the top term, which c*b[-1] cancels by construction
-        if ris_zero(c):
-            continue
-        q[k] = c = rmul(c, inv_lead)
-        for j, bj in enumerate(low, k):
-            r[j] = radd(r[j], rmul(c, bj))
-    return _rp_trim(ctx, q), _rp_trim(ctx, r)
+    return ctx.rdivmod(a, b)
 
 
 def _rp_rem(ctx: "FieldCtx", a: list, b: list) -> list:
@@ -224,12 +214,36 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
 # extension of step degree d writes each operand into one base vector at
 # stride 2d-1, so the partial products of distinct coefficients never overlap,
 # runs one base ``rconv`` and reduces once per output coefficient.  Only a
-# log-table F_q loops over its own ``radd``/``rmul``.
-_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv")
+# log-table F_q loops over its own ``radd``/``rmul``.  ``rdivmod(a, b)`` is the
+# trimmed quotient and remainder of a by a nonzero vector b: F_p sums Python
+# ints and reduces only each quotient term and the final remainder, every other
+# kind runs the schoolbook loop of :func:`_loop_divmod`.
+_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv", "rdivmod")
 
 
 def _inverse_of_zero():
     raise DivisionByZero("inverse of zero")
+
+
+def _loop_divmod(ctx: "FieldCtx", a: list, b: list) -> tuple[list, list]:
+    radd, rmul, ris_zero = ctx.radd, ctx.rmul, ctx.ris_zero
+    r, low = list(a), [ctx.rneg(c) for c in b[:-1]]
+    db, inv_lead = len(b) - 1, ctx.rinv(b[-1])
+    q = [ctx.rzero] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()  # the top term, which c*b[-1] cancels by construction
+        if ris_zero(c):
+            continue
+        q[k] = c = rmul(c, inv_lead)
+        for j, bj in enumerate(low, k):
+            r[j] = radd(r[j], rmul(c, bj))
+    return _rp_trim(ctx, q), _rp_trim(ctx, r)
+
+
+def _int_trim(v: list) -> list:
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
 # F_p products whose operands both have more than this many coefficients (after
@@ -302,6 +316,18 @@ def _prime_ops(p: int) -> tuple:
             return _packed_mul_trunc(a, b, n, p)
         return [c % p for c in _int_mul_trunc(a, b, n)]
 
+    def rdivmod(a, b):
+        r, low = list(a), [-c for c in b[:-1]]
+        db, inv_lead = len(b) - 1, rinv(b[-1])
+        q = [0] * max(len(r) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r.pop() % p  # the top term, which c*b[-1] cancels by construction
+            if c:
+                q[k] = c = c * inv_lead % p
+                for j, bj in enumerate(low, k):
+                    r[j] += c * bj
+        return _int_trim(q), _int_trim([c % p for c in r])
+
     return (
         lambda a, b: (a + b) % p,
         lambda a, b: (a - b) % p,
@@ -311,10 +337,13 @@ def _prime_ops(p: int) -> tuple:
         lambda a, e: pow(a, e, p) if a or e >= 0 else _inverse_of_zero(),
         lambda n: n % p,
         rconv,
+        rdivmod,
     )
 
 
-def _rational_ops(zero: Fraction) -> tuple:
+def _rational_ops(ctx: "FieldCtx") -> tuple:
+    zero = ctx.rzero
+
     def rinv(a):
         return 1 / a if a else _inverse_of_zero()
 
@@ -331,7 +360,7 @@ def _rational_ops(zero: Fraction) -> tuple:
         den = da * db
         return [Fraction(c, den) if c else zero for c in _int_mul_trunc(na, nb, n)]
 
-    return (add, sub, neg, mul, rinv, rpow, Fraction, rconv)
+    return (add, sub, neg, mul, rinv, rpow, Fraction, rconv, partial(_loop_divmod, ctx))
 
 
 def _tuple_ops(ctx: "FieldCtx") -> tuple:
@@ -408,6 +437,7 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
         rpow,
         lambda k: (base.rfrom_int(k),) + (base.rzero,) * (d - 1),
         rconv,
+        partial(_loop_divmod, ctx),
     )
 
 
@@ -513,6 +543,7 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
         rpow,
         lambda k: log[k % p],
         rconv,
+        partial(_loop_divmod, ctx),
     )
 
 
@@ -583,7 +614,7 @@ class FieldCtx:
         if self.kind == "prime":
             ops = _prime_ops(self.char)
         elif self.kind == "rationals":
-            ops = _rational_ops(self.rzero)
+            ops = _rational_ops(self)
         else:
             ops = _tuple_ops(self) if exp is None else _log_table_ops(self, zech)
         for name, op in zip(_OPS, ops):
@@ -770,8 +801,8 @@ class FieldCtx:
         return FieldElement(self, tuple(rep))
 
     # -- rep-level arithmetic ------------------------------------------------
-    # radd, rsub, rneg, rmul, rinv, rpow, rfrom_int, rconv and ris_zero are
-    # bound per context.
+    # radd, rsub, rneg, rmul, rinv, rpow, rfrom_int, rconv, rdivmod and
+    # ris_zero are bound per context.
 
     def rfrom_fraction(self, q: Fraction):
         if self.kind == "rationals":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import MPoly, squarefree_part
+from .algebra import MPoly, is_reduced
 from .blowup import InfinitelyNearTree, run_with_restarts, strict_transform
 from .errors import (
     InternalCheckError,
@@ -179,7 +179,7 @@ def branch_decompose(f: MPoly, *, certify: bool = True) -> BranchSet:
     """
     if f.is_zero():
         raise NotReduced("the zero polynomial is not reduced")
-    if f.constant_term().is_zero() and not squarefree_part(f)[1]:
+    if f.constant_term().is_zero() and not is_reduced(f):
         raise NotReduced("the curve has a repeated component")
     return decompose_reduced(f, certify=certify)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import MPoly, embed_poly, gcd_bivar, squarefree_decomposition, squarefree_part
+from .algebra import MPoly, embed_poly, gcd_bivar, is_reduced, squarefree_decomposition
 from .blowup import NeedsExtension, strict_transform
 from .errors import (
     DegenerateDirection,
@@ -158,7 +158,7 @@ class Germ:
     def __init__(self, f: MPoly):
         if f.is_zero():
             raise NotReduced("the zero polynomial is not reduced")
-        if not squarefree_part(f)[1]:
+        if not is_reduced(f):
             raise NotReduced("the curve has a repeated component")
         self.f = f
 

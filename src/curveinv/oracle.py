@@ -29,6 +29,7 @@ from .errors import (
     InternalCheckError,
     ShearExhausted,
     UndefinedAtOrigin,
+    UnsupportedInput,
 )
 from .field import FieldCtx, FieldElement, _flat_finite_ctx, embed
 from .hne import BranchSet
@@ -230,7 +231,7 @@ def branch_semigroup(f: MPoly) -> SemigroupData:
     """
     bs = germ(f).branches
     if bs.r != 1:
-        raise ValueError("value semigroups are attached to single branches")
+        raise UnsupportedInput("value semigroups are attached to single branches")
     prec = 2 * bs.tree.delta_contribution() + 3
     values = set(_pivot_columns(bs.ctx, _pullback_rows(bs, prec)))
     missing = sorted(set(range(prec)) - values)
@@ -380,12 +381,12 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1, frames: int = 6) -> int:
     """
     d = _validated_degree(F)
     if d > 4:
-        raise ValueError("elimination is desk-scale; degree at most four")
+        raise UnsupportedInput("elimination is desk-scale; degree at most four")
     if d < 2:
-        raise ValueError("a line has no dual curve")
+        raise UnsupportedInput("a line has no dual curve")
     p = F.ctx.char
     if p != 0 and p <= d * (d - 1):
-        raise ValueError("tame characteristic required: zero or p > d(d-1)")
+        raise UnsupportedInput("tame characteristic required: zero or p > d(d-1)")
 
     pts = singular_points(F, analyze=False)
     ctx = pts[0].coords[0].ctx if pts else F.ctx

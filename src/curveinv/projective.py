@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MPoly, gcd_bivar, resultant, squarefree_part
+from .algebra import MPoly, gcd_bivar, is_reduced, resultant
 from .blowup import run_with_restarts, split
 from .errors import (
     InternalCheckError,
@@ -63,13 +63,7 @@ def _is_reduced(F: MPoly) -> bool:
     # Dehomogenizing is multiplicity-faithful on every factor except the
     # chart variable itself, so a repeated factor other than z is visible in
     # the z chart and a repeated z lands in the x chart.
-    for chart in ("z", "x"):
-        g = dehomogenize(F, chart)
-        if g.degree() >= 1:
-            _, reduced = squarefree_part(g)
-            if not reduced:
-                return False
-    return True
+    return all(is_reduced(dehomogenize(F, chart)) for chart in ("z", "x"))
 
 
 def _chart_points(system: list[MPoly], chart: str) -> list[tuple[FieldElement, FieldElement]]:

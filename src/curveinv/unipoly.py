@@ -28,6 +28,7 @@ from .field import (
     FieldCtx,
     FieldElement,
     _is_prime,
+    _OPS,
     _prime_ops,
     _render_terms,
     _rp_add,
@@ -398,7 +399,8 @@ class _IntegersMod:
     are ever inverted."""
 
     def __init__(self, m: int):
-        self.radd, self.rsub, self.rneg, self.rmul, self.rinv, *_, self.rconv = _prime_ops(m)
+        for name, op in zip(_OPS, _prime_ops(m)):
+            setattr(self, name, op)
         self.rzero, self.rone = 0, 1
 
     def ris_zero(self, a: int) -> bool:

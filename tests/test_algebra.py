@@ -8,16 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itertools import combinations
+
+from curveinv import algebra
 from curveinv.algebra import (
     MPoly,
+    _gcd_dense,
+    _points,
+    _primitive,
+    _subresultants,
+    _to_dense,
     gcd_bivar,
+    is_reduced,
     parse_poly,
     resultant,
     squarefree_decomposition,
     squarefree_part,
 )
-from curveinv.errors import InternalCheckError, ParseError, WrongVariables
-from curveinv.field import LOG_TABLE_MAX_ORDER, FieldCtx, _flat_finite_ctx
+from curveinv.errors import InternalCheckError, NotReduced, ParseError, WrongVariables
+from curveinv.field import (
+    LOG_TABLE_MAX_ORDER,
+    FieldCtx,
+    FieldElement,
+    _flat_finite_ctx,
+    _rp_gcd,
+    _rp_mul,
+    _rp_scale,
+)
+from curveinv.invariants import germ
 from curveinv.unipoly import UniPoly
 
 QQ = FieldCtx.rationals()
@@ -501,3 +519,132 @@ def test_raw_product_and_exact_division_over_a_table_field():
         assert all(not c.is_zero() and c.ctx is f9 for c in (f * g).terms.values())
     with pytest.raises(InternalCheckError, match="not exact"):
         parse_poly("x^2+y", f9).divexact(parse_poly("x", f9))
+
+
+# -- reducedness and the one-point coprimality certificate -------------------
+
+
+def _reducedness_cases():
+    f2 = FieldCtx.prime(2)
+    monomials = [(i, d - i) for d in range(1, 4) for i in range(d + 1)]
+    for k in range(1, len(monomials) + 1):
+        for chosen in combinations(monomials, k):
+            yield MPoly(f2, ("x", "y"), {e: 1 for e in chosen})
+    rng = random.Random(31)
+    f4 = f2.extend([1, 1, 1])
+    samples = [FieldCtx.prime(3), FieldCtx.prime(5), f4, QQ, QQ.extend([-2, 0, 1])]
+    for ctx in samples:
+        for _ in range(30):
+            yield _random_poly(ctx, rng, max_deg=3, nterms=4)
+        for _ in range(5):  # planted squares h^2 * g
+            h = _random_poly(ctx, rng, max_deg=2, nterms=2)
+            yield h * h * _random_poly(ctx, rng, max_deg=2, nterms=3)
+    for p, ctx in [(2, f2), (3, FieldCtx.prime(3)), (2, f4)]:
+        yield parse_poly(f"x^{p}+y^{p}", ctx)  # a p-th power
+        yield parse_poly(f"(x+y)^{p}*(y-x^2)", ctx)
+        yield parse_poly(f"y^{p}+x^{p + 1}", ctx)
+    for ctx in [f2, FieldCtx.prime(3), QQ]:
+        yield parse_poly("y^2+x^4", ctx)  # f_x = 0 over F_2
+        yield parse_poly("y^2+x^4+x^5", ctx)
+        yield parse_poly("x^2*(y+x)", ctx)  # a repeated factor in x alone
+        yield parse_poly("x*(y+x)", ctx)
+        yield parse_poly("x^3", ctx)
+        yield parse_poly("y^2", ctx)
+        yield parse_poly("1+x", ctx)
+
+
+def test_is_reduced_agrees_with_the_squarefree_decomposition():
+    # before is_reduced, Germ read this same boolean off the decomposition
+    seen = {True: 0, False: 0}
+    for f in _reducedness_cases():
+        if f.is_zero():
+            continue
+        expected = all(e == 1 for _, e in squarefree_decomposition(f))
+        assert is_reduced(f) is expected, str(f)
+        seen[expected] += 1
+        try:
+            germ(f)
+        except NotReduced:
+            assert not expected, str(f)
+        else:
+            assert expected, str(f)
+    assert min(seen.values()) > 50
+
+
+def test_is_reduced_of_constants():
+    for ctx in [FieldCtx.prime(2), QQ]:
+        assert is_reduced(MPoly.zero(ctx, ("x", "y")))
+        assert is_reduced(MPoly.constant(ctx, ("x", "y"), 3))
+
+
+def _gcd_by_the_sequence(ctx, a, b):
+    """The gcd from the remainder sequence alone, normalized as _gcd_dense
+    normalizes it."""
+    if not a or not b:
+        return a or b
+    ca, a = _primitive(ctx, a)
+    cb, b = _primitive(ctx, b)
+    a, b, _, _ = _subresultants(ctx, a, b)
+    a = [[ctx.rone]] if b else _primitive(ctx, a)[1]
+    scale = _rp_scale(ctx, ctx.rinv(a[-1][-1]), _rp_gcd(ctx, ca, cb))
+    return [_rp_mul(ctx, c, scale) for c in a]
+
+
+CERTIFICATE_CONTEXTS = {
+    "F2": FieldCtx.prime(2),
+    "F3": FieldCtx.prime(3),
+    "F7": FieldCtx.prime(7),
+    "F2^2": FieldCtx.prime(2).extend([1, 1, 1]),
+    "F3^8": F3_8,
+    **RESULTANT_CONTEXTS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CONTEXTS))
+def test_the_certificate_agrees_with_the_remainder_sequence(name):
+    ctx = CERTIFICATE_CONTEXTS[name]
+    rng = random.Random(name)
+    for i in range(24):
+        f = _random_poly(ctx, rng, max_deg=2, nterms=4)
+        g = _random_poly(ctx, rng, max_deg=2, nterms=4)
+        if i % 3 == 0:  # a planted common factor
+            c = _random_poly(ctx, rng, max_deg=2, nterms=3)
+            f, g = f * c, g * c
+        if i % 4 == 1:  # a common content in x
+            c = MPoly(ctx, ("x", "y"), {(rng.randint(0, 2), 0): ctx.sample(rng) for _ in range(2)})
+            f, g = f * c, g * c
+        a, b = _to_dense(f), _to_dense(g)
+        assert _gcd_dense(ctx, a, b) == _gcd_by_the_sequence(ctx, a, b), (str(f), str(g))
+
+
+def _sequence_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(ctx, a, b):
+        calls.append((a, b))
+        return _subresultants(ctx, a, b)
+
+    monkeypatch.setattr(algebra, "_subresultants", counted)
+    return calls
+
+
+def test_unlucky_points_fall_back_to_the_sequence(monkeypatch):
+    # y and y + x^2 + x are coprime, but x^2 + x vanishes at both points of F_2
+    f2 = FieldCtx.prime(2)
+    calls = _sequence_calls(monkeypatch)
+    assert gcd_bivar(parse_poly("y", f2), parse_poly("y+x^2+x", f2)) == parse_poly("1", f2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["F3", "F7", "QQ", "QQ(a)"])
+def test_a_leading_coefficient_vanishing_at_every_point_falls_back(name, monkeypatch):
+    ctx = CERTIFICATE_CONTEXTS[name]
+    x, y = (MPoly.variable(ctx, ("x", "y"), v) for v in ("x", "y"))
+    lead = _product(ctx, [x - MPoly.constant(ctx, ("x", "y"), FieldElement(ctx, x0)) for x0 in _points(ctx)])
+    # primitive and coprime: g's root y = -1/lead leaves f = 1
+    one = MPoly.constant(ctx, ("x", "y"), 1)
+    f, g = lead * y**2 + y + one, lead * y + one
+    calls = _sequence_calls(monkeypatch)
+    a, b = _to_dense(f), _to_dense(g)
+    assert _gcd_dense(ctx, a, b) == _gcd_by_the_sequence(ctx, a, b) == [[ctx.rone]]
+    assert len(calls) == 1

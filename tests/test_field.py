@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +18,17 @@ from curveinv.errors import (
     NoEmbedding,
     TowerLimitExceeded,
 )
-from curveinv.field import FieldCtx, FieldElement, _flat_finite_ctx, _int_mul_trunc, embed
-from curveinv.unipoly import UniPoly
+from curveinv.field import (
+    FieldCtx,
+    FieldElement,
+    _flat_finite_ctx,
+    _int_mul_trunc,
+    _is_prime,
+    _loop_divmod,
+    _rp_divmod,
+    embed,
+)
+from curveinv.unipoly import UniPoly, _IntegersMod
 
 
 def _field_zoo():
@@ -262,6 +272,46 @@ def test_unipoly_divmod_roundtrip():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero() or r.degree() < b.degree()
+
+
+def _division_cases(m: int, rng: random.Random):
+    """Dividend and divisor rep vectors mod m, trimmed, each divisor with a
+    leading coefficient prime to m."""
+    units = [c for c in range(1, m) if gcd(c, m) == 1]
+    for _ in range(40):
+        b = [rng.randrange(m) for _ in range(rng.randint(0, 4))] + [rng.choice(units)]
+        a = [rng.randrange(m) for _ in range(rng.randint(0, 9))]
+        while a and not a[-1]:
+            a.pop()
+        yield a, b
+        q = [rng.randrange(m) for _ in range(rng.randint(1, 5))] + [rng.choice(units)]
+        # an exact division: q*b, by a schoolbook product mod m
+        prod = [0] * (len(q) + len(b) - 1)
+        for i, qi in enumerate(q):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + qi * bj) % m
+        while prod and not prod[-1]:
+            prod.pop()
+        yield prod, b
+
+
+@pytest.mark.parametrize("m", [2, 7, 3**4, 2**6])
+def test_prime_division_kernel_matches_the_generic_loop(m):
+    # F_p and the Z/p^k of Hensel lifting divide on plain ints; the loop that
+    # every other context kind runs is the reference
+    ctx = FieldCtx.prime(m) if _is_prime(m) else _IntegersMod(m)
+    rng = random.Random(m)
+    exact = 0
+    for a, b in _division_cases(m, rng):
+        q, r = _rp_divmod(ctx, a, b)
+        assert (q, r) == _loop_divmod(ctx, a, b)
+        exact += not r
+        assert len(r) < len(b)
+        if len(a) < len(b):
+            assert (q, r) == ([], a)
+    assert exact >= 40
+    with pytest.raises(DivisionByZero):
+        _rp_divmod(ctx, [1, 2], [])
 
 
 def test_leading_coefficient_of_zero_is_an_internal_error():

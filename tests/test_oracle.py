@@ -7,7 +7,13 @@ import random
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
-from curveinv.errors import NotReduced, ShearExhausted, UndefinedAtOrigin
+from curveinv.errors import (
+    CurveInvError,
+    NotReduced,
+    ShearExhausted,
+    UndefinedAtOrigin,
+    UnsupportedInput,
+)
 from curveinv.field import FieldCtx
 from curveinv.invariants import INF, delta, intersection_multiplicity
 from curveinv.oracle import (
@@ -191,3 +197,20 @@ def test_dual_degree_preconditions():
         dual_degree_elim(proj("z*y^2-x^3-x^2*z", F3))
     with pytest.raises(ValueError):
         dual_degree_elim(proj("x+y+z"))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dual_degree_elim(proj("x^5+y^5+x*y^3*z")), "degree at most four"),
+        (lambda: dual_degree_elim(proj("x+y+z")), "a line has no dual curve"),
+        (lambda: dual_degree_elim(proj("z*y^2-x^3-x^2*z", F3)), "tame characteristic"),
+        (lambda: branch_semigroup(q("x*y")), "single branches"),
+    ],
+    ids=["degree", "line", "wild_characteristic", "several_branches"],
+)
+def test_oracle_preconditions_are_boundary_errors(call, message):
+    # bad input to an oracle, which the CLI reports with exit 1
+    with pytest.raises(UnsupportedInput, match=message) as err:
+        call()
+    assert isinstance(err.value, CurveInvError)
