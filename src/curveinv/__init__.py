@@ -26,13 +26,18 @@ from .invariants import (
     swan,
     verify_relations,
 )
-from .projective import (
-    PluckerReport,
-    SingularPoint,
-    local_equation,
-    plucker_analysis,
-    singular_points,
-)
+
+# the projective layer is imported on first use, so `local` commands skip it
+_PROJECTIVE = ("PluckerReport", "SingularPoint", "local_equation", "plucker_analysis", "singular_points")
+
+
+def __getattr__(name: str):
+    if name in _PROJECTIVE:
+        from . import projective
+
+        return getattr(projective, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FieldCtx",
@@ -57,9 +62,5 @@ __all__ = [
     "milnor",
     "swan",
     "verify_relations",
-    "PluckerReport",
-    "SingularPoint",
-    "local_equation",
-    "plucker_analysis",
-    "singular_points",
+    *_PROJECTIVE,
 ]

@@ -23,15 +23,6 @@ import shlex
 import sys
 
 from .algebra import MPoly, parse_poly
-from .corpus import (
-    CorpusSpec,
-    _companion_germ,
-    _sparse_poly,
-    ctx_for,
-    generate,
-    run_corpus,
-    summarize,
-)
 from .errors import (
     EliminationDegenerate,
     InternalCheckError,
@@ -53,8 +44,10 @@ from .invariants import (
     intersection_multiplicity,
     verify_relations,
 )
-from .oracle import delta_semigroup, dual_degree_elim, i_resultant
-from .projective import PROJ_VARS, plucker_analysis
+from .field import ctx_for
+
+# corpus, oracle and projective are imported by the handlers that use them,
+# so a `local` command neither loads nor compiles them
 
 __all__ = ["main"]
 
@@ -160,6 +153,8 @@ def cmd_local_verify(args) -> int:
 
 
 def cmd_projective_analyze(args) -> int:
+    from .projective import PROJ_VARS, plucker_analysis
+
     ctx = ctx_for(args.char)
     F = parse_poly(args.poly, ctx, PROJ_VARS)
     try:
@@ -172,6 +167,8 @@ def cmd_projective_analyze(args) -> int:
 
 
 def cmd_corpus_run(args) -> int:
+    from .corpus import CorpusSpec, generate, run_corpus, summarize
+
     spec = CorpusSpec(
         chars=_int_list(args.char),
         max_degree=args.max_degree,
@@ -190,6 +187,9 @@ def cmd_corpus_run(args) -> int:
 
 
 def _compare_intersection(char: int, count: int, seed: int) -> list[dict]:
+    from .corpus import _companion_germ, _sparse_poly
+    from .oracle import i_resultant
+
     ctx = ctx_for(char)
     rng = random.Random(seed)
     rows = []
@@ -212,6 +212,9 @@ def _compare_intersection(char: int, count: int, seed: int) -> list[dict]:
 
 
 def _compare_delta(char: int, count: int, seed: int) -> list[dict]:
+    from .corpus import _sparse_poly
+    from .oracle import delta_semigroup
+
     ctx = ctx_for(char)
     rng = random.Random(seed)
     rows = []
@@ -238,6 +241,9 @@ _DUAL_CURVES = ("y^2*z-x^3-x^2*z", "y^2*z-x^3", "x^2+y^2-z^2")
 
 
 def _compare_dual(char: int, seed: int) -> list[dict]:
+    from .oracle import dual_degree_elim
+    from .projective import PROJ_VARS, plucker_analysis
+
     ctx = ctx_for(char)
     rows = []
     for index, text in enumerate(_DUAL_CURVES):

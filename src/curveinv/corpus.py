@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import MPoly, is_reduced, parse_poly, resultant
 from .errors import ShearExhausted
-from .field import FieldCtx, _is_prime
+from .field import FieldCtx, _is_prime, ctx_for
 from .invariants import delta, intersection_multiplicity, verify_relations
 from .oracle import delta_semigroup, i_resultant
 
@@ -83,10 +83,6 @@ class CorpusSpec:
                 raise ValueError(f"characteristic {p} is neither 0 nor a prime")
         if len(self.mix) != 3 or any(w < 0 for w in self.mix) or sum(self.mix) == 0:
             raise ValueError("mix needs three nonnegative weights, not all zero")
-
-
-def ctx_for(char: int) -> FieldCtx:
-    return FieldCtx.rationals() if char == 0 else FieldCtx.prime(char)
 
 
 def _nonzero_sample(ctx: FieldCtx, rng: random.Random):

@@ -28,6 +28,11 @@ i*(2d-1)+d-1 of one base vector, runs its base's ``rconv`` once and reduces
 once per output coefficient; a tower such as QQ(a, b) recurses down to the
 integer kernel (Kronecker substitution; *Modern Computer Algebra*, 8.4).
 
+Each context also binds ``shadow``, its integer shadow (:class:`Shadow`):
+Z for QQ, an order generated by an integral multiple of the generator for a
+tower over QQ, and the field itself for a finite field.  Series work runs
+there on numerators over one integer denominator (see :mod:`.series`).
+
 A small F_q multiplies by adding exponents mod q-1 and adds through a Zech
 table, log(1 + g^d) (Jacobi's logarithm; Lidl-Niederreiter, *Finite
 Fields*).  It is presented through the polynomial basis: ``element_at(i)``
@@ -49,8 +54,8 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import partial
-from math import lcm
-from operator import add, eq, mul, neg, not_, sub
+from math import gcd, lcm
+from operator import add, eq, floordiv, mul, neg, not_, pos, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -341,6 +346,13 @@ def _prime_ops(p: int) -> tuple:
     )
 
 
+def _over_lcm(v, zero) -> tuple[list, int]:
+    """Fractions as integer numerators over the lcm of their denominators;
+    the shared ``zero`` is skipped, as any other zero could be."""
+    den = lcm(*(c.denominator for c in v if c is not zero))
+    return [0 if c is zero else c.numerator * (den // c.denominator) for c in v], den
+
+
 def _rational_ops(ctx: "FieldCtx") -> tuple:
     zero = ctx.rzero
 
@@ -350,13 +362,8 @@ def _rational_ops(ctx: "FieldCtx") -> tuple:
     def rpow(a, e):
         return a**e if a or e >= 0 else _inverse_of_zero()
 
-    def common_denominator(v):
-        # the numerators over the lcm of their denominators, skipping the shared zero
-        den = lcm(*(c.denominator for c in v if c is not zero))
-        return [0 if c is zero else c.numerator * (den // c.denominator) for c in v], den
-
     def rconv(a, b, n):
-        (na, da), (nb, db) = common_denominator(a[:n]), common_denominator(b[:n])
+        (na, da), (nb, db) = _over_lcm(a[:n], zero), _over_lcm(b[:n], zero)
         den = da * db
         return [Fraction(c, den) if c else zero for c in _int_mul_trunc(na, nb, n)]
 
@@ -439,6 +446,113 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
         rconv,
         partial(_loop_divmod, ctx),
     )
+
+
+class Shadow:
+    """A context's integer shadow: the ring that series work runs in.
+
+    Each element of the context is n/D, with n in the shadow and D a positive
+    integer, so sums, products and zero tests run on integers and no
+    ``Fraction`` is built until a value is published.
+
+    * QQ's shadow is Z.
+    * A tower K(a) of step degree d, with monic modulus a^d + sum m_j a^j,
+      has the shadow O[b], where O is K's shadow, b = E*a and E is the least
+      integer with every E*m_j in O.  Then b is a root of the monic
+      b^d + sum m_j E^(d-j) b^j, whose coefficients lie in O, so O[b] is a
+      ring, and its product is :func:`_tuple_ops` run over O: the flattened
+      base product and one reduction per block, with no copy.  A tower such as
+      QQ(a, b) recurses through its base down to Z.
+    * A finite field is its own shadow, and every denominator is 1.
+
+    ``split(reps)`` writes a vector of reps as numerators over their least
+    common denominator and ``join(n, den)`` reads n/den back as a rep.
+    ``scale(k, n)`` multiplies by an integer, ``content(n)`` is the gcd of
+    n's integer coordinates and ``divexact(n, k)`` divides them all by an
+    integer k that divides them.  Over a finite field, where D is always 1,
+    nothing is ever reduced, and ``content`` and ``divexact`` are None.
+    """
+
+    __slots__ = ("base", "deg_step", "modulus", "rzero", "rone", "ris_zero", *_OPS,
+                 "scale", "content", "divexact", "split", "join")
+
+    def __init__(self, **attrs):
+        for name in self.__slots__:
+            setattr(self, name, attrs.get(name))
+
+    def reduce(self, nums: list, den: int) -> tuple[list, int]:
+        """nums/den with the gcd of den and every integer coordinate divided out."""
+        if den == 1:
+            return nums, 1
+        g = gcd(den, *map(self.content, nums))
+        if g == 1:
+            return nums, den
+        divexact = self.divexact
+        return [divexact(c, g) for c in nums], den // g
+
+
+def _shadow(ctx: "FieldCtx") -> Shadow:
+    if ctx.char > 0:
+        rmul, rfrom_int = ctx.rmul, ctx.rfrom_int
+        return Shadow(
+            rzero=ctx.rzero,
+            rone=ctx.rone,
+            ris_zero=ctx.ris_zero,
+            **{name: getattr(ctx, name) for name in _OPS},
+            scale=lambda k, a: rmul(rfrom_int(k), a),
+            split=lambda v: (list(v), 1),
+            join=lambda a, den: a,
+        )
+    zero = ctx.rzero
+    if ctx.kind == "rationals":
+        return Shadow(
+            rzero=0,
+            rone=1,
+            ris_zero=not_,
+            radd=add,
+            rsub=sub,
+            rneg=neg,
+            rmul=mul,
+            rconv=_int_mul_trunc,
+            scale=mul,
+            content=pos,
+            divexact=floordiv,
+            split=partial(_over_lcm, zero=zero),
+            join=lambda n, den: Fraction(n, den) if n else zero,
+        )
+    base, d = ctx.base.shadow, ctx.deg_step
+    low, e = base.split(ctx.modulus[:d])
+    bscale, bcontent, bdivexact, bjoin = base.scale, base.content, base.divexact, base.join
+    powers = [e**k for k in range(d)]
+    sh = Shadow(
+        base=base,
+        deg_step=d,
+        modulus=tuple(bscale(powers[d - 1 - j], m) for j, m in enumerate(low)) + (base.rone,),
+        rzero=(base.rzero,) * d,
+        rone=(base.rone,) + (base.rzero,) * (d - 1),
+        scale=lambda k, a: tuple(bscale(k, c) for c in a),
+        content=lambda a: gcd(*map(bcontent, a)),
+        divexact=lambda a, k: tuple(bdivexact(c, k) for c in a),
+    )
+    for name, op in zip(_OPS, _tuple_ops(sh)):
+        setattr(sh, name, op)
+    sh.ris_zero = partial(eq, sh.rzero)
+
+    def split(v):
+        # coordinate k of a rep is the coefficient of a^k = b^k/E^k
+        nums, den = base.split([c for a in v for c in a])
+        blocks = (nums[i : i + d] for i in range(0, len(nums), d))
+        if e == 1:
+            return list(map(tuple, blocks)), den
+        out = [tuple(bscale(powers[d - 1 - k], c) for k, c in enumerate(b)) for b in blocks]
+        return sh.reduce(out, den * powers[-1])
+
+    def join(n, den):
+        rep = tuple(bjoin(bscale(p, c), den) for p, c in zip(powers, n))
+        return zero if rep == zero else rep
+
+    sh.split, sh.join = split, join
+    return sh
 
 
 def _log_tables(p: int, n: int, modulus: tuple) -> tuple[list, list, list]:
@@ -593,6 +707,7 @@ class FieldCtx:
         "one",
         *_OPS,
         "ris_zero",
+        "shadow",
         "_key",
         "_embed_cache",
         "_exp",
@@ -622,6 +737,7 @@ class FieldCtx:
         # an int or Fraction rep is zero exactly when it is falsy; a tuple never is
         tup = isinstance(self.rzero, tuple)
         object.__setattr__(self, "ris_zero", partial(eq, self.rzero) if tup else not_)
+        object.__setattr__(self, "shadow", _shadow(self))
         object.__setattr__(self, "zero", FieldElement(self, self.rzero))
         object.__setattr__(self, "one", FieldElement(self, self.rone))
 
@@ -912,6 +1028,11 @@ class FieldCtx:
 
 
 _NEW_TOKEN = object()
+
+
+def ctx_for(char: int) -> FieldCtx:
+    """QQ for characteristic 0, else the prime field F_char."""
+    return FieldCtx.rationals() if char == 0 else FieldCtx.prime(char)
 
 
 def _flat_finite_ctx(p: int, n: int) -> FieldCtx:

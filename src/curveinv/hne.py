@@ -163,9 +163,7 @@ def _certify(f: MPoly, param: Param, delta_b: int, mt_b: int) -> None:
             f"parametrization does not annihilate the curve (order {bad})"
         )
     window = 2 * delta_b + mt_b + 1
-    is_zero = param.ctx.ris_zero
-    xs, ys = param.at(window + 1)
-    exps = [n for n in range(1, window + 1) if not (is_zero(xs[n]) and is_zero(ys[n]))]
+    exps = [n for n in param.support(window + 1) if n]
     if math.gcd(*exps) != 1:
         raise InternalCheckError("parametrization is not primitive")
 

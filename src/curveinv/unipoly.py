@@ -246,8 +246,8 @@ class UniPoly:
 
         The unit is implicit: ``self = leading() * prod(g**e)``.
         """
-        if self.degree() < 1:
-            return []
+        if self.degree() < 2:  # a linear polynomial is its own factor
+            return [(self.monic(), 1)] if self.degree() == 1 else []
         out: list[tuple[UniPoly, int]] = []
         for part, mult in self.squarefree_decomposition():
             for g in _factor_squarefree(part):

@@ -329,3 +329,31 @@ class TestNoThirdPartyDependency:
         golden = Path(__file__).resolve().parent / "golden" / "analyze_qq_tower_cubic.out"
         assert done.returncode == 0, done.stderr
         assert done.stdout == golden.read_text()
+
+
+def test_local_analyze_loads_no_corpus_oracle_or_projective_module():
+    argv = ["local", "analyze", "--char", "2", "--poly", "y^2+x^3", "--emit-branches", "--json"]
+    child = (
+        "import sys\n"
+        "from curveinv.cli import main\n"
+        f"code = main({argv!r})\n"
+        "loaded = [m for m in ('curveinv.corpus', 'curveinv.oracle', 'curveinv.projective')"
+        " if m in sys.modules]\n"
+        "print(loaded, file=sys.stderr)\n"
+        "raise SystemExit(code or (3 if loaded else 0))\n"
+    )
+    src = str(Path(curveinv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "[]"
+    assert json.loads(done.stdout)["mt"] == 2
+
+
+def test_projective_names_are_served_on_first_use():
+    import curveinv.projective
+
+    assert curveinv.plucker_analysis is curveinv.projective.plucker_analysis
+    assert set(curveinv.__all__) >= {"PluckerReport", "singular_points"}
+    with pytest.raises(AttributeError):
+        curveinv.no_such_name

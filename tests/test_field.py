@@ -387,6 +387,11 @@ def test_factor_over_finite_fields():
                 assert g.is_irreducible()
                 rebuilt = rebuilt * g**e
             assert rebuilt == f
+        for _ in range(4):  # linear inputs come back monic, without factoring
+            a, b = ctx.sample(rng), ctx.sample(rng)
+            lin = UniPoly(ctx, [b, a if not a.is_zero() else ctx.one])
+            assert lin.factor() == [(lin.monic(), 1)]
+            assert lin.factor()[0][0].leading().is_one()
 
 
 def test_factor_is_deterministic():

@@ -16,7 +16,7 @@ from curveinv.errors import (
 from curveinv.field import FieldCtx
 from curveinv.hne import _push_orders, branch_decompose
 from curveinv.invariants import tangent_shear
-from curveinv.series import series_order
+from curveinv.series import Param, series_order
 
 QQ = FieldCtx.rationals()
 XY = ("x", "y")
@@ -279,19 +279,17 @@ def test_certificate_rejects_short_annihilation_and_imprimitive_params():
     f = parse_poly("y^2-x^3", QQ)
 
     class Fixed:
-        """A parametrization given by two polynomials in t."""
+        """A parametrization given by two integer polynomials in t."""
 
         ctx = QQ
+        support = Param.support
 
         def __init__(self, xs, ys):
             self.xs, self.ys = xs, ys
 
-        def at(self, prec):
-            pad = [QQ.rzero] * prec
-            return (
-                [QQ.rfrom_int(c) for c in self.xs[:prec]] + pad[len(self.xs) :],
-                [QQ.rfrom_int(c) for c in self.ys[:prec]] + pad[len(self.ys) :],
-            )
+        def numerators(self, prec):
+            pad = [0] * prec
+            return (self.xs[:prec] + pad[len(self.xs) :], 1), (self.ys[:prec] + pad[len(self.ys) :], 1)
 
     t2 = [0, 0, 1]
     off_at_16 = Fixed(t2, [0, 0, 0, 1] + [0] * 9 + [1])  # y = t^3 + t^13

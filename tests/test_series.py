@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,15 @@ from curveinv.algebra import MPoly, parse_poly
 from curveinv.errors import InternalCheckError
 from curveinv.field import FP_PACK_MIN_LEN, FieldCtx, _flat_finite_ctx
 from curveinv.hne import branch_decompose
-from curveinv.series import Param, _tr_eval, _tr_inv, series_order
+from curveinv.series import Param, _order, _tr_axpy, _tr_eval, _tr_inv, series_order
 
 QQ = FieldCtx.rationals()
 XY = ("x", "y")
+
+
+def rep_terms(g: MPoly) -> list:
+    """The ((i, j), rep) pairs of g, as the pullback kernel takes them."""
+    return [(e, c.rep) for e, c in g.terms.items()]
 
 
 def cusp_param(ctx: FieldCtx) -> Param:
@@ -38,7 +44,7 @@ def test_composition_example_with_nonzero_result():
     # t^6 + t^6 = 2 t^6
     assert series_order(f2, p, 30) == 6
     xs, ys = p.at(7)
-    assert _tr_eval(QQ, f2, xs, ys, 7)[6] == 2
+    assert _tr_eval(QQ, rep_terms(f2), xs, ys, 7)[6] == 2
 
 
 def test_substitution_is_ring_hom_on_random_pairs():
@@ -54,11 +60,11 @@ def test_substitution_is_ring_hom_on_random_pairs():
             )
             sx = [ctx.sample(rng).rep for _ in range(4)]
             sy = [ctx.sample(rng).rep for _ in range(4)]
-            lhs = _tr_eval(ctx, f * g, sx, sy, n)
-            rhs = ctx.rconv(_tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n), n)
+            lhs = _tr_eval(ctx, rep_terms(f * g), sx, sy, n)
+            rhs = ctx.rconv(_tr_eval(ctx, rep_terms(f), sx, sy, n), _tr_eval(ctx, rep_terms(g), sx, sy, n), n)
             assert lhs == rhs
-            lhs2 = _tr_eval(ctx, f + g, sx, sy, n)
-            pf, pg = _tr_eval(ctx, f, sx, sy, n), _tr_eval(ctx, g, sx, sy, n)
+            lhs2 = _tr_eval(ctx, rep_terms(f + g), sx, sy, n)
+            pf, pg = _tr_eval(ctx, rep_terms(f), sx, sy, n), _tr_eval(ctx, rep_terms(g), sx, sy, n)
             assert lhs2 == [ctx.radd(a, b) for a, b in zip(pf, pg)]
 
 
@@ -293,7 +299,7 @@ def test_pullback_matches_naive_substitution(name):
     @PROPERTY
     @given(polys(ctx), series(ctx, 8), series(ctx, 8), st.integers(1, 14))
     def check(g, xs, ys, n):
-        assert _tr_eval(ctx, g, reps(xs), reps(ys), n) == reps(naive_pullback(ctx, g, xs, ys, n))
+        assert _tr_eval(ctx, rep_terms(g), reps(xs), reps(ys), n) == reps(naive_pullback(ctx, g, xs, ys, n))
 
     check()
 
@@ -326,7 +332,7 @@ def test_pullback_matches_naive_substitution_for_every_coordinate_shape(name):
         for xshape in X_SHAPES:
             for yshape in Y_SHAPES:
                 xs, ys = shaped(ctx, xshape, a, xrest, n), shaped(ctx, yshape, b, yrest, n)
-                got = _tr_eval(ctx, g, reps(xs), reps(ys), n)
+                got = _tr_eval(ctx, rep_terms(g), reps(xs), reps(ys), n)
                 assert got == reps(naive_pullback(ctx, g, xs, ys, n)), (xshape, yshape)
 
     check()
@@ -386,3 +392,179 @@ def test_param_precision_is_a_prefix(name):
     # over F_p) and several steps of the carried inverse
     big = settings(derandomize=True, max_examples=3, deadline=None)
     big(given(leaves(ctx, 8, top=True), chains(ctx), st.integers(40, 48))(check))()
+
+
+# ---------------------------------------------------------------------------
+# The integer series against the Fraction series they replaced.  The lift and
+# the pullback below are the code that ran on field reps (Fractions over QQ)
+# before series moved to the integer shadow, kept as the reference.
+
+
+def ref_tr_eval(ctx: FieldCtx, g: MPoly, xs: list, ys: list, prec: int) -> list:
+    """g(x(t), y(t)) mod t^prec on field reps, by Horner in y, dropping the
+    terms of order at least prec."""
+    ox, oy = _order(ctx, xs, prec), _order(ctx, ys, prec)
+    rows: dict[int, list] = {}
+    for (i, j), c in g.terms.items():
+        if i * ox + j * oy < prec:
+            rows.setdefault(j, []).append((i, c.rep))
+    if not rows:
+        return [ctx.rzero] * prec
+    radd, rmul = ctx.radd, ctx.rmul
+    monomial = all(map(ctx.ris_zero, xs[ox + 1 : prec]))
+    a = xs[ox] if monomial and ox < prec else None
+    xpow = [ctx.rone] if monomial else [[ctx.rone]]
+    out: list = []
+    for j in range(max(rows), -1, -1):
+        n = prec - j * oy
+        out = ctx.rconv(out, ys, n)
+        for i, c in rows.get(j, ()):
+            while len(xpow) <= i:
+                xpow.append(rmul(xpow[-1], a) if monomial else ctx.rconv(xpow[-1], xs, prec))
+            if monomial:
+                out[ox * i] = radd(out[ox * i], rmul(c, xpow[i]))
+            else:
+                out = _tr_axpy(ctx, c, xpow[i], out)
+    return out
+
+
+def ref_param(leaf: MPoly, solve_for: str, chain: list, prec: int) -> tuple[list, list]:
+    """(x(t), y(t)) mod t^prec: the Newton lift of the leaf on field reps,
+    with the inverse of leaf_y carried from step to step, then the chart maps."""
+    ctx = leaf.ctx
+    if solve_for == "x":
+        leaf = MPoly(ctx, XY, {(j, i): c for (i, j), c in leaf.terms.items()})
+    leaf_y = leaf.partial(1)
+    t = [ctx.rzero, ctx.rone]
+    phi, inv = [ctx.rzero], []
+    while len(phi) < prec:
+        k = len(phi)
+        n = min(2 * k, prec)
+        val = ref_tr_eval(ctx, leaf, t, phi, n)
+        assert all(map(ctx.ris_zero, val[:k]))
+        m = n - k
+        inv = _tr_inv(ctx, ref_tr_eval(ctx, leaf_y, t, phi, m), m, inv[:m])
+        phi = phi + [ctx.rneg(c) for c in ctx.rconv(val[k:], inv, m)]
+    t = [ctx.rzero, ctx.rone][:prec] + [ctx.rzero] * (prec - 2)
+    x, y = (phi[:prec], t) if solve_for == "x" else (t, phi[:prec])
+    for chart, c in chain:
+        if chart == "x":
+            y = ctx.rconv(x, [ctx.radd(y[0], c.rep)] + y[1:], prec)
+        else:
+            x = ctx.rconv(y, [ctx.radd(x[0], c.rep)] + x[1:], prec)
+    return x, y
+
+
+def ref_order(h: MPoly, xs: list, ys: list, bound: int) -> int | None:
+    val = ref_tr_eval(h.ctx, h, xs, ys, bound + 1)
+    return next((k for k, c in enumerate(val) if not h.ctx.ris_zero(c)), None)
+
+
+_QQ_a = QQ.extend([QQ.from_fraction(Fraction(3, 4)), QQ.from_fraction(Fraction(-1, 3)), QQ.one])
+INTEGER_CONTEXTS = {
+    "QQ": QQ,
+    "QQ(sqrt2)": CONTEXTS["QQ(a)"],  # a^2 = 2
+    "QQ(a), a^2-a/3+3/4": _QQ_a,
+    "QQ(a,b)": CONTEXTS["QQ(a,b)"],
+}
+assert CONTEXTS["QQ(a)"].modulus == (Fraction(-2), Fraction(0), Fraction(1))
+
+
+def nonzero(ctx: FieldCtx):
+    sampled = st.integers(0, 2**32).map(lambda s: ctx.sample(random.Random(s)))
+    return sampled.filter(lambda c: not c.is_zero())
+
+
+def rich_leaves(ctx: FieldCtx):
+    """A leaf solved for x or y, with a non-unit fractional linear coefficient
+    u in the solved variable, a pure term in the other variable, a pure term
+    of degree >= 2 in the solved one and a few mixed terms."""
+    unit = nonzero(ctx)
+    exps = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+    def build(args):
+        solve_for, u, (i0, c0), (j0, cj), mixed = args
+        terms = {e: c for e, c in mixed.items() if not c.is_zero()}
+        terms.update({(0, 1): u, (i0, 0): c0, (0, j0): cj})
+        if solve_for == "x":
+            terms = {(j, i): c for (i, j), c in terms.items()}
+        return solve_for, MPoly(ctx, XY, terms)
+
+    parts = [
+        st.sampled_from(["x", "y"]),
+        unit,
+        st.tuples(st.integers(1, 3), unit),
+        st.tuples(st.integers(2, 3), unit),
+        st.dictionaries(exps, elements(ctx), max_size=3),
+    ]
+    return st.tuples(*parts).map(build)
+
+
+def pushed_curve(f: MPoly, chart: str, c) -> MPoly:
+    """A curve through the image of f under the chart map (x, y) -> (x, x*(y + c))
+    (chart "x") or (x, y) -> (y*(x + c), y): own^e * f(own, other/own - c), in
+    the chart's own and other variable, e the top degree of f in the other."""
+    X, Y = (MPoly.variable(f.ctx, XY, v) for v in XY)
+    own, other = (X, Y) if chart == "x" else (Y, X)
+    moved = other - own * MPoly.constant(f.ctx, XY, c)
+    e = max(exps[chart == "x"] for exps in f.terms)
+    out = MPoly(f.ctx, XY, {})
+    for (i, j), a in f.terms.items():
+        i, j = (i, j) if chart == "x" else (j, i)
+        out = out + MPoly.constant(f.ctx, XY, a) * own ** (i + e - j) * moved**j
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CONTEXTS))
+def test_integer_series_equal_the_fraction_reference(name):
+    ctx = INTEGER_CONTEXTS[name]
+
+    def check(solved, chain, h, n):
+        solve_for, leaf = solved
+        p = Param(leaf, solve_for)
+        for chart, c in chain:
+            p.push(chart, c)
+        xs, ys = ref_param(leaf, solve_for, chain, 2 * n + 1)
+        assert p.at(n) == (xs[:n], ys[:n])
+        assert series_order(h, p, 2 * n) == ref_order(h, xs, ys, 2 * n)
+        assert p.at(2 * n + 1) == (xs, ys)
+        assert series_order(leaf, Param(leaf, solve_for), n) is None
+        # the pushed leaf vanishes on the branch: its pullback cancels exactly
+        curve = leaf
+        for chart, c in chain:
+            curve = pushed_curve(curve, chart, c)
+        assert series_order(curve, p, 2 * n) is None
+
+    # centers mostly nonzero, so that chart maps meet unequal denominators
+    center = st.one_of(elements(ctx), nonzero(ctx))
+    chains = st.lists(st.tuples(st.sampled_from(["x", "y"]), center), max_size=3)
+    PROPERTY(given(rich_leaves(ctx), chains, polys(ctx), st.integers(1, 14))(check))()
+    # y = x pushed through the centers 1/2, then 1/3: the second center, over
+    # 3, is added to a y over 2
+    half, third = (ctx.from_fraction(Fraction(1, k)) for k in (2, 3))
+    check(("y", parse_poly("y-x", ctx)), [("x", half), ("x", third)], parse_poly("x+y", ctx), 6)
+
+
+def test_a_leaf_whose_rescaling_is_not_integral_is_refused(monkeypatch):
+    import curveinv.series as series
+
+    leaf = parse_poly("2*y-x/3+y^2", QQ)  # F/u = y - x/6 + y^2/2: alpha = 12, beta = 2
+    assert Param(leaf).at(3)[1] == [0, Fraction(1, 6), Fraction(-1, 72)]
+    monkeypatch.setattr(series, "_leaf_scale", lambda dens: (6, 1))
+    with pytest.raises(InternalCheckError, match="not integral"):
+        Param(leaf)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_shadow_split_and_join_round_trip(name):
+    ctx = CONTEXTS[name]
+    sh = ctx.shadow
+
+    @PROPERTY
+    @given(series(ctx))
+    def check(v):
+        nums, den = sh.split(reps(v))
+        assert [sh.join(c, den) for c in nums] == reps(v)
+        assert sh.reduce(nums, den) == (nums, den)  # split gives the least denominator
+
+    check()
