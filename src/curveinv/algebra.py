@@ -24,7 +24,7 @@ from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DivisionByZero,

@@ -9,8 +9,8 @@ literally.  Chart centers are the tangent directions of the germ.  Every
 :func:`split`: it returns the roots when a univariate splits over the
 coefficient field, and otherwise raises the private :class:`NeedsExtension`
 with the least nonlinear factor, which escapes to :func:`run_with_restarts`;
-that driver enlarges the field and restarts, so all published results live
-in a single context.
+that driver builds the next field from that factor, without factoring it
+again, and restarts, so all published results live in a single context.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .unipoly import UniPoly
 
 class NeedsExtension(Exception):
     """A polynomial fails to split over the working field (a tangent
-    direction, or a coordinate of a projective singular point); carries it."""
+    direction, or a coordinate of a projective singular point).  ``poly`` is
+    its least nonlinear factor, monic and irreducible, which :func:`split`
+    chose; the next field is built from it."""
 
     def __init__(self, poly: UniPoly):
         super().__init__(str(poly))
@@ -140,7 +142,7 @@ def run_with_restarts(f: MPoly, builder):
         try:
             return f, builder(f)
         except NeedsExtension as e:
-            ctx2, _root, _emb = f.ctx.extend_with_root(e.poly)
+            ctx2 = f.ctx.extend_with_root(e.poly)
             if ctx2 is f.ctx:
                 raise InternalCheckError("field extension made no progress")
             f = embed_poly(f, ctx2)

@@ -103,7 +103,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
+        raise UnsupportedInput(f"expected a comma-separated integer list, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def _compare_dual(char: int, seed: int) -> list[dict]:
 
 def cmd_oracle_compare(args) -> int:
     if args.count < 0:
-        raise ValueError("count must be nonnegative")
+        raise UnsupportedInput("count must be nonnegative")
     if args.suite == "intersection":
         rows = _compare_intersection(args.char, args.count, args.seed)
     elif args.suite == "delta":
@@ -369,7 +369,6 @@ _USAGE_ERRORS = (
     ReducibleCurve,
     UndefinedAtOrigin,
     UnsupportedInput,
-    ValueError,
 )
 
 

@@ -23,7 +23,7 @@ import shlex
 from dataclasses import dataclass
 
 from .algebra import MPoly, is_reduced, parse_poly, resultant
-from .errors import ShearExhausted
+from .errors import ShearExhausted, UnsupportedInput
 from .field import FieldCtx, _is_prime, ctx_for
 from .invariants import delta, intersection_multiplicity, verify_relations
 from .oracle import delta_semigroup, i_resultant
@@ -73,16 +73,16 @@ class CorpusSpec:
 
     def validate(self) -> None:
         if self.count < 0:
-            raise ValueError("count must be nonnegative")
+            raise UnsupportedInput("count must be nonnegative")
         if self.max_degree < 1:
-            raise ValueError("max degree must be at least one")
+            raise UnsupportedInput("max degree must be at least one")
         if not self.chars:
-            raise ValueError("at least one characteristic is required")
+            raise UnsupportedInput("at least one characteristic is required")
         for p in self.chars:
             if p != 0 and not _is_prime(p):
-                raise ValueError(f"characteristic {p} is neither 0 nor a prime")
+                raise UnsupportedInput(f"characteristic {p} is neither 0 nor a prime")
         if len(self.mix) != 3 or any(w < 0 for w in self.mix) or sum(self.mix) == 0:
-            raise ValueError("mix needs three nonnegative weights, not all zero")
+            raise UnsupportedInput("mix needs three nonnegative weights, not all zero")
 
 
 def _nonzero_sample(ctx: FieldCtx, rng: random.Random):

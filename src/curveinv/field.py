@@ -44,8 +44,8 @@ Extension arithmetic reduces against a monic defining polynomial whose
 irreducibility is verified at construction (Rabin's test over finite fields,
 factorization in characteristic zero).  Finite contexts produced by
 :meth:`FieldCtx.extend_with_root` are always single-step extensions of F_p;
-growing F_{p^k} lands in a flattened F_{p^{k*d}} together with an embedding
-of the old context, so arithmetic never pays for a tower.
+growing F_{p^k} lands in a flattened F_{p^{k*d}}, into which :func:`embed`
+maps the old context, so arithmetic never pays for a tower.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import add, eq, floordiv, mul, neg, not_, pos, sub
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     CharZeroPthRoot,
@@ -65,6 +65,7 @@ from .errors import (
     InternalCheckError,
     NoEmbedding,
     TowerLimitExceeded,
+    UnsupportedInput,
 )
 
 MAX_TOWER_DEPTH = 4
@@ -746,7 +747,7 @@ class FieldCtx:
     @staticmethod
     def prime(p: int) -> "FieldCtx":
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise UnsupportedInput(f"{p} is not prime")
         key = ("prime", p)
         ctx = _CTX_CACHE.get(key)
         if ctx is None:
@@ -863,49 +864,23 @@ class FieldCtx:
             _CTX_CACHE[key] = ctx
         return ctx
 
-    def extend_with_root(self, poly) -> tuple["FieldCtx", "FieldElement", Callable]:
-        """Smallest context containing a root of ``poly`` (a univariate over
-        this context).
+    def extend_with_root(self, g) -> "FieldCtx":
+        """The context that a root of ``g`` joins: ``g`` is a monic
+        irreducible univariate of degree at least 2 over this context, the
+        factor that :func:`~curveinv.blowup.split` chose, and it is not
+        factored again.
 
-        Returns ``(new_ctx, root, embed_fn)``.  If a root already lives here
-        the context comes back unchanged with the identity embedding.  The
-        root and the enlarged context are canonical, so repeated runs agree.
+        A finite field grows to the flattened F_{p^(n*deg g)}, in which ``g``
+        splits; otherwise the result is the extension by ``g``.  Embed into
+        it with :func:`embed`.
         """
-        from . import unipoly as _up
-
-        if not isinstance(poly, _up.UniPoly):
-            poly = _up.UniPoly(self, list(poly))
-        if poly.ctx is not self:
+        if g.ctx is not self:
             raise IncompatibleContexts("polynomial over another context")
-        if poly.degree() < 1:
-            raise ValueError("need a nonconstant polynomial")
-        factors = poly.factor()
-        linear = [g for g, _ in factors if g.degree() == 1]
-        if linear:
-            roots = [-g.coeffs[0] for g in linear]
-            root = min(roots, key=lambda e: e.sort_key())
-            return self, root, lambda e: e
-        pick = min(
-            (g for g, _ in factors),
-            key=lambda g: (g.degree(), tuple(c.sort_key() for c in g.coeffs)),
-        )
+        if g.degree() < 2:
+            raise InternalCheckError("an extension needs an irreducible factor of degree 2 or more")
         if self.char > 0:
-            target = _flat_finite_ctx(self.char, self.absdegree * pick.degree())
-
-            def emb(e: "FieldElement", _t=target) -> "FieldElement":
-                return embed(e, _t)
-
-            lifted = _up.UniPoly(target, [emb(c) for c in pick.coeffs])
-            roots = lifted.roots()
-            if not roots:
-                raise InternalCheckError("irreducible factor must split in the flattened field")
-            return target, roots[0], emb
-        target = self.extend(pick.coeffs, _verified=True)
-
-        def emb0(e: "FieldElement", _t=target) -> "FieldElement":
-            return embed(e, _t)
-
-        return target, target.gen(), emb0
+            return _flat_finite_ctx(self.char, self.absdegree * g.degree())
+        return self.extend(g.coeffs, _verified=True)
 
     def gen(self) -> "FieldElement":
         if self.kind != "extension":

@@ -116,9 +116,14 @@ def _push_orders(orders: tuple, chart: str, center: FieldElement | None) -> tupl
     return own, ((own, other) if chart == "x" else (other, own))
 
 
-def _coordinate_orders(param: Param, vars: tuple[str, ...], bound: int):
-    """Orders of x(t) and y(t) through ``bound``, None past it."""
-    return tuple(series_order(MPoly.variable(param.ctx, vars, v), param, bound) for v in vars)
+def _coordinate_orders(param: Param, bound: int):
+    """Orders of x(t) and y(t) through ``bound``, None past it: the index of
+    each one's first nonzero numerator."""
+    is_zero = param.ctx.shadow.ris_zero
+    return tuple(
+        next((k for k, c in enumerate(v) if not is_zero(c)), None)
+        for v, _ in param.numerators(bound + 1)
+    )
 
 
 def _decompose(g: MPoly) -> tuple[InfinitelyNearTree, list[_Raw]]:
@@ -195,7 +200,7 @@ def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:
     branches: list[Branch] = []
     for raw in raws:
         ix, iy = raw.orders
-        if _coordinate_orders(raw.series, f2.vars, deg + 1) != raw.orders:
+        if _coordinate_orders(raw.series, deg + 1) != raw.orders:
             raise InternalCheckError("the chart orders disagree with the parametrization")
         mt_b = raw.path[0][1]
         delta_b = sum(m * (m - 1) // 2 for _, m in raw.path)

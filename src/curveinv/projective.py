@@ -23,7 +23,7 @@ from .errors import (
     PositiveDimensionalSingularLocus,
     ReducibleCurve,
 )
-from .field import FieldCtx, FieldElement
+from .field import FieldElement
 from .invariants import (
     ExtNat,
     InvariantReport,

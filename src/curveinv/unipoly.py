@@ -76,10 +76,6 @@ class UniPoly:
     def x(ctx: FieldCtx) -> "UniPoly":
         return UniPoly(ctx, [ctx.zero, ctx.one])
 
-    @staticmethod
-    def constant(e: FieldElement) -> "UniPoly":
-        return UniPoly(e.ctx, [e])
-
     def _reps(self) -> list:
         return [c.rep for c in self.coeffs]
 
@@ -232,12 +228,6 @@ class UniPoly:
         if self.degree() < 1:
             return []
         return _musser(self.monic())
-
-    def squarefree_part(self) -> "UniPoly":
-        out = UniPoly(self.ctx, [1])
-        for g, _ in self.squarefree_decomposition():
-            out = out * g
-        return out
 
     # -- factorization ----------------------------------------------------------
 

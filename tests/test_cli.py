@@ -236,6 +236,36 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: tame characteristic required: zero or p > d(d-1)\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["local", "analyze", "--char", "4", "--poly", "x*y"], "4 is not prime"),
+            (["corpus", "run", "--mix", "1,x"], "expected a comma-separated integer list, got '1,x'"),
+            (["corpus", "run", "--char", "4", "--count", "1"],
+             "characteristic 4 is neither 0 nor a prime"),
+            (["corpus", "run", "--count", "-1"], "count must be nonnegative"),
+            (["corpus", "run", "--max-degree", "0"], "max degree must be at least one"),
+            (["corpus", "run", "--mix", "0,0,0"], "mix needs three nonnegative weights, not all zero"),
+            (["oracle", "compare", "--suite", "delta", "--count", "-2"], "count must be nonnegative"),
+        ],
+    )
+    def test_boundary_messages(self, capsys, argv, message):
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_boundary_errors_are_unsupported_input(self):
+        from curveinv.errors import UnsupportedInput
+        from curveinv.field import FieldCtx
+
+        with pytest.raises(UnsupportedInput, match="at least one characteristic is required"):
+            CorpusSpec(chars=()).validate()
+        with pytest.raises(UnsupportedInput, match="6 is not prime"):
+            FieldCtx.prime(6)
+        # library callers that catch ValueError see no change
+        with pytest.raises(ValueError):
+            CorpusSpec(count=-1).validate()
+
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 1
 
@@ -257,6 +287,28 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert "RuntimeError" in err
         assert "repro: curveinv local analyze --char 3 --poly 'x^3+y^4'" in err
+
+    def test_library_value_error_exits_two_with_repro(self, capsys, monkeypatch):
+        # ValueError is not a usage error: only CurveInvError subclasses are
+        import curveinv.cli as cli
+
+        def boom(*args, **kwargs):
+            raise ValueError("slipped")
+
+        monkeypatch.setattr(cli, "analyze_local", boom)
+        code = main(["local", "analyze", "--char", "3", "--poly", "x^3+y^4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "internal error: ValueError: slipped; "
+            "repro: curveinv local analyze --char 3 --poly 'x^3+y^4'\n"
+        )
+
+    def test_usage_errors_are_the_package_own(self):
+        import curveinv.cli as cli
+        from curveinv.errors import CurveInvError
+
+        assert all(issubclass(e, CurveInvError) for e in cli._USAGE_ERRORS)
 
     def test_corpus_item_records_stray_exception_and_run_continues(self, monkeypatch):
         import curveinv.corpus as corpus
@@ -306,6 +358,35 @@ class TestErrorContract:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_every_module_import_is_used(self):
+        # a name a module imports at top level must be read somewhere in it:
+        # in code, in a string annotation, or in __all__
+        package = Path(curveinv.__file__).resolve().parent
+        unused = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+            used = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    # string annotations and __all__ entries
+                    try:
+                        inner = ast.parse(node.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert unused == []
 
 
 class TestNoThirdPartyDependency:

@@ -174,45 +174,63 @@ def test_extend_rejects_reducible_modulus():
         FieldCtx.rationals().extend([-4, 0, 1])
 
 
-def test_extend_with_root_existing_root():
-    f5 = FieldCtx.prime(5)
-    poly = UniPoly(f5, [-4, 0, 1])  # roots 2 and 3
-    ctx, root, emb = f5.extend_with_root(poly)
-    assert ctx is f5
-    assert root == f5.from_int(2)  # canonical: the smaller one
-    assert emb(f5.from_int(4)) == 4
+def _root_in(ctx, g):
+    """A root of ``g`` in ``ctx``, found directly."""
+    roots = UniPoly(ctx, [embed(c, ctx) for c in g.coeffs]).roots()
+    assert roots
+    return roots[0]
 
 
 def test_extend_with_root_f9():
     f3 = FieldCtx.prime(3)
-    ctx, root, emb = f3.extend_with_root(UniPoly(f3, [1, 0, 1]))  # t^2 + 1
+    g = UniPoly(f3, [1, 0, 1])  # t^2 + 1
+    ctx = f3.extend_with_root(g)
     assert ctx.order == 9
-    assert root * root == emb(f3.from_int(-1))
-    again, root2, _ = f3.extend_with_root(UniPoly(f3, [1, 0, 1]))
-    assert again is ctx and root2 == root
+    root = _root_in(ctx, g)
+    assert root * root == embed(f3.from_int(-1), ctx)
+    assert f3.extend_with_root(UniPoly(f3, [1, 0, 1])) is ctx
 
 
 def test_extend_with_root_f25_square_root_of_two():
     f5 = FieldCtx.prime(5)
-    ctx, root, emb = f5.extend_with_root(UniPoly(f5, [-2, 0, 1]))
+    g = UniPoly(f5, [-2, 0, 1])
+    ctx = f5.extend_with_root(g)
     assert ctx.order == 25
-    assert root * root == emb(f5.from_int(2))
+    root = _root_in(ctx, g)
+    assert root * root == embed(f5.from_int(2), ctx)
 
 
 def test_extend_with_root_flattens_towers():
     f2 = FieldCtx.prime(2)
-    f4, _, _ = f2.extend_with_root(UniPoly(f2, [1, 1, 1]))
+    f4 = f2.extend_with_root(UniPoly(f2, [1, 1, 1]))
     assert f4.order == 4
     # x^3+a has no root in F_4 (nonzero cubes are all 1), hence is irreducible;
     # its root must land in F_64, presented one step above F_2
     x = UniPoly.x(f4)
     g = x**3 + UniPoly(f4, [f4.gen()])
     assert g.is_irreducible()
-    big, root, emb = f4.extend_with_root(g)
+    big = f4.extend_with_root(g)
     assert big.order == 64
     assert big.base.kind == "prime"
-    img = UniPoly(big, [emb(c) for c in g.coeffs])
-    assert img.eval(root).is_zero()
+    img = UniPoly(big, [embed(c, big) for c in g.coeffs])
+    assert img.eval(_root_in(big, g)).is_zero()
+
+
+def test_extend_with_root_over_qq_adjoins_the_factor():
+    qq = FieldCtx.rationals()
+    g = UniPoly(qq, [-2, 0, 1])
+    ctx = qq.extend_with_root(g)
+    assert ctx.modulus == tuple(c.rep for c in g.coeffs)
+    assert ctx.gen() * ctx.gen() == 2
+    assert qq.extend_with_root(UniPoly(qq, [-2, 0, 1])) is ctx
+
+
+def test_extend_with_root_needs_degree_two():
+    # the factor comes from blowup.split, which keeps linear factors as roots
+    for ctx in (FieldCtx.prime(5), FieldCtx.rationals()):
+        for coeffs in ([3, 1], [2]):
+            with pytest.raises(InternalCheckError):
+                ctx.extend_with_root(UniPoly(ctx, coeffs))
 
 
 def test_embed_is_homomorphism():

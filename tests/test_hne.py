@@ -14,7 +14,7 @@ from curveinv.errors import (
     NotSingularAtOrigin,
 )
 from curveinv.field import FieldCtx
-from curveinv.hne import _push_orders, branch_decompose
+from curveinv.hne import _coordinate_orders, _push_orders, branch_decompose
 from curveinv.invariants import tangent_shear
 from curveinv.series import Param, series_order
 
@@ -298,3 +298,60 @@ def test_certificate_rejects_short_annihilation_and_imprimitive_params():
     _certify(f, Fixed(t2, [0, 0, 0, 1] + [0] * 10 + [1]), 1, 2)  # y = t^3 + t^14
     with pytest.raises(InternalCheckError, match="not primitive"):
         _certify(f, Fixed([0, 0, 0, 0, 1], [0] * 6 + [1]), 1, 2)  # (t^4, t^6)
+
+
+def test_coordinate_orders_read_the_first_nonzero_numerators():
+    class Fixed:
+        ctx = QQ
+
+        def __init__(self, xs, ys):
+            self.xs, self.ys = xs, ys
+
+        def numerators(self, prec):
+            pad = [0] * prec
+            return (self.xs[:prec] + pad[len(self.xs) :], 3), (self.ys[:prec] + pad[len(self.ys) :], 5)
+
+    assert _coordinate_orders(Fixed([0, 0, 7], [0, 0, 0, -1]), 4) == (2, 3)
+    assert _coordinate_orders(Fixed([0, 0, 7], [0] * 5 + [1]), 5) == (2, 5)
+    assert _coordinate_orders(Fixed([0, 0, 7], [0] * 5 + [1]), 4) == (2, None)
+    assert _coordinate_orders(Fixed([0, 1], []), 4) == (1, None)
+
+
+def test_coordinate_orders_of_an_axis_branch():
+    f = parse_poly("y*(y^2-x^3)", QQ)
+    bs = branch_decompose(f)
+    got = {_coordinate_orders(b.series, f.degree() + 1) for b in bs.branches}
+    assert got == {(1, None), (2, 3)}
+    assert got == {(b.ix, b.iy) for b in bs.branches}
+
+
+def test_a_restart_builds_the_field_from_the_chosen_factor(monkeypatch):
+    # the tangent cone 5 + 6*w^3 has no root over F_7, so the germ restarts
+    # over F_{7^3}; extend_with_root neither factors nor looks for roots
+    from curveinv.field import FieldCtx as Ctx
+    from curveinv.unipoly import UniPoly
+
+    inside, calls = [False], {"extend": 0, "factor": 0, "roots": 0}
+    real_extend, real_factor, real_roots = Ctx.extend_with_root, UniPoly.factor, UniPoly.roots
+
+    def extend(self, g):
+        calls["extend"] += 1
+        inside[0] = True
+        try:
+            return real_extend(self, g)
+        finally:
+            inside[0] = False
+
+    def counted(name, real):
+        def inner(self):
+            calls[name] += inside[0]
+            return real(self)
+        return inner
+
+    monkeypatch.setattr(Ctx, "extend_with_root", extend)
+    monkeypatch.setattr(UniPoly, "factor", counted("factor", real_factor))
+    monkeypatch.setattr(UniPoly, "roots", counted("roots", real_roots))
+    bs = branch_decompose(parse_poly("5*x^3+6*y^3+y^5", FieldCtx.prime(7)))
+    assert bs.ctx.descriptor() == "Fq:7^3"
+    assert bs.r == 3
+    assert calls == {"extend": 1, "factor": 0, "roots": 0}
