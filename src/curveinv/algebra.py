@@ -10,8 +10,9 @@ the predicted factor is exact and checked.  A resultant Kronecker-packs its
 other variables into that one under a degree bound; a gcd takes the contents
 of its inputs and of the last nonzero member only, and runs the sequence only
 when no point x0 certifies the primitive parts coprime by a univariate gcd of
-1.  On the same vectors sit the reducedness test gcd(f, f_x, f_y) = 1 and a
-squarefree decomposition that works uniformly in characteristic zero and p,
+1.  Over QQ a gcd runs in Z[x][y], where Gauss's lemma keeps every division
+exact.  On the same vectors sit the reducedness test gcd(f, f_x, f_y) = 1 and
+a squarefree decomposition that works uniformly in characteristic zero and p,
 peeling p-th powers when both partials collapse.
 
 Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
@@ -23,6 +24,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from math import lcm
 from operator import add, mul, neg, sub
 from typing import Sequence
 
@@ -34,7 +36,7 @@ from .errors import (
     WrongVariables,
 )
 from .field import FieldCtx, FieldElement, _render_terms, embed
-from .field import _rp_divexact, _rp_gcd, _rp_mul, _rp_scale, _rp_sub, _rp_trim
+from .field import _rp_divexact, _rp_mul, _rp_scale, _rp_sub, _rp_trim
 from .unipoly import UniPoly
 
 
@@ -445,7 +447,7 @@ def _primitive(ctx: FieldCtx, a: list[list]) -> tuple[list, list[list]]:
     coefficients, and its primitive part."""
     cont: list = []
     for c in sorted(filter(None, a), key=len):  # a constant ends it at once
-        cont = _rp_gcd(ctx, cont, c)
+        cont = ctx.rgcd(cont, c)
         if len(cont) == 1:
             return cont, a
     return cont, [_rp_divexact(ctx, c, cont) for c in a]
@@ -566,6 +568,36 @@ def _gcd_dense(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
     """Gcd of dense polynomials, scaled so its leading coefficient is one:
     the gcd of the contents times the gcd of the primitive parts.
 
+    Over QQ the work runs in Z[x][y], on each operand times one common
+    denominator of its coefficients; that changes the gcd over QQ by a unit
+    only.  There ``rgcd`` returns the primitive integer generator of a gcd in
+    QQ[x], which divides both operands in Z[x] by Gauss's lemma, so the
+    contents divide exactly, and so does every division of the subresultant
+    sequence, a theorem over any domain.  ``Fraction``s are built once, for
+    the result."""
+    if not a or not b:
+        return a or b
+    if ctx.kind == "rationals":
+        g = _gcd_primitive(ctx.shadow, range(1, CERTIFY_POINTS + 1), _integral(a), _integral(b))
+        top, zero = g[-1][-1], ctx.rzero
+        return [[Fraction(c, top) if c else zero for c in row] for row in g]
+    g = _gcd_primitive(ctx, _points(ctx), a, b)
+    if g[-1][-1] == ctx.rone:
+        return g
+    inv = ctx.rinv(g[-1][-1])
+    return [_rp_scale(ctx, inv, c) for c in g]
+
+
+def _integral(a: list[list]) -> list[list]:
+    """A dense polynomial over QQ times the lcm of its denominators."""
+    den = lcm(*(c.denominator for row in a for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in a]
+
+
+def _gcd_primitive(ring, points, a: list[list], b: list[list]) -> list[list]:
+    """A gcd of nonzero dense polynomials over ``ring``, a field or QQ's
+    shadow Z, up to a unit of the field.
+
     Coprime primitive parts are certified at one point x0 (Brown 1971; von
     zur Gathen & Gerhard, ch. 6).  If g = gcd(a, b), then g(x0, y) divides
     gcd(a(x0, y), b(x0, y)).  lc_y(a)(x0) != 0 is enough, with nothing asked
@@ -573,26 +605,25 @@ def _gcd_dense(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
     deg_y g is the degree of g(x0, y).  A specialized gcd of 1 thus puts g in
     F[x], where it divides the content of a, which is 1.  The contents are
     handled apart, so a point where a content vanishes does no harm.  When
-    no point of :func:`_points` certifies, the gcd is the primitive part of
-    the last nonzero member of the primitive parts' subresultant sequence.  No
+    no point of ``points`` certifies, the gcd is the primitive part of the
+    last nonzero member of the primitive parts' subresultant sequence.  No
     content is taken in between, since the sequence divides out its predicted
     factors."""
-    if not a or not b:
-        return a or b
-    ca, a = _primitive(ctx, a)
-    cb, b = _primitive(ctx, b)
-    for x0 in _points(ctx):
-        if ctx.ris_zero(_rp_eval(ctx, a[-1], x0)):
+    ca, a = _primitive(ring, a)
+    cb, b = _primitive(ring, b)
+    for x0 in points:
+        if ring.ris_zero(_rp_eval(ring, a[-1], x0)):
             continue
-        va = [_rp_eval(ctx, c, x0) for c in a]
-        vb = _rp_trim(ctx, [_rp_eval(ctx, c, x0) for c in b])
-        if len(_rp_gcd(ctx, va, vb)) == 1:
-            return [_rp_gcd(ctx, ca, cb)]
-    a, b, _, _ = _subresultants(ctx, a, b)
+        va = [_rp_eval(ring, c, x0) for c in a]
+        vb = _rp_trim(ring, [_rp_eval(ring, c, x0) for c in b])
+        if len(ring.rgcd(va, vb)) == 1:
+            return [ring.rgcd(ca, cb)]
+    a, b, _, _ = _subresultants(ring, a, b)
     # a remainder of degree zero means the primitive parts are coprime
-    a = [[ctx.rone]] if b else _primitive(ctx, a)[1]
-    scale = _rp_scale(ctx, ctx.rinv(a[-1][-1]), _rp_gcd(ctx, ca, cb))
-    return [_rp_mul(ctx, c, scale) for c in a]
+    cont = ring.rgcd(ca, cb)
+    if b:
+        return [cont]
+    return [_rp_mul(ring, c, cont) for c in _primitive(ring, a)[1]]
 
 
 def gcd_bivar(f: MPoly, g: MPoly) -> MPoly:

@@ -13,7 +13,10 @@ are structural:
   the first primitive element in :meth:`FieldCtx.element_at` order
 
 Each context binds its ``radd``/``rsub``/``rneg``/``rmul``/``rinv``/``rpow``/
-``rfrom_int``/``ris_zero``/``rdivmod`` and ``rconv`` once, when it is built.
+``rfrom_int``/``ris_zero``/``rdivmod``/``rgcd`` and ``rconv`` once, when it is
+built.  ``rgcd`` is the monic gcd of two coefficient vectors.  Over QQ,
+``rdivmod`` and ``rgcd`` run on integer numerators, a pseudo-division and a
+primitive remainder sequence, and build ``Fraction``s only for their results.
 ``rconv`` is the one product of coefficient vectors (polynomials, truncated
 series, extension reps): F_p sums Python ints and reduces once per
 coefficient, QQ convolves integers over a common denominator, and both skip
@@ -31,7 +34,10 @@ integer kernel (Kronecker substitution; *Modern Computer Algebra*, 8.4).
 Each context also binds ``shadow``, its integer shadow (:class:`Shadow`):
 Z for QQ, an order generated by an integral multiple of the generator for a
 tower over QQ, and the field itself for a finite field.  Series work runs
-there on numerators over one integer denominator (see :mod:`.series`).
+there on numerators over one integer denominator (see :mod:`.series`), and
+so do the bivariate gcds over QQ (see :mod:`.algebra`): Z's ``rgcd`` is the
+primitive generator of the gcd in QQ[x], and its ``rdivmod`` is checked
+exact division.
 
 A small F_q multiplies by adding exponents mod q-1 and adds through a Zech
 table, log(1 + g^d) (Jacobi's logarithm; Lidl-Niederreiter, *Finite
@@ -174,11 +180,10 @@ def _rp_monic(ctx: "FieldCtx", a: list) -> list:
     return _rp_scale(ctx, ctx.rinv(a[-1]), a)
 
 
-def _rp_gcd(ctx: "FieldCtx", a: list, b: list) -> list:
-    a, b = list(a), list(b)
+def _loop_gcd(ctx: "FieldCtx", a: list, b: list) -> list:
     while b:
         a, b = b, _rp_rem(ctx, a, b)
-    return _rp_monic(ctx, a)
+    return _rp_monic(ctx, list(a))
 
 
 def _rp_pow_mod(ctx: "FieldCtx", base: list, e: int, mod: list) -> list:
@@ -208,7 +213,7 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
     for i in range(1, n + 1):
         h = _rp_pow_mod(ctx, h, q, mod)
         if i in checkpoints:
-            g = _rp_gcd(ctx, _rp_sub(ctx, h, x_poly), mod)
+            g = ctx.rgcd(_rp_sub(ctx, h, x_poly), mod)
             if len(g) - 1 > 0:
                 return False
     return h == x_poly
@@ -221,10 +226,15 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
 # stride 2d-1, so the partial products of distinct coefficients never overlap,
 # runs one base ``rconv`` and reduces once per output coefficient.  Only a
 # log-table F_q loops over its own ``radd``/``rmul``.  ``rdivmod(a, b)`` is the
-# trimmed quotient and remainder of a by a nonzero vector b: F_p sums Python
-# ints and reduces only each quotient term and the final remainder, every other
-# kind runs the schoolbook loop of :func:`_loop_divmod`.
-_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv", "rdivmod")
+# trimmed quotient and remainder of a by a nonzero vector b, and ``rgcd(a, b)``
+# the monic gcd of two trimmed vectors.  F_p sums Python ints and reduces only
+# each quotient term and the final remainder, and its Euclid divides by monic
+# remainders.  QQ runs one pseudo-division on integer numerators
+# (:func:`_int_divmod`) and the primitive remainder sequence of
+# :func:`_int_gcd`, and builds ``Fraction``s only for what it returns.  Every
+# other kind runs the schoolbook loops of :func:`_loop_divmod` and
+# :func:`_loop_gcd`.
+_OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv", "rdivmod", "rgcd")
 
 
 def _inverse_of_zero():
@@ -250,6 +260,76 @@ def _int_trim(v: list) -> list:
     while v and not v[-1]:
         v.pop()
     return v
+
+
+# ---------------------------------------------------------------------------
+# Euclid on integer vectors: QQ's kernels and those of its shadow Z.  By
+# Gauss's lemma a gcd in QQ[x] of integer polynomials has a primitive integer
+# generator, which divides both in Z[x], so a remainder sequence may drop the
+# integer content of every member and divide by nothing else (von zur Gathen
+# & Gerhard, *Modern Computer Algebra*, ch. 6).
+# ---------------------------------------------------------------------------
+
+
+def _int_divmod(a: list, b: list) -> tuple[list, list, int]:
+    """Integer vectors q, r and an integer s != 0 with s*a = q*b + r and
+    len(r) < len(b): a pseudo-division in which each step scales by
+    lc(b)/g only, g the gcd of lc(b) and the top term."""
+    r, q, s = list(a), [], 1
+    lead, low = b[-1], [-c for c in b[:-1]]
+    for k in range(len(r) - len(b), -1, -1):
+        c = r.pop()  # the top term, cancelled by construction
+        if c:
+            g = gcd(c, lead)
+            m = lead // g
+            if m != 1:
+                r, q, s = [x * m for x in r], [x * m for x in q], s * m
+            c //= g
+            for j, bj in enumerate(low, k):
+                r[j] += c * bj
+        q.append(c)
+    q.reverse()
+    return _int_trim(q), _int_trim(r), s
+
+
+def _int_primitive(v: list) -> list:
+    """v divided by the gcd of its entries, leading entry made positive."""
+    g = gcd(*v)
+    if v and v[-1] < 0:
+        g = -g
+    return v if g in (0, 1) else [c // g for c in v]
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """The primitive generator, with positive leading entry, of the gcd in
+    QQ[x] of two trimmed integer vectors: the primitive remainder sequence."""
+    a, b = _int_primitive(a), _int_primitive(b)
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _int_primitive(_int_divmod(a, b)[1])
+    return a
+
+
+def _zdiv_exact(a: list, b: list) -> list | None:
+    """a / b over Z, or None unless b divides a."""
+    r, db, q = list(a), len(b) - 1, [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(r[k + db], b[-1])
+        if rem:
+            return None
+        for j in range(db):
+            r[k + j] -= q[k] * b[j]
+    return None if any(r[:db]) else q
+
+
+def _int_divexact(a: list, b: list) -> tuple[list, list]:
+    """The ``rdivmod`` of Z[x]: a/b with remainder zero, where b divides a;
+    no caller asks for any other division, so one is a bug."""
+    q = _zdiv_exact(a, b)
+    if q is None:
+        raise InternalCheckError("division is not exact in Z[x]")
+    return q, []
 
 
 # F_p products whose operands both have more than this many coefficients (after
@@ -334,6 +414,17 @@ def _prime_ops(p: int) -> tuple:
                     r[j] += c * bj
         return _int_trim(q), _int_trim([c % p for c in r])
 
+    def rgcd(a, b):
+        if not b:
+            a, b = b, a
+        while b:  # each divisor made monic once, so the last one is the gcd
+            if len(b) == 1:
+                return [1]
+            inv = rinv(b[-1])
+            b = [c * inv % p for c in b]
+            a, b = b, rdivmod(a, b)[1]
+        return a
+
     return (
         lambda a, b: (a + b) % p,
         lambda a, b: (a - b) % p,
@@ -344,6 +435,7 @@ def _prime_ops(p: int) -> tuple:
         lambda n: n % p,
         rconv,
         rdivmod,
+        rgcd,
     )
 
 
@@ -368,7 +460,18 @@ def _rational_ops(ctx: "FieldCtx") -> tuple:
         den = da * db
         return [Fraction(c, den) if c else zero for c in _int_mul_trunc(na, nb, n)]
 
-    return (add, sub, neg, mul, rinv, rpow, Fraction, rconv, partial(_loop_divmod, ctx))
+    def rdivmod(a, b):
+        # s*na = q*nb + r, so a = na/da is (q*db/(s*da))*b + r/(s*da)
+        (na, da), (nb, db) = _over_lcm(a, zero), _over_lcm(b, zero)
+        q, r, s = _int_divmod(na, nb)
+        s *= da
+        return [Fraction(c * db, s) if c else zero for c in q], [Fraction(c, s) if c else zero for c in r]
+
+    def rgcd(a, b):
+        g = _int_gcd(_over_lcm(a, zero)[0], _over_lcm(b, zero)[0])
+        return [Fraction(c, g[-1]) if c else zero for c in g]
+
+    return (add, sub, neg, mul, rinv, rpow, Fraction, rconv, rdivmod, rgcd)
 
 
 def _tuple_ops(ctx: "FieldCtx") -> tuple:
@@ -446,6 +549,7 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
         lambda k: (base.rfrom_int(k),) + (base.rzero,) * (d - 1),
         rconv,
         partial(_loop_divmod, ctx),
+        partial(_loop_gcd, ctx),
     )
 
 
@@ -472,6 +576,9 @@ class Shadow:
     n's integer coordinates and ``divexact(n, k)`` divides them all by an
     integer k that divides them.  Over a finite field, where D is always 1,
     nothing is ever reduced, and ``content`` and ``divexact`` are None.
+    Z also binds ``rgcd`` (:func:`_int_gcd`) and ``rdivmod``
+    (:func:`_int_divexact`) for the gcds of :mod:`.algebra`; the orders of
+    towers have no gcd, and no caller asks them for one.
     """
 
     __slots__ = ("base", "deg_step", "modulus", "rzero", "rone", "ris_zero", *_OPS,
@@ -515,6 +622,8 @@ def _shadow(ctx: "FieldCtx") -> Shadow:
             rneg=neg,
             rmul=mul,
             rconv=_int_mul_trunc,
+            rdivmod=_int_divexact,
+            rgcd=_int_gcd,
             scale=mul,
             content=pos,
             divexact=floordiv,
@@ -659,6 +768,7 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
         lambda k: log[k % p],
         rconv,
         partial(_loop_divmod, ctx),
+        partial(_loop_gcd, ctx),
     )
 
 
@@ -819,7 +929,7 @@ class FieldCtx:
         _rp_trim(self, reps)
         n = len(reps) - 1
         if n < 2:
-            raise ValueError("extension degree must be at least 2")
+            raise UnsupportedInput("extension degree must be at least 2")
         if self.depth + 1 > MAX_TOWER_DEPTH:
             raise TowerLimitExceeded(
                 f"tower depth {self.depth + 1} exceeds the cap {MAX_TOWER_DEPTH}"
@@ -828,13 +938,13 @@ class FieldCtx:
         if not _verified:
             if self.char > 0:
                 if not _rp_is_irreducible(self, reps):
-                    raise ValueError("modulus is reducible")
+                    raise UnsupportedInput("modulus is reducible")
             else:
                 from . import unipoly as _up
 
                 f = _up.UniPoly(self, [FieldElement(self, r) for r in reps])
                 if not f.is_irreducible():
-                    raise ValueError("modulus is reducible")
+                    raise UnsupportedInput("modulus is reducible")
         if gen_name is None:
             gen_name = chr(ord("a") + self.depth)
         key = ("ext", self._key, tuple(map(self.rsort_key, reps)), gen_name)
@@ -884,7 +994,7 @@ class FieldCtx:
 
     def gen(self) -> "FieldElement":
         if self.kind != "extension":
-            raise ValueError("context has no generator")
+            raise UnsupportedInput("context has no generator")
         if self._log is not None:
             return FieldElement(self, self._log[self.char])
         rep = [self.base.rzero] * self.deg_step
@@ -934,7 +1044,7 @@ class FieldCtx:
 
     def element_at(self, i: int) -> "FieldElement":
         if self.order is None:
-            raise ValueError("cannot index an infinite field")
+            raise UnsupportedInput("cannot index an infinite field")
         if not 0 <= i < self.order:
             raise IndexError(i)
         if self.kind == "prime":
@@ -950,7 +1060,7 @@ class FieldCtx:
 
     def elements(self) -> Iterator["FieldElement"]:
         if self.order is None:
-            raise ValueError("cannot enumerate an infinite field")
+            raise UnsupportedInput("cannot enumerate an infinite field")
         for i in range(self.order):
             yield self.element_at(i)
 

@@ -28,6 +28,7 @@ from .errors import (
     NotReduced,
     NotSingularAtOrigin,
     UndefinedAtOrigin,
+    UnsupportedInput,
 )
 from .field import FieldCtx, FieldElement
 from .hne import BranchSet, _axis_order, decompose_reduced
@@ -352,7 +353,7 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
 def multiplicity(f: MPoly) -> int:
     m = f.order()
     if m is None:
-        raise ValueError("the zero polynomial has no multiplicity")
+        raise UnsupportedInput("the zero polynomial has no multiplicity")
     return m
 
 

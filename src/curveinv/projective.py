@@ -22,6 +22,7 @@ from .errors import (
     NotHomogeneous,
     PositiveDimensionalSingularLocus,
     ReducibleCurve,
+    UnsupportedInput,
 )
 from .field import FieldElement
 from .invariants import (
@@ -122,7 +123,7 @@ def _normalize(trip: tuple) -> tuple:
         if not trip[k].is_zero():
             inv = trip[k].inverse()
             return tuple(c * inv for c in trip)
-    raise ValueError("(0:0:0) is not a projective point")
+    raise UnsupportedInput("(0:0:0) is not a projective point")
 
 
 def _locate(F: MPoly) -> list[tuple]:
@@ -166,7 +167,7 @@ def local_equation(F: MPoly, point) -> MPoly:
     of the point's last nonzero coordinate and translated to the origin."""
     coords = tuple(point.coords) if isinstance(point, SingularPoint) else tuple(point)
     if len(coords) != 3:
-        raise ValueError("a projective point needs three coordinates")
+        raise UnsupportedInput("a projective point needs three coordinates")
     trip = _normalize(coords)
     chart = _chart_of(trip)
     k = PROJ_VARS.index(chart)

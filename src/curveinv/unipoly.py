@@ -23,7 +23,7 @@ from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import DivisionByZero, IncompatibleContexts, InternalCheckError
+from .errors import DivisionByZero, IncompatibleContexts, InternalCheckError, UnsupportedInput
 from .field import (
     FieldCtx,
     FieldElement,
@@ -33,13 +33,13 @@ from .field import (
     _render_terms,
     _rp_add,
     _rp_divmod,
-    _rp_gcd,
     _rp_monic,
     _rp_mul,
     _rp_pow_mod,
     _rp_scale,
     _rp_sub,
     _rp_trim,
+    _zdiv_exact,
     embed,
 )
 
@@ -143,7 +143,7 @@ class UniPoly:
 
     def __pow__(self, e: int) -> "UniPoly":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise UnsupportedInput("negative polynomial power")
         result = UniPoly(self.ctx, [self.ctx.one])
         acc = self
         while e:
@@ -181,7 +181,7 @@ class UniPoly:
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        g = _rp_gcd(self.ctx, self._reps(), other._reps())
+        g = self.ctx.rgcd(self._reps(), other._reps())
         return UniPoly._from_reps(self.ctx, g)
 
     def derivative(self) -> "UniPoly":
@@ -214,7 +214,7 @@ class UniPoly:
         """Exact p-th root of a polynomial in K[x^p] (finite K)."""
         p = self.ctx.char
         if p == 0:
-            raise ValueError("p-th root needs positive characteristic")
+            raise InternalCheckError("p-th root needs positive characteristic")
         out = []
         for i, c in enumerate(self.coeffs):
             if i % p == 0:
@@ -395,18 +395,6 @@ class _IntegersMod:
 
     def ris_zero(self, a: int) -> bool:
         return a == 0
-
-
-def _zdiv_exact(a: list, b: list) -> list | None:
-    """a / b over Z, or None unless b divides a."""
-    r, db, q = list(a), len(b) - 1, [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k], rem = divmod(r[k + db], b[-1])
-        if rem:
-            return None
-        for j in range(db):
-            r[k + j] -= q[k] * b[j]
-    return None if any(r[:db]) else q
 
 
 def _bezout(R, a: list, b: list) -> tuple[list, list]:

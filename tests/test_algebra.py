@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from itertools import combinations
 
 from curveinv import algebra
 from curveinv.algebra import (
+    CERTIFY_POINTS,
     MPoly,
+    _from_dense,
     _gcd_dense,
     _points,
     _primitive,
@@ -31,7 +34,7 @@ from curveinv.field import (
     FieldCtx,
     FieldElement,
     _flat_finite_ctx,
-    _rp_gcd,
+    _loop_gcd,
     _rp_mul,
     _rp_scale,
 )
@@ -586,7 +589,7 @@ def _gcd_by_the_sequence(ctx, a, b):
     cb, b = _primitive(ctx, b)
     a, b, _, _ = _subresultants(ctx, a, b)
     a = [[ctx.rone]] if b else _primitive(ctx, a)[1]
-    scale = _rp_scale(ctx, ctx.rinv(a[-1][-1]), _rp_gcd(ctx, ca, cb))
+    scale = _rp_scale(ctx, ctx.rinv(a[-1][-1]), _loop_gcd(ctx, ca, cb))
     return [_rp_mul(ctx, c, scale) for c in a]
 
 
@@ -648,3 +651,37 @@ def test_a_leading_coefficient_vanishing_at_every_point_falls_back(name, monkeyp
     a, b = _to_dense(f), _to_dense(g)
     assert _gcd_dense(ctx, a, b) == _gcd_by_the_sequence(ctx, a, b) == [[ctx.rone]]
     assert len(calls) == 1
+
+
+def test_rational_gcds_run_on_integer_polynomials(monkeypatch):
+    # planted common factors, coefficients with denominators near 10^12, and
+    # pairs whose leading coefficient vanishes at every certificate point
+    x, y = (MPoly.variable(QQ, ("x", "y"), v) for v in ("x", "y"))
+    one = MPoly.constant(QQ, ("x", "y"), 1)
+    lead = _product(QQ, [x - MPoly.constant(QQ, ("x", "y"), k) for k in range(1, CERTIFY_POINTS + 1)])
+    tiny = QQ.from_fraction(Fraction(-7, 10**12 + 39))
+    rings = []
+
+    def spy(ring, a, b):
+        rings.append(ring)
+        assert all(type(c) is int for row in a + b for c in row)
+        return _subresultants(ring, a, b)
+
+    monkeypatch.setattr(algebra, "_subresultants", spy)
+    rng = random.Random("QQ on Z")
+    undecided = 0
+    for i in range(16):
+        c = _random_poly(QQ, rng, max_deg=2, nterms=3) + y
+        if i % 2:
+            f, g = lead * y**2 + y + one, lead * y + one  # coprime, but no point decides
+        else:
+            f, g = _random_poly(QQ, rng, max_deg=2, nterms=4), _random_poly(QQ, rng, max_deg=2, nterms=4)
+        f, g = (f * c).scale(tiny), g * c
+        a, b = _to_dense(f), _to_dense(g)
+        before = len(rings)
+        d = _gcd_dense(QQ, a, b)
+        assert d == _gcd_by_the_sequence(QQ, a, b), (str(f), str(g))
+        assert _from_dense(f, d).degree_in(1) >= 1
+        undecided += i % 2 and len(rings) > before
+    assert set(rings) == {QQ.shadow}
+    assert undecided == 8

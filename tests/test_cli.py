@@ -389,6 +389,79 @@ class TestErrorContract:
         assert unused == []
 
 
+    def test_no_bare_value_error_is_raised(self):
+        # a check raises UnsupportedInput (bad input, still a ValueError) or
+        # InternalCheckError (a defect); a bare ValueError says neither
+        package = Path(curveinv.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_every_context_kind_binds_every_op(self):
+        from curveinv.field import _OPS, LOG_TABLE_MAX_ORDER, FieldCtx, _flat_finite_ctx
+
+        qq = FieldCtx.rationals()
+        qq_a = qq.extend([-2, 0, 1])
+        kinds = {
+            "F_p": FieldCtx.prime(7),
+            "log-table F_q": _flat_finite_ctx(7, 3),
+            "tuple F_q": _flat_finite_ctx(67, 2),
+            "QQ": qq,
+            "QQ(a)": qq_a,
+            "QQ(a,b)": qq_a.extend([-3, 0, 1]),
+        }
+        assert kinds["log-table F_q"]._exp is not None
+        assert kinds["tuple F_q"]._exp is None and kinds["tuple F_q"].order > LOG_TABLE_MAX_ORDER
+        assert "rgcd" in _OPS
+        unbound = [(kind, name) for kind, ctx in kinds.items() for name in _OPS if not callable(getattr(ctx, name))]
+        assert unbound == []
+
+
+def _value_error_sites():
+    """The checks that raised a bare ValueError: each is reached by a public
+    call, none from the command line."""
+    from curveinv.algebra import MPoly, parse_poly
+    from curveinv.field import FieldCtx
+    from curveinv.invariants import multiplicity
+    from curveinv.projective import PROJ_VARS, local_equation
+    from curveinv.unipoly import UniPoly
+
+    qq, f5 = FieldCtx.rationals(), FieldCtx.prime(5)
+    cubic = parse_poly("x^3+y^3+z^3", f5, PROJ_VARS)
+    return {
+        "extend degree": (lambda: f5.extend([1, 1]), "extension degree must be at least 2"),
+        "extend reducible mod p": (lambda: f5.extend([-1, 0, 1]), "modulus is reducible"),
+        "extend reducible over QQ": (lambda: qq.extend([-4, 0, 1]), "modulus is reducible"),
+        "gen": (lambda: qq.gen(), "context has no generator"),
+        "element_at": (lambda: qq.element_at(0), "cannot index an infinite field"),
+        "elements": (lambda: next(qq.elements()), "cannot enumerate an infinite field"),
+        "multiplicity": (lambda: multiplicity(MPoly.zero(qq, ("x", "y"))), "the zero polynomial has no multiplicity"),
+        "point (0:0:0)": (lambda: local_equation(cubic, (f5.zero,) * 3), r"\(0:0:0\) is not a projective point"),
+        "point of two coordinates": (lambda: local_equation(cubic, (f5.one, f5.zero)), "a projective point needs three coordinates"),
+        "negative power": (lambda: UniPoly(qq, [1, 1]) ** -1, "negative polynomial power"),
+        "p-th root in char 0": (lambda: UniPoly(qq, [1, 1]).pth_root(), "p-th root needs positive characteristic"),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_value_error_sites()))
+def test_former_value_error_sites(site):
+    # a caller's bad argument is UnsupportedInput, so `except ValueError` still
+    # catches it; the one precondition only the package's own code can break
+    # (UniPoly.pth_root is called in characteristic p only) is a defect
+    from curveinv.errors import InternalCheckError, UnsupportedInput
+
+    call, message = _value_error_sites()[site]
+    expected = InternalCheckError if site == "p-th root in char 0" else UnsupportedInput
+    with pytest.raises(expected, match=message):
+        call()
+
+
 class TestNoThirdPartyDependency:
     def test_char_zero_towers_factor_with_sympy_blocked(self):
         # None in sys.modules makes every later `import sympy` raise ImportError.

@@ -25,7 +25,11 @@ from curveinv.field import (
     _int_mul_trunc,
     _is_prime,
     _loop_divmod,
+    _rp_add,
     _rp_divmod,
+    _rp_monic,
+    _rp_mul,
+    _rp_trim,
     embed,
 )
 from curveinv.unipoly import UniPoly, _IntegersMod
@@ -330,6 +334,81 @@ def test_prime_division_kernel_matches_the_generic_loop(m):
     assert exact >= 40
     with pytest.raises(DivisionByZero):
         _rp_divmod(ctx, [1, 2], [])
+
+
+def _schoolbook_gcd(ctx, a, b):
+    """The Euclid every context ran before ``rgcd``: remainders by the
+    schoolbook loop, made monic at the end."""
+    while b:
+        a, b = b, _loop_divmod(ctx, a, b)[1]
+    return _rp_monic(ctx, list(a))
+
+
+def _rep_vectors(ctx):
+    """Trimmed rep vectors, empty and constant ones included; over QQ with
+    negative numerators, denominators up to 10^12 and scattered zeros."""
+    if ctx.kind == "prime":
+        coeff = st.integers(0, ctx.char - 1)
+    else:
+        coeff = st.one_of(
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-9, 9)),
+            st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**12)),
+        )
+    return st.lists(coeff, max_size=6).map(lambda v: _rp_trim(ctx, v))
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.prime(2), FieldCtx.prime(7), FieldCtx.prime(10007), FieldCtx.rationals()],
+                         ids=["F2", "F7", "F10007", "QQ"])
+def test_euclid_kernels_match_the_schoolbook_loops(ctx):
+    vectors = _rep_vectors(ctx)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(vectors, vectors, vectors, st.booleans())
+    def check(a, b, c, planted):
+        if planted and c:  # a common factor, so the gcd is not 1
+            a, b = _rp_mul(ctx, a, c), _rp_mul(ctx, b, c)
+        g = ctx.rgcd(a, b)
+        assert g == _schoolbook_gcd(ctx, a, b) == ctx.rgcd(b, a)
+        if planted and c and a and b:
+            assert len(g) >= len(c)
+        if b:
+            assert ctx.rdivmod(a, b) == _loop_divmod(ctx, a, b)
+        if a:
+            assert ctx.rdivmod(b, a) == _loop_divmod(ctx, b, a)
+
+    check()
+    one = ctx.rone
+    assert ctx.rgcd([], []) == []
+    assert ctx.rgcd([], [ctx.rfrom_int(3)]) == [one]
+    assert ctx.rgcd([ctx.rfrom_int(2), ctx.rfrom_int(5)], []) == _rp_monic(ctx, [ctx.rfrom_int(2), ctx.rfrom_int(5)])
+    assert ctx.rdivmod([ctx.rfrom_int(3)], [one, one]) == ([], [ctx.rfrom_int(3)])
+
+
+def test_rational_kernels_build_fractions_of_the_right_size():
+    qq = FieldCtx.rationals()
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    # (x/2 - 1/3)(x + 1) and (x/2 - 1/3)(x - 5): the monic gcd is x - 2/3
+    a = [third, third + half, half]
+    b = [-5 * third, third - 5 * half, half]
+    assert qq.rgcd(a, b) == [Fraction(-2, 3), Fraction(1)]
+    big = Fraction(10**12 + 39, 10**12 + 37)
+    q, r = qq.rdivmod([big, 0, 3 * big], [Fraction(7, 10**12 + 37), big])
+    assert _rp_add(qq, _rp_mul(qq, q, [Fraction(7, 10**12 + 37), big]), r) == [big, 0, 3 * big]
+    assert all(c.denominator > 0 for c in q + r)
+
+
+def test_the_integer_shadow_divides_exactly_or_not_at_all():
+    Z = FieldCtx.rationals().shadow
+    assert Z.rdivmod([2, 4, 2], [1, 1]) == ([2, 2], [])
+    assert Z.rdivmod([], [3, 1]) == ([], [])
+    for a, b in [([1, 2, 1], [2, 2]), ([1, 0, 1], [1, 1]), ([1], [1, 1])]:
+        with pytest.raises(InternalCheckError, match="not exact in Z"):
+            Z.rdivmod(a, b)
+    # the gcd is the primitive generator of the gcd over QQ, leading entry positive
+    assert Z.rgcd([-6, 0, 6], [-4, -4]) == [1, 1]
+    assert Z.rgcd([2, 4], [3]) == [1]
+    assert Z.rgcd([0, -3], []) == [0, 1]
 
 
 def test_leading_coefficient_of_zero_is_an_internal_error():
