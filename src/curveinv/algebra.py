@@ -33,6 +33,7 @@ from .errors import (
     IncompatibleContexts,
     InternalCheckError,
     ParseError,
+    UnsupportedInput,
     WrongVariables,
 )
 from .field import FieldCtx, FieldElement, _render_terms, embed
@@ -193,7 +194,7 @@ class MPoly:
 
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:
-            raise InternalCheckError("negative polynomial power")
+            raise UnsupportedInput("negative polynomial power")
         result = MPoly.constant(self.ctx, self.vars, self.ctx.one)
         acc = self
         while e:

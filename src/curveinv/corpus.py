@@ -236,12 +236,11 @@ def evaluate_item(item: CorpusItem) -> dict:
     return out
 
 
-def run_corpus(items: list[CorpusItem], workers: int | None = None) -> list[dict]:
+def run_corpus(items: list[CorpusItem]) -> list[dict]:
     """Evaluate every item; results come back in input order regardless of
     scheduling, so the summary is deterministic."""
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1) if len(items) >= 16 else 1
-    if workers <= 1 or len(items) < 2:
+    workers = min(4, os.cpu_count() or 1) if len(items) >= 16 else 1
+    if workers == 1:
         return [evaluate_item(it) for it in items]
     import multiprocessing  # loaded only here, so `local analyze` does not pay for it
 

@@ -46,9 +46,13 @@ has the base-p digits of i as coefficients, ``sort_key`` is that digit
 tuple, and ``str``, ``modulus``, embeddings and interning keys read the
 digits, so no output sees the codes.
 
-Extension arithmetic reduces against a monic defining polynomial whose
-irreducibility is verified at construction (Rabin's test over finite fields,
-factorization in characteristic zero).  Finite contexts produced by
+Contexts are interned in one place: :func:`_interned` keys each by its
+presentation (the prime, or the base, monic modulus and generator name) and
+builds it, log tables included, on the first request only, so equal
+presentations give the identical object.  Extension arithmetic reduces
+against a monic defining polynomial whose irreducibility is verified at
+construction (Rabin's test over finite fields, factorization in
+characteristic zero).  Finite contexts produced by
 :meth:`FieldCtx.extend_with_root` are always single-step extensions of F_p;
 growing F_{p^k} lands in a flattened F_{p^{k*d}}, into which :func:`embed`
 maps the old context, so arithmetic never pays for a tower.
@@ -60,6 +64,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import gcd, lcm
 from operator import add, eq, floordiv, mul, neg, not_, pos, sub
 from typing import Iterator
@@ -184,6 +189,18 @@ def _loop_gcd(ctx: "FieldCtx", a: list, b: list) -> list:
     while b:
         a, b = b, _rp_rem(ctx, a, b)
     return _rp_monic(ctx, list(a))
+
+
+def _rp_gcdex(ctx: "FieldCtx", a: list, b: list) -> tuple[list, list]:
+    """The monic gcd g of a and b, and s with s*a = g mod b and deg s < deg b
+    (extended Euclid, tracking the Bezout coefficient of a only)."""
+    r0, r1, s0, s1 = a, b, [ctx.rone], []
+    while r1:
+        q, rem = _rp_divmod(ctx, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _rp_sub(ctx, s0, _rp_mul(ctx, q, s1))
+    inv = ctx.rinv(r0[-1])
+    return _rp_scale(ctx, inv, r0), _rp_scale(ctx, inv, s0)
 
 
 def _rp_pow_mod(ctx: "FieldCtx", base: list, e: int, mod: list) -> list:
@@ -513,16 +530,8 @@ def _tuple_ops(ctx: "FieldCtx") -> tuple:
         v = _rp_trim(base, list(a))
         if not v:
             _inverse_of_zero()
-        # Extended Euclid against the modulus, tracking only the Bezout
-        # coefficient of ``v``; the gcd is a nonzero constant because the
-        # modulus is irreducible and deg v < deg modulus.
-        r0, r1 = list(ctx.modulus), v
-        u0, u1 = [], [base.rone]
-        while r1:
-            q, rem = _rp_divmod(base, r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _rp_sub(base, u0, _rp_mul(base, q, u1))
-        u = _rp_rem(base, _rp_scale(base, base.rinv(r0[0]), u0), list(ctx.modulus))
+        # the gcd is 1: the modulus is irreducible and deg v < deg modulus
+        u = _rp_gcdex(base, v, list(ctx.modulus))[1]
         return tuple(u + [bzero] * (d - len(u)))
 
     def rpow(a, e):
@@ -795,8 +804,10 @@ def _render_terms(terms) -> str:
 # Contexts
 # ---------------------------------------------------------------------------
 
+# Every context, keyed by its presentation: ("prime", p), ("rationals",),
+# ("ext", base key, modulus sort keys, generator name), and ("flat", p, n) for
+# the context that _flat_finite_ctx picks, stored a second time under that key.
 _CTX_CACHE: dict = {}
-_FLAT_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
 
 
 class FieldCtx:
@@ -825,32 +836,38 @@ class FieldCtx:
         "_log",
     )
 
-    def __init__(self, *, _token=None, tables=None, **attrs):
-        if _token is not _NEW_TOKEN:
+    def __init__(self, token, key, *, char=0, base=None, modulus=None, gen_name=None):
+        if token is not _NEW_TOKEN:
             raise TypeError("use FieldCtx.prime / FieldCtx.rationals / ctx.extend")
-        for name in self.__slots__:
-            if name.startswith("_") and name != "_key":
-                continue
-            object.__setattr__(self, name, attrs.get(name))
-        object.__setattr__(self, "_key", attrs["_key"])
-        object.__setattr__(self, "_embed_cache", {})
-        exp, log, zech = tables or (None, None, None)
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
-        if self.kind == "prime":
-            ops = _prime_ops(self.char)
-        elif self.kind == "rationals":
-            ops = _rational_ops(self)
+        self._key, self.base, self.modulus, self.gen_name = key, base, modulus, gen_name
+        if base is None:
+            self.kind, self.char, self.order = "prime" if char else "rationals", char, char or None
+            self.deg_step, self.absdegree, self.depth = 1, 1, 0
         else:
-            ops = _tuple_ops(self) if exp is None else _log_table_ops(self, zech)
+            d = len(modulus) - 1
+            self.kind, self.char, self.deg_step = "extension", base.char, d
+            self.order = None if base.order is None else base.order**d
+            self.absdegree, self.depth = base.absdegree * d, base.depth + 1
+        self._embed_cache, self._exp, self._log = {}, None, None
+        if self.kind == "prime":
+            self.rzero, self.rone = 0, 1
+            ops = _prime_ops(char)
+        elif self.kind == "rationals":
+            self.rzero, self.rone = Fraction(0), Fraction(1)
+            ops = _rational_ops(self)
+        elif base.kind == "prime" and self.order <= LOG_TABLE_MAX_ORDER:
+            self._exp, self._log, zech = _log_tables(self.char, d, modulus)
+            self.rzero, self.rone = 0, 1
+            ops = _log_table_ops(self, zech)
+        else:
+            self.rzero, self.rone = (base.rzero,) * d, (base.rone,) + (base.rzero,) * (d - 1)
+            ops = _tuple_ops(self)
         for name, op in zip(_OPS, ops):
-            object.__setattr__(self, name, op)
+            setattr(self, name, op)
         # an int or Fraction rep is zero exactly when it is falsy; a tuple never is
-        tup = isinstance(self.rzero, tuple)
-        object.__setattr__(self, "ris_zero", partial(eq, self.rzero) if tup else not_)
-        object.__setattr__(self, "shadow", _shadow(self))
-        object.__setattr__(self, "zero", FieldElement(self, self.rzero))
-        object.__setattr__(self, "one", FieldElement(self, self.rone))
+        self.ris_zero = partial(eq, self.rzero) if isinstance(self.rzero, tuple) else not_
+        self.shadow = _shadow(self)
+        self.zero, self.one = FieldElement(self, self.rzero), FieldElement(self, self.rone)
 
     # -- construction -------------------------------------------------------
 
@@ -858,49 +875,11 @@ class FieldCtx:
     def prime(p: int) -> "FieldCtx":
         if not _is_prime(p):
             raise UnsupportedInput(f"{p} is not prime")
-        key = ("prime", p)
-        ctx = _CTX_CACHE.get(key)
-        if ctx is None:
-            ctx = FieldCtx(
-                _token=_NEW_TOKEN,
-                kind="prime",
-                char=p,
-                order=p,
-                base=None,
-                modulus=None,
-                gen_name=None,
-                deg_step=1,
-                absdegree=1,
-                depth=0,
-                rzero=0,
-                rone=1 % p,
-                _key=key,
-            )
-            _CTX_CACHE[key] = ctx
-        return ctx
+        return _interned(("prime", p), char=p)
 
     @staticmethod
     def rationals() -> "FieldCtx":
-        key = ("rationals",)
-        ctx = _CTX_CACHE.get(key)
-        if ctx is None:
-            ctx = FieldCtx(
-                _token=_NEW_TOKEN,
-                kind="rationals",
-                char=0,
-                order=None,
-                base=None,
-                modulus=None,
-                gen_name=None,
-                deg_step=1,
-                absdegree=1,
-                depth=0,
-                rzero=Fraction(0),
-                rone=Fraction(1),
-                _key=key,
-            )
-            _CTX_CACHE[key] = ctx
-        return ctx
+        return _interned(("rationals",))
 
     def extend(
         self,
@@ -911,68 +890,26 @@ class FieldCtx:
     ) -> "FieldCtx":
         """Extension by a root of ``modulus`` (irreducible over this context).
 
-        ``modulus`` is a sequence of elements of this context (or anything
-        with such a ``.coeffs``), constant term first.  It is made monic.
-        Irreducibility is checked here unless the caller already factored.
+        ``modulus`` is a sequence of coefficients that :class:`UniPoly`
+        accepts over this context (or anything with such a ``.coeffs``),
+        constant term first.  It is made monic.  Irreducibility is checked
+        here unless the caller already factored.
         """
-        coeffs = list(getattr(modulus, "coeffs", modulus))
-        reps = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.ctx is not self:
-                    raise IncompatibleContexts("modulus coefficients from another context")
-                reps.append(c.rep)
-            elif isinstance(c, int):
-                reps.append(self.rfrom_int(c))
-            else:
-                raise TypeError(f"bad modulus coefficient {c!r}")
-        _rp_trim(self, reps)
-        n = len(reps) - 1
-        if n < 2:
+        from .unipoly import UniPoly
+
+        f = UniPoly(self, getattr(modulus, "coeffs", modulus)).monic()
+        if f.degree() < 2:
             raise UnsupportedInput("extension degree must be at least 2")
         if self.depth + 1 > MAX_TOWER_DEPTH:
             raise TowerLimitExceeded(
                 f"tower depth {self.depth + 1} exceeds the cap {MAX_TOWER_DEPTH}"
             )
-        reps = _rp_monic(self, reps)
-        if not _verified:
-            if self.char > 0:
-                if not _rp_is_irreducible(self, reps):
-                    raise UnsupportedInput("modulus is reducible")
-            else:
-                from . import unipoly as _up
-
-                f = _up.UniPoly(self, [FieldElement(self, r) for r in reps])
-                if not f.is_irreducible():
-                    raise UnsupportedInput("modulus is reducible")
+        if not _verified and not f.is_irreducible():
+            raise UnsupportedInput("modulus is reducible")
         if gen_name is None:
             gen_name = chr(ord("a") + self.depth)
-        key = ("ext", self._key, tuple(map(self.rsort_key, reps)), gen_name)
-        ctx = _CTX_CACHE.get(key)
-        if ctx is None:
-            order = None if self.order is None else self.order**n
-            small = self.kind == "prime" and order <= LOG_TABLE_MAX_ORDER
-            tables = _log_tables(self.char, n, reps) if small else None
-            zero = 0 if small else tuple([self.rzero] * n)
-            one = 1 if small else tuple([self.rone] + [self.rzero] * (n - 1))
-            ctx = FieldCtx(
-                _token=_NEW_TOKEN,
-                tables=tables,
-                kind="extension",
-                char=self.char,
-                order=order,
-                base=self,
-                modulus=tuple(reps),
-                gen_name=gen_name,
-                deg_step=n,
-                absdegree=self.absdegree * n,
-                depth=self.depth + 1,
-                rzero=zero,
-                rone=one,
-                _key=key,
-            )
-            _CTX_CACHE[key] = ctx
-        return ctx
+        key = ("ext", self._key, tuple(c.sort_key() for c in f.coeffs), gen_name)
+        return _interned(key, base=self, modulus=tuple(f._reps()), gen_name=gen_name)
 
     def extend_with_root(self, g) -> "FieldCtx":
         """The context that a root of ``g`` joins: ``g`` is a monic
@@ -1115,6 +1052,16 @@ class FieldCtx:
 _NEW_TOKEN = object()
 
 
+def _interned(key: tuple, **presentation) -> FieldCtx:
+    """The one context for ``key``, built from ``presentation`` (the
+    characteristic of a prime field, or the base, modulus and generator name
+    of an extension) on the first request only."""
+    ctx = _CTX_CACHE.get(key)
+    if ctx is None:
+        ctx = _CTX_CACHE[key] = FieldCtx(_NEW_TOKEN, key, **presentation)
+    return ctx
+
+
 def ctx_for(char: int) -> FieldCtx:
     """QQ for characteristic 0, else the prime field F_char."""
     return FieldCtx.rationals() if char == 0 else FieldCtx.prime(char)
@@ -1129,28 +1076,13 @@ def _flat_finite_ctx(p: int, n: int) -> FieldCtx:
     """
     if n == 1:
         return FieldCtx.prime(p)
-    cached = _FLAT_CACHE.get((p, n))
-    if cached is not None:
-        return cached
-    base = FieldCtx.prime(p)
-    count = 0
-    while True:
-        digits, c = [], count
-        for _ in range(n):
-            digits.append(c % p)
-            c //= p
-        count += 1
-        if c > 0:
-            raise RuntimeError("irreducible search exhausted the digit space")
-        if digits[0] == 0:
-            continue
-        mod = digits + [1]
-        if _rp_is_irreducible(base, mod):
-            ctx = base.extend(
-                [FieldElement(base, r) for r in mod], "a", _verified=True
-            )
-            _FLAT_CACHE[(p, n)] = ctx
-            return ctx
+    ctx = _CTX_CACHE.get(("flat", p, n))
+    if ctx is None:
+        base = FieldCtx.prime(p)
+        candidates = ([*reversed(high), 1] for high in product(range(p), repeat=n))
+        mod = next(m for m in candidates if m[0] and _rp_is_irreducible(base, m))
+        ctx = _CTX_CACHE["flat", p, n] = base.extend(mod, "a", _verified=True)
+    return ctx
 
 
 def embed(elem: "FieldElement", target: FieldCtx) -> "FieldElement":

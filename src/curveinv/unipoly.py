@@ -32,11 +32,12 @@ from .field import (
     _prime_ops,
     _render_terms,
     _rp_add,
+    _rp_divexact,
     _rp_divmod,
+    _rp_gcdex,
     _rp_monic,
     _rp_mul,
     _rp_pow_mod,
-    _rp_scale,
     _rp_sub,
     _rp_trim,
     _zdiv_exact,
@@ -399,14 +400,8 @@ class _IntegersMod:
 
 def _bezout(R, a: list, b: list) -> tuple[list, list]:
     """s, t with s*a + t*b = 1 over a field R, for coprime a and b."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _rp_divmod(R, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _rp_sub(R, s0, _rp_mul(R, q, s1))
-        t0, t1 = t1, _rp_sub(R, t0, _rp_mul(R, q, t1))
-    inv = R.rinv(r0[0])
-    return _rp_scale(R, inv, s0), _rp_scale(R, inv, t0)
+    s = _rp_gcdex(R, a, b)[1]
+    return s, _rp_divexact(R, _rp_sub(R, [R.rone], _rp_mul(R, s, a)), b)
 
 
 def _hensel_lift(g: list, fs: list[list], p: int, m: int) -> list[list]:

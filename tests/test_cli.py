@@ -325,7 +325,7 @@ class TestErrorContract:
             corpus.CorpusItem(0, 2, "y^2+x^3", "catalog", 1),
             corpus.CorpusItem(1, 0, "x*y", "catalog", 2),
         ]
-        rows = corpus.run_corpus(items, workers=1)
+        rows = corpus.run_corpus(items)
         assert rows[0]["relations"] == "error:AssertionError"
         assert rows[0]["status"] == "fail"
         assert rows[1]["status"] == "pass"
@@ -388,6 +388,23 @@ class TestErrorContract:
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
         assert unused == []
 
+    def test_every_context_is_built_in_one_place(self):
+        # _interned is the one caller of the constructor, so every context is
+        # in the cache and equal presentations give the identical object
+        package = Path(curveinv.__file__).resolve().parent
+        found = []
+
+        def visit(node, where, path):
+            for child in ast.iter_child_nodes(node):
+                func = child.func if isinstance(child, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == "FieldCtx":
+                    found.append((path.name, where))
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+                visit(child, inner, path)
+
+        for path in sorted(package.glob("*.py")):
+            visit(ast.parse(path.read_text()), None, path)
+        assert found == [("field.py", "_interned")]
 
     def test_no_bare_value_error_is_raised(self):
         # a check raises UnsupportedInput (bad input, still a ValueError) or
@@ -445,6 +462,7 @@ def _value_error_sites():
         "point (0:0:0)": (lambda: local_equation(cubic, (f5.zero,) * 3), r"\(0:0:0\) is not a projective point"),
         "point of two coordinates": (lambda: local_equation(cubic, (f5.one, f5.zero)), "a projective point needs three coordinates"),
         "negative power": (lambda: UniPoly(qq, [1, 1]) ** -1, "negative polynomial power"),
+        "MPoly negative power": (lambda: parse_poly("x+y", qq) ** -1, "negative polynomial power"),
         "p-th root in char 0": (lambda: UniPoly(qq, [1, 1]).pth_root(), "p-th root needs positive characteristic"),
     }
 

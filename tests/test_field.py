@@ -17,6 +17,7 @@ from curveinv.errors import (
     InternalCheckError,
     NoEmbedding,
     TowerLimitExceeded,
+    UnsupportedInput,
 )
 from curveinv.field import (
     FieldCtx,
@@ -27,8 +28,10 @@ from curveinv.field import (
     _loop_divmod,
     _rp_add,
     _rp_divmod,
+    _rp_gcdex,
     _rp_monic,
     _rp_mul,
+    _rp_sub,
     _rp_trim,
     embed,
 )
@@ -106,9 +109,93 @@ def test_prime_field_basics():
 
 def test_contexts_are_interned():
     assert FieldCtx.prime(5) is FieldCtx.prime(5)
-    f2 = FieldCtx.prime(2)
-    assert f2.extend([1, 1, 1]) is f2.extend([1, 1, 1])
     assert FieldCtx.rationals() is FieldCtx.rationals()
+    f2, qq = FieldCtx.prime(2), FieldCtx.rationals()
+    f4 = f2.extend([1, 1, 1])
+    # every way of giving the modulus reaches the same context
+    assert f2.extend([1, 1, 1]) is f4
+    assert f2.extend([f2.one, f2.one, f2.one]) is f4
+    assert f2.extend(UniPoly(f2, [1, 1, 1])) is f4
+    assert f2.extend([3, 5, 7]) is f4  # read mod 2
+    assert qq.extend([-4, 0, 2]) is qq.extend([-2, 0, 1])  # made monic
+    assert qq.extend([-2, 0, 1], "s") is not qq.extend([-2, 0, 1])  # the name is presentation
+    assert _flat_finite_ctx(2, 2) is _flat_finite_ctx(2, 2) is f2.extend([1, 1, 1], "a")
+    assert f2.extend_with_root(UniPoly(f2, [1, 1, 1])) is _flat_finite_ctx(2, 2)
+    assert qq.extend_with_root(UniPoly(qq, [-2, 0, 1])) is qq.extend([-2, 0, 1])
+    for p, n in [(2, 12), (2, 17), (7, 3), (67, 2)]:
+        flat = _flat_finite_ctx(p, n)
+        assert flat is FieldCtx.prime(p).extend(flat.modulus, "a")
+    assert _flat_finite_ctx(5, 1) is FieldCtx.prime(5)
+
+
+def test_contexts_are_built_only_through_the_cache():
+    f5 = FieldCtx.prime(5)
+    with pytest.raises(TypeError, match="use FieldCtx.prime"):
+        FieldCtx(object(), ("prime", 5), char=5)
+    with pytest.raises(TypeError, match="use FieldCtx.prime"):
+        FieldCtx(None, ("ext", f5._key, (1, 0, 1), "a"), base=f5, modulus=(2, 0, 1), gen_name="a")
+
+
+# the parent of this module's flat presentations: the first monic irreducible
+# in counter order, constant term first; changing any changes every F_q output
+_FLAT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1) + (0,) * 8 + (1,),
+    (2, 17): (1, 0, 0, 1) + (0,) * 13 + (1,),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 6): (2, 0, 0, 0, 0, 0, 1),
+    (13, 2): (2, 0, 1),
+    (67, 2): (1, 0, 1),
+}
+
+
+def test_flat_finite_fields_keep_their_moduli():
+    for (p, n), modulus in _FLAT_MODULI.items():
+        ctx = _flat_finite_ctx(p, n)
+        assert ctx.modulus == modulus, (p, n)
+        assert (ctx.order, ctx.absdegree, ctx.depth, ctx.gen_name) == (p**n, n, 1, "a")
+        assert ctx.rsort_key(ctx.gen().rep) == (0, 1) + (0,) * (n - 2)
+
+
+def _extend_refusals():
+    f5, qq = FieldCtx.prime(5), FieldCtx.rationals()
+    deep = qq
+    for q in (2, 3, 5, 7):
+        deep = deep.extend([deep.from_int(-q), deep.zero, deep.one])
+    return {
+        "degree 1 over F_p": (lambda: f5.extend([1, 1]), UnsupportedInput),
+        "degree 0 over QQ": (lambda: qq.extend([3, 0, 0]), UnsupportedInput),
+        "zero modulus": (lambda: qq.extend([0, 0]), UnsupportedInput),
+        "reducible over F_p": (lambda: f5.extend([-1, 0, 1]), UnsupportedInput),
+        "reducible over QQ": (lambda: qq.extend([-4, 0, 1]), UnsupportedInput),
+        "foreign coefficient": (lambda: f5.extend([FieldCtx.prime(7).one, 0, 1]), IncompatibleContexts),
+        "foreign polynomial": (lambda: f5.extend(UniPoly(qq, [1, 0, 1])), IncompatibleContexts),
+        "non-number coefficient": (lambda: qq.extend(["2", 0, 1]), TypeError),
+        "float coefficient": (lambda: qq.extend([2.0, 0, 1]), TypeError),
+        "depth past the cap": (lambda: deep.extend([deep.from_int(-11), deep.zero, deep.one]), TowerLimitExceeded),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_extend_refusals()))
+def test_extend_refusals_keep_their_types(case):
+    call, expected = _extend_refusals()[case]
+    with pytest.raises(expected):
+        call()
+
+
+def test_extend_reads_fraction_coefficients():
+    qq, f5 = FieldCtx.rationals(), FieldCtx.prime(5)
+    k = qq.extend([Fraction(-1, 2), 0, 1])
+    assert k.modulus == (Fraction(-1, 2), Fraction(0), Fraction(1))
+    assert k.gen() * k.gen() == Fraction(1, 2)
+    assert f5.extend([Fraction(3, 4), 0, 1]) is f5.extend([2, 0, 1])  # 3/4 = 2 in F_5
 
 
 def test_f4_multiplication_table():
@@ -383,6 +470,33 @@ def test_euclid_kernels_match_the_schoolbook_loops(ctx):
     assert ctx.rgcd([], [ctx.rfrom_int(3)]) == [one]
     assert ctx.rgcd([ctx.rfrom_int(2), ctx.rfrom_int(5)], []) == _rp_monic(ctx, [ctx.rfrom_int(2), ctx.rfrom_int(5)])
     assert ctx.rdivmod([ctx.rfrom_int(3)], [one, one]) == ([], [ctx.rfrom_int(3)])
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [FieldCtx.prime(7), _flat_finite_ctx(7, 3), _flat_finite_ctx(67, 2), FieldCtx.rationals().extend([-2, 0, 1])],
+    ids=["F7", "log-table F7^3", "tuple F67^2", "QQ(sqrt2)"],
+)
+def test_extended_euclid_gives_the_gcd_and_a_reduced_cofactor(ctx):
+    rng = random.Random(1901)
+
+    def vector(n):
+        return _rp_trim(ctx, [ctx.sample(rng).rep for _ in range(n)])
+
+    planted_gcds = 0
+    for trial in range(60):
+        a, b = vector(rng.randrange(7)), vector(rng.randrange(1, 7))
+        c = vector(rng.randrange(2, 4)) if trial % 2 else []
+        if c:  # a common factor, so the gcd is not 1
+            a, b = _rp_mul(ctx, a, c), _rp_mul(ctx, b, c)
+        if not b:
+            continue
+        g, s = _rp_gcdex(ctx, a, b)
+        assert g == ctx.rgcd(a, b)
+        assert len(s) < len(b)
+        assert _rp_divmod(ctx, _rp_sub(ctx, _rp_mul(ctx, s, a), g), b)[1] == []
+        planted_gcds += bool(c and a and len(g) >= len(c) > 1)
+    assert planted_gcds > 10
 
 
 def test_rational_kernels_build_fractions_of_the_right_size():
