@@ -127,6 +127,8 @@ def _branch_payload(f: MPoly, prec: int) -> dict:
 
 
 def cmd_local_analyze(args) -> int:
+    if args.prec < 0:
+        raise UnsupportedInput("prec must be nonnegative")
     f = _local_input(args)
     report = analyze_local(f, _budget(args))
     data = report.to_json()
@@ -179,15 +181,20 @@ def cmd_corpus_run(args) -> int:
     rows = run_corpus(generate(spec))
     data = summarize(spec, rows)
     _emit(data, args.json)
-    if data["failed"]:
+    return _exit_code(data["failed"], data["oracle_skips"], data["count"])
+
+
+def _exit_code(failed: int, skips: int, count: int) -> int:
+    """2 when a check failed, else 3 when oracles gave up on a tenth or more of the items."""
+    if failed:
         return 2
-    if data["count"] and data["oracle_skips"] * 10 >= data["count"]:
+    if count and skips * 10 >= count:
         return 3
     return 0
 
 
 def _compare_intersection(char: int, count: int, seed: int) -> list[dict]:
-    from .corpus import _companion_germ, _sparse_poly
+    from .corpus import _companion_germ, _sparse_poly, recount
     from .oracle import i_resultant
 
     ctx = ctx_for(char)
@@ -199,20 +206,14 @@ def _compare_intersection(char: int, count: int, seed: int) -> list[dict]:
             continue
         g = _companion_germ(ctx, rng)
         expected = intersection_multiplicity(f, g)
+        got, verdict = recount(expected, lambda: i_resultant(f, g, seed=rng.randrange(2**32)))
         row = {"index": index, "f": str(f), "g": str(g), "main": str(expected)}
-        try:
-            got = i_resultant(f, g, seed=rng.randrange(2**32))
-            row["oracle"] = str(got)
-            row["verdict"] = "agree" if got == expected else "disagree"
-        except ShearExhausted:
-            row["oracle"] = "none"
-            row["verdict"] = "skip"
-        rows.append(row)
+        rows.append({**row, "oracle": str(got), "verdict": verdict})
     return rows
 
 
 def _compare_delta(char: int, count: int, seed: int) -> list[dict]:
-    from .corpus import _sparse_poly
+    from .corpus import _sparse_poly, recount
     from .oracle import delta_semigroup
 
     ctx = ctx_for(char)
@@ -222,17 +223,9 @@ def _compare_delta(char: int, count: int, seed: int) -> list[dict]:
         f = _sparse_poly(ctx, rng, 4)
         if f is None:
             continue
-        expected = delta(f)
-        got = delta_semigroup(f)
-        rows.append(
-            {
-                "index": index,
-                "f": str(f),
-                "main": expected,
-                "oracle": got,
-                "verdict": "agree" if got == expected else "disagree",
-            }
-        )
+        row = {"index": index, "f": str(f), "main": delta(f)}
+        row["oracle"], row["verdict"] = recount(row["main"], lambda: delta_semigroup(f))
+        rows.append(row)
     return rows
 
 
@@ -241,6 +234,7 @@ _DUAL_CURVES = ("y^2*z-x^3-x^2*z", "y^2*z-x^3", "x^2+y^2-z^2")
 
 
 def _compare_dual(char: int, seed: int) -> list[dict]:
+    from .corpus import recount
     from .oracle import dual_degree_elim
     from .projective import PROJ_VARS, plucker_analysis
 
@@ -248,15 +242,8 @@ def _compare_dual(char: int, seed: int) -> list[dict]:
     rows = []
     for index, text in enumerate(_DUAL_CURVES):
         F = parse_poly(text, ctx, PROJ_VARS)
-        expected = plucker_analysis(F).product
-        row = {"index": index, "F": text, "main": expected}
-        try:
-            got = dual_degree_elim(F, seed=seed)
-            row["oracle"] = got
-            row["verdict"] = "agree" if got == expected else "disagree"
-        except EliminationDegenerate:
-            row["oracle"] = "none"
-            row["verdict"] = "skip"
+        row = {"index": index, "F": text, "main": plucker_analysis(F).product}
+        row["oracle"], row["verdict"] = recount(row["main"], lambda: dual_degree_elim(F, seed=seed))
         rows.append(row)
     return rows
 
@@ -282,11 +269,7 @@ def cmd_oracle_compare(args) -> int:
         "rows": rows,
     }
     _emit(data, args.json)
-    if data["disagreements"]:
-        return 2
-    if data["count"] and data["skips"] * 10 >= data["count"]:
-        return 3
-    return 0
+    return _exit_code(data["disagreements"], data["skips"], data["count"])
 
 
 # ---------------------------------------------------------------------------

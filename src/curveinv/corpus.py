@@ -23,7 +23,7 @@ import shlex
 from dataclasses import dataclass
 
 from .algebra import MPoly, is_reduced, parse_poly, resultant
-from .errors import ShearExhausted, UnsupportedInput
+from .errors import EliminationDegenerate, ShearExhausted, UnsupportedInput
 from .field import FieldCtx, _is_prime, ctx_for
 from .invariants import delta, intersection_multiplicity, verify_relations
 from .oracle import delta_semigroup, i_resultant
@@ -34,6 +34,7 @@ __all__ = [
     "ctx_for",
     "evaluate_item",
     "generate",
+    "recount",
     "run_corpus",
     "summarize",
 ]
@@ -199,6 +200,15 @@ def _companion_germ(ctx: FieldCtx, rng: random.Random) -> MPoly:
             return g
 
 
+def recount(main, oracle) -> tuple:
+    """(oracle(), "agree" or "disagree" with main), or ("none", "skip") if the oracle gives up."""
+    try:
+        got = oracle()
+    except (ShearExhausted, EliminationDegenerate):
+        return "none", "skip"
+    return got, "agree" if got == main else "disagree"
+
+
 def evaluate_item(item: CorpusItem) -> dict:
     """Relations plus oracle recounts for one item; JSON-safe output."""
     out: dict = {
@@ -213,15 +223,10 @@ def evaluate_item(item: CorpusItem) -> dict:
         rels = verify_relations(f)
         failed = sorted(k for k, v in rels.items() if v == "fail")
         out["relations"] = "pass" if not failed else "fail:" + ",".join(failed)
-        out["oracle_delta"] = (
-            "agree" if delta_semigroup(f) == delta(f) else "disagree"
-        )
+        out["oracle_delta"] = recount(delta(f), lambda: delta_semigroup(f))[1]
         g = _companion_germ(ctx, random.Random(item.seed))
-        try:
-            same = i_resultant(f, g, seed=item.seed) == intersection_multiplicity(f, g)
-            out["oracle_intersection"] = "agree" if same else "disagree"
-        except ShearExhausted:
-            out["oracle_intersection"] = "skip"
+        main = intersection_multiplicity(f, g)
+        out["oracle_intersection"] = recount(main, lambda: i_resultant(f, g, seed=item.seed))[1]
     except Exception as exc:
         # any failure, a stray internal exception included, fails this item
         # only; the rest of the corpus still runs

@@ -49,10 +49,10 @@ digits, so no output sees the codes.
 Contexts are interned in one place: :func:`_interned` keys each by its
 presentation (the prime, or the base, monic modulus and generator name) and
 builds it, log tables included, on the first request only, so equal
-presentations give the identical object.  Extension arithmetic reduces
-against a monic defining polynomial whose irreducibility is verified at
-construction (Rabin's test over finite fields, factorization in
-characteristic zero).  Finite contexts produced by
+presentations give the identical object and contexts compare by identity.
+Extension arithmetic reduces against a monic defining polynomial whose
+irreducibility is verified at construction (Rabin's test over finite fields,
+factorization in characteristic zero).  Finite contexts produced by
 :meth:`FieldCtx.extend_with_root` are always single-step extensions of F_p;
 growing F_{p^k} lands in a flattened F_{p^{k*d}}, into which :func:`embed`
 maps the old context, so arithmetic never pays for a tower.
@@ -1039,14 +1039,6 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx({self.descriptor()})"
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FieldCtx) and self._key == other._key
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
 
 _NEW_TOKEN = object()

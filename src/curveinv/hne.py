@@ -26,6 +26,7 @@ from .errors import (
     InternalCheckError,
     NotReduced,
     NotSingularAtOrigin,
+    UnsupportedInput,
 )
 from .field import FieldCtx, FieldElement
 from .series import Param, series_order
@@ -53,8 +54,10 @@ class Branch:
     delta: int
 
     def param(self, prec: int) -> tuple[list[FieldElement], list[FieldElement]]:
+        if prec < 0:
+            raise UnsupportedInput("prec must be nonnegative")
         ctx = self.series.ctx
-        xs, ys = self.series.at(max(prec, 0))  # the CLI passes --prec unchecked
+        xs, ys = self.series.at(prec)
         return [FieldElement(ctx, c) for c in xs], [FieldElement(ctx, c) for c in ys]
 
 

@@ -133,15 +133,17 @@ def _require_origin(f: MPoly) -> None:
         raise NotSingularAtOrigin("the origin is not on the curve")
 
 
-def _min_polar_order(polars: tuple[MPoly, ...], b, bound: int) -> int | None:
-    """Least pullback order along the branch b among the nonzero polars;
-    None when every one of them vanishes on it."""
-    orders = [
-        series_order(h, b.series, bound)
-        for h in polars
-        if not h.is_zero()
-    ]
-    return min((o for o in orders if o is not None), default=None)
+def _branch_order_sum(bs: BranchSet, hs: tuple[MPoly, ...], bound: int) -> int | None:
+    """Sum over the branches of bs of the least pullback order among the
+    nonzero hs; None when all of them vanish past the bound on some branch."""
+    hs = [h for h in hs if not h.is_zero()]
+    total = 0
+    for b in bs.branches:
+        orders = [o for h in hs if (o := series_order(h, b.series, bound)) is not None]
+        if not orders:
+            return None
+        total += min(orders)
+    return total
 
 
 class Germ:
@@ -205,13 +207,7 @@ class Germ:
         # bs.f is f itself unless the branches needed a larger field
         polars = self.partials if fl is self.f else (fl.partial(0), fl.partial(1))
         bound = fl.degree() * max(polars[0].degree(), polars[1].degree(), 1) + 1
-        total = 0
-        for b in bs.branches:
-            o = _min_polar_order(polars, b, bound)
-            if o is None:
-                return INF
-            total += o
-        return ExtNat(total)
+        return ExtNat(_branch_order_sum(bs, polars, bound))  # None: infinite
 
     @cached_property
     def gamma_tilde(self) -> int:
@@ -249,13 +245,9 @@ class Germ:
         x = MPoly.variable(ctx, vars, vars[0])
         y = MPoly.variable(ctx, vars, vars[1])
         polars = (x * gl.partial(0), y * gl.partial(1))
-        bound = gl.degree() * (gl.degree() + 1) + 1
-        total = 0
-        for br in bs.branches:
-            o = _min_polar_order(polars, br, bound)
-            if o is None:
-                raise InternalCheckError("both polar pullbacks vanish on a branch")
-            total += o
+        total = _branch_order_sum(bs, polars, gl.degree() * (gl.degree() + 1) + 1)
+        if total is None:
+            raise InternalCheckError("both polar pullbacks vanish on a branch")
         ix = _axis_order(g, 0)
         iy = _axis_order(g, 1)
         if ix is None or iy is None:
@@ -341,12 +333,10 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
         if not h.constant_term().is_zero():
             continue
         bs = germ(h).branches
-        g_loc = g if bs.ctx is g.ctx else embed_poly(g, bs.ctx)
-        for b in bs.branches:
-            o = series_order(g_loc, b.series, bound)
-            if o is None:
-                return INF
-            total += e * o
+        o = _branch_order_sum(bs, (g if bs.ctx is g.ctx else embed_poly(g, bs.ctx),), bound)
+        if o is None:
+            return INF
+        total += e * o
     return ExtNat(total)
 
 

@@ -57,17 +57,17 @@ from .errors import IncompatibleContexts, InternalCheckError
 from .field import Shadow
 
 
-def _tr_inv(ring, b: list, prec: int, start: list | None = None) -> list:
+def _tr_inv(ring, b: list, prec: int, start: list) -> list:
     """1/b mod t^prec for a unit series b (b[0] a unit of the ring).
 
-    ``start``, when given, is 1/b mod t^k for some k >= 1, and the steps
-    begin from it.  Newton steps out <- out*(2 - b*out) = out - out*(b*out - 1)
-    double the precision k of out.  b*out - 1 vanishes below t^k, so only its
+    ``start`` is 1/b mod t^k for some k >= 1, and the steps begin from it.
+    Newton steps out <- out*(2 - b*out) = out - out*(b*out - 1) double the
+    precision k of out.  b*out - 1 vanishes below t^k, so only its
     coefficients k..n-1 are multiplied back, and nothing is divided, so the
     step holds in every characteristic and over the integers.
     """
     rconv, rneg = ring.rconv, ring.rneg
-    out = list(start) if start else [ring.rinv(b[0])]
+    out = list(start)
     while len(out) < prec:
         k = len(out)
         n = min(2 * k, prec)

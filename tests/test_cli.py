@@ -10,13 +10,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import curveinv
-from curveinv.cli import main
-from curveinv.corpus import CorpusSpec, generate
+from curveinv.cli import _exit_code, main
+from curveinv.corpus import CorpusItem, CorpusSpec, evaluate_item, generate, recount
+from curveinv.errors import EliminationDegenerate, ShearExhausted
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +97,54 @@ class TestLocalVerify:
         assert "fail" not in data["relations"].values()
 
 
+class TestTextOutput:
+    def test_local_verify_prints_a_nested_dict(self, capsys):
+        code, out = run_cli(capsys, "local", "verify", "--char", "3", "--poly", "x^3+x^4+y^5")
+        assert code == 0
+        verdicts = ["pass"] * 4 + ["skip"] * 2 + ["pass"] * 4
+        assert out.splitlines() == [
+            "char: 3",
+            "poly: x^3+x^4+y^5",
+            "relations:",
+            *(f"  R{i}: {v}" for i, v in enumerate(verdicts, 1)),
+            "failed: 0",
+        ]
+
+    def test_projective_analyze_prints_a_list_of_dicts(self, capsys):
+        code, out = run_cli(capsys, "projective", "analyze", "--char", "0", "--poly", "y^2*z-x^3-x^2*z")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:14] == [
+            "char: 0", "field: QQ", "poly: -x^3-x^2*z+y^2*z", "d: 3", "s: 1", "delta: 1", "mu: 1",
+            "mt: 2", "r: 2", "swan: 0", "kappa: 2", "product: 4", "m_good: True", "big_p: True",
+        ]
+        # each list entry opens with "- " and its later keys line up under the first
+        start = lines.index("points:")
+        assert lines[start + 1 : start + 8] == [
+            "  - point: (0:0:1)",
+            "    chart: z",
+            "    local:",
+            "      char: 0",
+            "      field: QQ",
+            "      poly: -x^2+y^2-x^3",
+            "      mt: 2",
+        ]
+        assert lines[start + 13 : start + 18] == [
+            "      gamma:",
+            "        kind: exact",
+            "        value: 1",
+            "      swan: 0",
+            "      m_good: True",
+        ]
+        assert lines[-5:] == [
+            "relations:",
+            "  plucker_bound: pass",
+            "  tame_swan: pass",
+            "  tame_product_delta: pass",
+            "  tame_product_mu: pass",
+        ]
+
+
 class TestProjective:
     def test_nodal_cubic(self, capsys):
         code, data = run_json(
@@ -141,6 +191,48 @@ class TestCorpus:
         assert "(x+y)^3+(x+y)^4+y^5" in polys
         assert all(it.source == "catalog" for it in items)
 
+    def test_failed_item_exits_two_with_a_quoted_repro(self, capsys, monkeypatch):
+        import curveinv.corpus as corpus
+
+        real = corpus.verify_relations
+
+        def one_fails(f):
+            rels = real(f)
+            return {**rels, "R4": "fail"} if str(f) == "y^2+2*x^3+2*x^2*y+x^4" else rels
+
+        # four items run in this process, so the patch reaches all of them
+        monkeypatch.setattr(corpus, "verify_relations", one_fails)
+        code, data = run_json(capsys, "corpus", "run", "--count", "4", "--seed", "3")
+        assert code == 2
+        assert (data["passed"], data["failed"]) == (3, 1)
+        assert data["failures"] == [
+            {
+                "index": 1,
+                "char": 3,
+                "poly": "y^2+2*x^3+2*x^2*y+x^4",
+                "source": "branch",
+                "relations": "fail:R4",
+                "oracle_delta": "agree",
+                "oracle_intersection": "agree",
+                "repro": "curveinv local verify --char 3 --poly 'y^2+2*x^3+2*x^2*y+x^4'",
+            }
+        ]
+
+    def test_oracle_give_up_is_a_skip_row(self):
+        # the companion germ of seed 295 is x+2*x*y^2, and i_resultant finds
+        # no certified shear over F_3
+        row = evaluate_item(CorpusItem(0, 3, "x*y+x^3+2*x^2*y+2*x*y^2+2*y^3", "sparse", 295))
+        assert row == {
+            "index": 0,
+            "char": 3,
+            "poly": "x*y+x^3+2*x^2*y+2*x*y^2+2*y^3",
+            "source": "sparse",
+            "relations": "pass",
+            "oracle_delta": "agree",
+            "oracle_intersection": "skip",
+            "status": "pass",
+        }
+
     def test_small_run_passes(self, capsys):
         code, data = run_json(
             capsys, "corpus", "run", "--count", "12", "--seed", "3"
@@ -175,6 +267,24 @@ class TestOracleCompare:
         )
         assert code == 0
         assert data["disagreements"] == 0
+
+
+def test_recount_verdicts():
+    def gives_up(exc):
+        def oracle():
+            raise exc("no luck")
+        return oracle
+
+    assert recount(3, lambda: 3) == (3, "agree")
+    assert recount(3, lambda: 4) == (4, "disagree")
+    assert recount(3, gives_up(ShearExhausted)) == ("none", "skip")
+    assert recount(3, gives_up(EliminationDegenerate)) == ("none", "skip")
+
+
+def test_exit_codes_of_corpus_run_and_oracle_compare():
+    # (failed, skips, count): a failure wins; a tenth or more skipped is inconclusive
+    cases = {(1, 9, 10): 2, (0, 1, 10): 3, (0, 10, 10): 3, (0, 1, 11): 0, (0, 0, 0): 0}
+    assert {args: _exit_code(*args) for args in cases} == cases
 
 
 class TestDeterminism:
@@ -247,6 +357,9 @@ class TestExitCodes:
             (["corpus", "run", "--max-degree", "0"], "max degree must be at least one"),
             (["corpus", "run", "--mix", "0,0,0"], "mix needs three nonnegative weights, not all zero"),
             (["oracle", "compare", "--suite", "delta", "--count", "-2"], "count must be nonnegative"),
+            # refused before any work, with or without --emit-branches
+            (["local", "analyze", "--char", "0", "--poly", "y^2-x^3", "--prec", "-3"],
+             "prec must be nonnegative"),
         ],
     )
     def test_boundary_messages(self, capsys, argv, message):
@@ -386,6 +499,37 @@ class TestErrorContract:
                         continue
                     used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert unused == []
+
+    def test_every_private_name_is_used(self):
+        # a private function, class or module constant must be read somewhere
+        # in the package other than its own body, so a refactor that leaves a
+        # helper behind fails here
+        package = Path(curveinv.__file__).resolve().parent
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+        def reads(node):
+            return Counter(
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            )
+
+        def private(name):
+            return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+        everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+        unused = []
+        for name, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+                    if everywhere[node.name] == reads(node)[node.name]:
+                        unused.append(f"{name}:{node.lineno} {node.name}")
+            for node in tree.body:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                for target in targets:
+                    if isinstance(target, ast.Name) and private(target.id) and not everywhere[target.id]:
+                        unused.append(f"{name}:{node.lineno} {target.id}")
         assert unused == []
 
     def test_every_context_is_built_in_one_place(self):

@@ -12,6 +12,7 @@ from curveinv.errors import (
     InternalCheckError,
     NotReduced,
     NotSingularAtOrigin,
+    UnsupportedInput,
 )
 from curveinv.field import FieldCtx
 from curveinv.hne import _coordinate_orders, _push_orders, branch_decompose
@@ -45,11 +46,13 @@ def test_cusp_branch():
     assert [m for _, m in b.path] == [2, 1]
 
 
-def test_param_of_nonpositive_precision_is_empty():
+def test_param_of_zero_precision_is_empty_and_of_negative_is_refused():
     b = branch_decompose(parse_poly("y^2-x^3", QQ)).branches[0]
     b.param(6)
     assert b.param(0) == ([], [])
-    assert b.param(-3) == ([], [])
+    # a negative precision would slice from the end of the series
+    with pytest.raises(UnsupportedInput, match="prec must be nonnegative"):
+        b.param(-3)
 
 
 def test_char2_cusp():

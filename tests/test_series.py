@@ -263,7 +263,7 @@ def test_tr_inv_matches_naive_reciprocal(name):
     @given(units, series(ctx), st.integers(1, 16))
     def check(b0, rest, n):
         b = [b0] + rest
-        inv = _tr_inv(ctx, reps(b), n)
+        inv = _tr_inv(ctx, reps(b), n, [ctx.rinv(b0.rep)])
         assert inv == reps(naive_inv(ctx, b, n))
         one = [ctx.rone] + [ctx.rzero] * (n - 1)
         assert ctx.rconv(reps(b), inv, n) == one
@@ -280,7 +280,8 @@ def test_tr_inv_from_a_correct_prefix_equals_a_fresh_inversion(name):
     @given(units, series(ctx), st.integers(1, 16), st.integers(1, 20))
     def check(b0, rest, n, k):
         b = reps([b0] + rest)
-        assert _tr_inv(ctx, b, n, _tr_inv(ctx, b, k)) == _tr_inv(ctx, b, n)
+        fresh = [ctx.rinv(b[0])]
+        assert _tr_inv(ctx, b, n, _tr_inv(ctx, b, k, fresh)) == _tr_inv(ctx, b, n, fresh)
 
     check()
 
@@ -443,7 +444,8 @@ def ref_param(leaf: MPoly, solve_for: str, chain: list, prec: int) -> tuple[list
         val = ref_tr_eval(ctx, leaf, t, phi, n)
         assert all(map(ctx.ris_zero, val[:k]))
         m = n - k
-        inv = _tr_inv(ctx, ref_tr_eval(ctx, leaf_y, t, phi, m), m, inv[:m])
+        deriv = ref_tr_eval(ctx, leaf_y, t, phi, m)
+        inv = _tr_inv(ctx, deriv, m, inv[:m] or [ctx.rinv(deriv[0])])
         phi = phi + [ctx.rneg(c) for c in ctx.rconv(val[k:], inv, m)]
     t = [ctx.rzero, ctx.rone][:prec] + [ctx.rzero] * (prec - 2)
     x, y = (phi[:prec], t) if solve_for == "x" else (t, phi[:prec])
