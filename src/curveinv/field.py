@@ -241,16 +241,16 @@ def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
 # coefficient vectors (missing entries count as zero), untrimmed.  A tuple
 # extension of step degree d writes each operand into one base vector at
 # stride 2d-1, so the partial products of distinct coefficients never overlap,
-# runs one base ``rconv`` and reduces once per output coefficient.  Only a
-# log-table F_q loops over its own ``radd``/``rmul``.  ``rdivmod(a, b)`` is the
-# trimmed quotient and remainder of a by a nonzero vector b, and ``rgcd(a, b)``
-# the monic gcd of two trimmed vectors.  F_p sums Python ints and reduces only
-# each quotient term and the final remainder, and its Euclid divides by monic
-# remainders.  QQ runs one pseudo-division on integer numerators
-# (:func:`_int_divmod`) and the primitive remainder sequence of
-# :func:`_int_gcd`, and builds ``Fraction``s only for what it returns.  Every
-# other kind runs the schoolbook loops of :func:`_loop_divmod` and
-# :func:`_loop_gcd`.
+# runs one base ``rconv`` and reduces once per output coefficient.  A log-table
+# F_q loops over its codes with its ``rmul`` and ``radd`` written inline, and
+# so does its ``rdivmod``.  ``rdivmod(a, b)`` is the trimmed quotient and
+# remainder of a by a nonzero vector b, and ``rgcd(a, b)`` the monic gcd of two
+# trimmed vectors.  F_p sums Python ints and reduces only each quotient term
+# and the final remainder, and its Euclid divides by monic remainders.  QQ runs
+# one pseudo-division on integer numerators (:func:`_int_divmod`) and the
+# primitive remainder sequence of :func:`_int_gcd`, and builds ``Fraction``s
+# only for what it returns.  A tuple extension runs the schoolbook loops of
+# :func:`_loop_divmod` and :func:`_loop_gcd`; a log-table F_q runs the latter.
 _OPS = ("radd", "rsub", "rneg", "rmul", "rinv", "rpow", "rfrom_int", "rconv", "rdivmod", "rgcd")
 
 
@@ -755,17 +755,55 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
             return (a - 1) * e % m + 1
         return 1 if e == 0 else 0 if e > 0 else _inverse_of_zero()
 
+    # The two kernels below inline rmul and radd: a product's code is the sum
+    # of the codes less one, wrapped once at m, and code s joins a nonzero
+    # code o through zech[s - o]; zero codes are skipped.
     def rconv(a, b, n):
         out = [0] * n
-        nzb = [(j, c) for j, c in enumerate(b[:n]) if c]
+        nzb = [(j, c - 1) for j, c in enumerate(b[:n]) if c]
         for i, ca in enumerate(a[:n]):
             if ca:
                 for j, cb in nzb:
                     k = i + j
                     if k >= n:
                         break
-                    out[k] = radd(out[k], rmul(ca, cb))
+                    s = ca + cb
+                    if s > m:
+                        s -= m
+                    o = out[k]
+                    if o:
+                        z = zech[s - o]
+                        s = o + z - 1 if z else 0
+                        if s > m:
+                            s -= m
+                    out[k] = s
         return out
+
+    def rdivmod(a, b):
+        # _loop_divmod on codes: r[k+j] += c * (-b[j]) for each quotient code c
+        r, low = list(a), [(j, rneg(c) - 1) for j, c in enumerate(b[:-1]) if c]
+        db, inv_lead = len(b) - 1, rinv(b[-1]) - 1
+        q = [0] * max(len(r) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r.pop()  # the top term, which c*b[-1] cancels by construction
+            if not c:
+                continue
+            c += inv_lead
+            if c > m:
+                c -= m
+            q[k] = c
+            for j, cb in low:
+                s = c + cb
+                if s > m:
+                    s -= m
+                o = r[k + j]
+                if o:
+                    z = zech[s - o]
+                    s = o + z - 1 if z else 0
+                    if s > m:
+                        s -= m
+                r[k + j] = s
+        return _int_trim(q), _int_trim(r)
 
     return (
         radd,
@@ -776,7 +814,7 @@ def _log_table_ops(ctx: "FieldCtx", zech: list) -> tuple:
         rpow,
         lambda k: log[k % p],
         rconv,
-        partial(_loop_divmod, ctx),
+        rdivmod,
         partial(_loop_gcd, ctx),
     )
 

@@ -9,6 +9,11 @@ algebraic extensions of QQ, the norm being the resultant Res_z(minpoly(z),
 h(t, z)) from :func:`curveinv.algebra.resultant`), and canonical root lists,
 which are read off the linear factors of :meth:`UniPoly.factor` over every
 field.
+Over a tower L = K(a) of QQ, a polynomial whose coefficients all lie in K is
+factored over K first, recursively, and each irreducible factor h of K[t],
+with its multiplicity, is split over L by the cheapest rule that holds: h
+stays irreducible when it is linear or its degree is prime to [L:K]; the
+modulus of L is t - a times one exact quotient; any other h takes the norm.
 Randomized splitting draws from a generator seeded by the input, so every
 run factors the same polynomial the same way.
 """
@@ -239,10 +244,13 @@ class UniPoly:
         """
         if self.degree() < 2:  # a linear polynomial is its own factor
             return [(self.monic(), 1)] if self.degree() == 1 else []
-        out: list[tuple[UniPoly, int]] = []
-        for part, mult in self.squarefree_decomposition():
-            for g in _factor_squarefree(part):
-                out.append((g, mult))
+        down = _over_base(self)
+        if down is not None:
+            out = _descend(self.ctx, down)
+            if reduce(mul, (g**e for g, e in out)) != self.monic():
+                raise InternalCheckError("descended factors must multiply back to the input")
+        else:
+            out = [(g, mult) for part, mult in self.squarefree_decomposition() for g in _factor_squarefree(part)]
         out.sort(key=lambda ge: _poly_key(ge[0]))
         return out
 
@@ -317,6 +325,40 @@ def _factor_squarefree(f: UniPoly) -> list[UniPoly]:
     if ctx.kind == "rationals":
         return _factor_rationals(f)
     return _factor_trager(f)
+
+
+def _over_base(f: UniPoly) -> UniPoly | None:
+    """``f`` over the base K of its tower L = K(a) over QQ, when every
+    coefficient lies in K; otherwise None."""
+    ctx = f.ctx
+    if ctx.char or ctx.kind != "extension":
+        return None
+    in_base = ctx.base.ris_zero
+    if not all(all(map(in_base, c.rep[1:])) for c in f.coeffs):
+        return None
+    return UniPoly._from_reps(ctx.base, [c.rep[0] for c in f.coeffs])
+
+
+def _descend(ctx: FieldCtx, down: UniPoly) -> list[tuple[UniPoly, int]]:
+    """The factorization over L = ``ctx`` = K(a) of ``down`` in K[t], read off
+    its factorization over K, multiplicities and all.  An irreducible h of K[t]
+    whose degree is prime to [L:K] stays irreducible over L, and so does every
+    linear one; the modulus of L is t - a times one exact quotient; any other h
+    goes to Trager's norm descent (von zur Gathen & Gerhard, ch. 14-15)."""
+    n, pad = ctx.deg_step, (ctx.base.rzero,) * (ctx.deg_step - 1)
+    out = []
+    for h, mult in down.factor():
+        lifted = UniPoly._from_reps(ctx, [(r,) + pad for r in h._reps()])
+        if gcd(h.degree(), n) == 1:
+            parts = [lifted]
+        elif h._reps() == list(ctx.modulus):
+            root = [ctx.rneg(ctx.gen().rep), ctx.rone]
+            cofactor = UniPoly._from_reps(ctx, _rp_divexact(ctx, lifted._reps(), root))
+            parts = [UniPoly._from_reps(ctx, root), *_factor_squarefree(cofactor)]
+        else:
+            parts = _factor_trager(lifted)
+        out += [(g, mult) for g in parts]
+    return out
 
 
 def _distinct_degree(f: UniPoly) -> list[tuple[UniPoly, int]]:

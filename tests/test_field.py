@@ -35,7 +35,8 @@ from curveinv.field import (
     _rp_trim,
     embed,
 )
-from curveinv.unipoly import UniPoly, _IntegersMod
+from curveinv import unipoly
+from curveinv.unipoly import UniPoly, _factor_squarefree, _IntegersMod, _poly_key
 
 
 def _field_zoo():
@@ -436,6 +437,8 @@ def _rep_vectors(ctx):
     negative numerators, denominators up to 10^12 and scattered zeros."""
     if ctx.kind == "prime":
         coeff = st.integers(0, ctx.char - 1)
+    elif ctx.order is not None:  # log codes, 0 for zero
+        coeff = st.one_of(st.just(0), st.integers(0, ctx.order - 1))
     else:
         coeff = st.one_of(
             st.just(Fraction(0)),
@@ -445,8 +448,15 @@ def _rep_vectors(ctx):
     return st.lists(coeff, max_size=6).map(lambda v: _rp_trim(ctx, v))
 
 
-@pytest.mark.parametrize("ctx", [FieldCtx.prime(2), FieldCtx.prime(7), FieldCtx.prime(10007), FieldCtx.rationals()],
-                         ids=["F2", "F7", "F10007", "QQ"])
+_LOG_TABLE_FIELDS = [_flat_finite_ctx(p, n) for p, n in [(2, 2), (7, 3), (11, 2), (2, 12)]]
+_LOG_TABLE_IDS = ["F4", "F7^3", "F11^2", "F2^12"]
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [FieldCtx.prime(2), FieldCtx.prime(7), FieldCtx.prime(10007), FieldCtx.rationals(), *_LOG_TABLE_FIELDS],
+    ids=["F2", "F7", "F10007", "QQ", *_LOG_TABLE_IDS],
+)
 def test_euclid_kernels_match_the_schoolbook_loops(ctx):
     vectors = _rep_vectors(ctx)
 
@@ -470,6 +480,34 @@ def test_euclid_kernels_match_the_schoolbook_loops(ctx):
     assert ctx.rgcd([], [ctx.rfrom_int(3)]) == [one]
     assert ctx.rgcd([ctx.rfrom_int(2), ctx.rfrom_int(5)], []) == _rp_monic(ctx, [ctx.rfrom_int(2), ctx.rfrom_int(5)])
     assert ctx.rdivmod([ctx.rfrom_int(3)], [one, one]) == ([], [ctx.rfrom_int(3)])
+
+
+@pytest.mark.parametrize("ctx", _LOG_TABLE_FIELDS, ids=_LOG_TABLE_IDS)
+def test_log_table_products_match_the_schoolbook_loop(ctx):
+    # the kernel adds codes and looks up Zech logarithms inline; the reference
+    # makes one radd and one rmul call per pair.  F_4 and F_{2^12} have p = 2,
+    # where -1 is g^0, and n runs below and above len(a) + len(b) - 1
+    vectors = _rep_vectors(ctx)
+
+    def schoolbook(a, b, n):
+        out = [ctx.rzero] * n
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                if i + j < n:
+                    out[i + j] = ctx.radd(out[i + j], ctx.rmul(ca, cb))
+        return out
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(vectors, vectors, st.integers(0, 13))
+    def check(a, b, n):
+        assert ctx.rconv(a, b, n) == schoolbook(a, b, n)
+
+    check()
+    m = ctx.order - 1
+    one, minus_one = ctx.rone, ctx.rneg(ctx.rone)
+    assert (minus_one == one) == (ctx.char == 2)
+    assert ctx.rconv([one, 0, m], [m, one], 5) == schoolbook([one, 0, m], [m, one], 5)
+    assert ctx.rconv([one, one], [one, minus_one], 3) == [one, 0, ctx.rneg(one)]  # (1+t)(1-t)
 
 
 @pytest.mark.parametrize(
@@ -732,29 +770,91 @@ def test_factor_trager_over_quadratic_extension():
     assert g.is_irreducible()
 
 
-def test_factor_over_towers():
+def test_factor_over_towers(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(str(f))
+        return trager(f)
+
+    trager = unipoly._factor_trager
+    monkeypatch.setattr(unipoly, "_factor_trager", counted)
     qq = FieldCtx.rationals()
     cbrt2 = qq.extend([-2, 0, 0, 1])
     k = qq.extend([-2, 0, 1])
     k2 = k.extend([k.from_int(-3), k.zero, k.one])
+    a78 = qq.extend([Fraction(-7, 8), 0, 1])
+    a = k.gen()
+    # (t^2 - 2)^2 * t^2 * (t - 1): multiplicities carry over from QQ
+    sq = [0, 0, -4, 4, 4, -4, -1, 1]
+    # expected factors, and whether Trager's norm descent runs
     cases = [
-        (cbrt2, [-2, 0, 0, 1], [("t-a", 1), ("t^2+a*t+a^2", 1)]),
-        (k2, [-6, 0, 1], [("t-a*b", 1), ("t+a*b", 1)]),
+        (cbrt2, [-2, 0, 0, 1], [("t-a", 1), ("t^2+a*t+a^2", 1)], True),
+        (k2, [-6, 0, 1], [("t-a*b", 1), ("t+a*b", 1)], True),
         (
             k2,
             [1, 0, -10, 0, 1],
             [("t-b-a", 1), ("t+b-a", 1), ("t-b+a", 1), ("t+b+a", 1)],
+            True,
         ),
+        (a78, [7, 0, -8], [("t-a", 1), ("t+a", 1)], False),  # the modulus itself
+        (k, [-3, 0, 0, 1], [("t^3-3", 1)], False),  # degree prime to [L:K] = 2
+        (k, sq, [("t-1", 1), ("t-a", 2), ("t", 2), ("t+a", 2)], False),
+        (k, [a, -a - k.one, k.one], [("t-1", 1), ("t-a", 1)], True),  # a coefficient outside QQ
     ]
-    for ctx, coeffs, expected in cases:
+    for ctx, coeffs, expected, norms in cases:
+        calls.clear()
         f = UniPoly(ctx, coeffs)
         factors = f.factor()
         assert [(str(g), e) for g, e in factors] == expected
+        assert bool(calls) == norms, calls
         rebuilt = UniPoly(ctx, [1])
         for g, e in factors:
             assert g.leading().is_one()
             rebuilt = rebuilt * g**e
-        assert rebuilt == f
+        assert rebuilt.scale(f.leading()) == f
+
+
+def test_descent_agrees_with_the_norm_on_every_factor():
+    # products of base polynomials: random ones, the modulus of L = K(a) and
+    # the modulus shifted, which splits over L but goes through the norm
+    qq = FieldCtx.rationals()
+    k = qq.extend([-2, 0, 1])
+    towers = [k, qq.extend([-2, 0, 0, 1]), k.extend([k.from_int(-3), k.zero, k.one])]
+    rng = random.Random(2021)
+    for ctx in towers:
+        base, pad = ctx.base, (ctx.base.rzero,) * (ctx.deg_step - 1)
+        modulus = UniPoly._from_reps(base, list(ctx.modulus))
+        for _ in range(8):
+            f = UniPoly(base, [1])
+            while True:
+                roll = rng.random()
+                if roll < 0.6:
+                    piece = UniPoly(base, [base.sample(rng) for _ in range(rng.randint(1, 2))] + [1])
+                elif roll < 0.8:
+                    piece = modulus
+                else:
+                    piece = modulus.compose(UniPoly(base, [base.sample(rng), 1]))
+                if f.degree() + piece.degree() > 5:
+                    break
+                f = f * piece
+            lifted = UniPoly._from_reps(ctx, [(r,) + pad for r in f._reps()])
+            if lifted.degree() < 2:
+                continue
+            undescended = sorted(
+                ((g, e) for part, e in lifted.squarefree_decomposition() for g in _factor_squarefree(part)),
+                key=lambda ge: _poly_key(ge[0]),
+            )
+            assert lifted.factor() == undescended
+
+
+def test_descended_factors_must_multiply_back(monkeypatch):
+    k = FieldCtx.rationals().extend([-2, 0, 1])
+    f = UniPoly(k, [2, 0, -1]) * UniPoly(k, [-1, 1])  # (2 - t^2)(t - 1)
+    descend = unipoly._descend
+    monkeypatch.setattr(unipoly, "_descend", lambda ctx, down: descend(ctx, down)[1:])
+    with pytest.raises(InternalCheckError, match="multiply back"):
+        f.factor()
 
 
 def test_roots_deterministic_and_complete():

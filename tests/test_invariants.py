@@ -421,3 +421,27 @@ def test_invariants_do_not_see_a_constant_factor(monkeypatch):
         assert _unmemoized_report(f.scale(c)) == expected, (str(f), str(c))
         if field is not None:
             assert expected["branches"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "text", ["7*x^3+3/4*x^4+5/4*x^2*y^3-8*x*y^4", "-3/4*x*y^2+4*x^3*y+y^4-2*x^5"]
+)
+def test_tangent_cones_over_qq_a_factor_without_a_norm(text, monkeypatch):
+    # both germs restart over QQ(a); every cone they factor there has its
+    # coefficients in QQ, so the descent to QQ leaves no norm to take
+    from curveinv import invariants, unipoly
+
+    norms = []
+
+    def counted(f):
+        norms.append(f"{f} over {f.ctx.descriptor()}")
+        return trager(f)
+
+    trager = unipoly._factor_trager
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    monkeypatch.setattr(unipoly, "_factor_trager", counted)
+    f = q(text)
+    assert germ(f).branches.ctx.descriptor() == "QQ(a)"
+    for invariant in (milnor, delta, kappa, gamma_tilde, gamma):
+        invariant(f)
+    assert norms == []
