@@ -13,7 +13,6 @@ from .hne import Branch, BranchSet, branch_decompose
 from .invariants import (
     INF,
     ExtNat,
-    GammaBudget,
     GammaResult,
     InvariantReport,
     analyze_local,
@@ -50,7 +49,6 @@ __all__ = [
     "branch_decompose",
     "INF",
     "ExtNat",
-    "GammaBudget",
     "GammaResult",
     "InvariantReport",
     "analyze_local",

@@ -21,7 +21,6 @@ Printing and parsing agree: ``parse_poly(str(f), f.ctx, f.vars) == f``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import lcm
@@ -37,7 +36,7 @@ from .errors import (
     WrongVariables,
 )
 from .field import FieldCtx, FieldElement, _render_terms, embed
-from .field import _rp_divexact, _rp_mul, _rp_scale, _rp_sub, _rp_trim
+from .field import _rp_divexact, _rp_eval, _rp_mul, _rp_pow, _rp_scale, _rp_sub, _rp_trim
 from .unipoly import UniPoly
 
 
@@ -47,19 +46,11 @@ class MPoly:
     __slots__ = ("ctx", "vars", "terms")
 
     def __init__(self, ctx: FieldCtx, vars: tuple[str, ...], terms: dict):
-        clean = {}
-        for exps, c in terms.items():
-            if isinstance(c, int):
-                c = ctx.from_int(c)
-            elif isinstance(c, Fraction):
-                c = ctx.from_fraction(c)
-            if c.ctx is not ctx:
-                raise IncompatibleContexts("coefficient from another context")
-            if not c.is_zero():
-                clean[tuple(exps)] = c
-        self.ctx = ctx
-        self.vars = tuple(vars)
-        self.terms = clean
+        """``terms`` maps exponent tuples to elements of ``ctx``, ints or Fractions."""
+        rcoerce, ris_zero = ctx.rcoerce, ctx.ris_zero
+        reps = ((tuple(e), rcoerce(c)) for e, c in terms.items())
+        self.ctx, self.vars = ctx, tuple(vars)
+        self.terms = {e: FieldElement(ctx, r) for e, r in reps if not ris_zero(r)}
 
     @classmethod
     def _from_reps(cls, ctx: FieldCtx, vars: tuple[str, ...], reps: dict) -> "MPoly":
@@ -92,11 +83,11 @@ class MPoly:
     @staticmethod
     def from_unipoly(u: UniPoly, vars: tuple[str, ...], var_idx: int) -> "MPoly":
         terms = {}
-        for i, c in enumerate(u.coeffs):
+        for i, c in enumerate(u.reps):
             e = [0] * len(vars)
             e[var_idx] = i
             terms[tuple(e)] = c
-        return MPoly(u.ctx, vars, terms)
+        return MPoly._from_reps(u.ctx, tuple(vars), terms)
 
     # -- structure -------------------------------------------------------------
 
@@ -289,12 +280,12 @@ class MPoly:
         return acc
 
     def to_unipoly(self, var_idx: int) -> UniPoly:
-        coeffs = [self.ctx.zero] * (self.degree_in(var_idx) + 1)
+        reps = [self.ctx.rzero] * (self.degree_in(var_idx) + 1)
         for e, c in self.terms.items():
             if any(k != 0 for i, k in enumerate(e) if i != var_idx):
                 raise InternalCheckError("polynomial involves other variables")
-            coeffs[e[var_idx]] = c
-        return UniPoly(self.ctx, coeffs)
+            reps[e[var_idx]] = c.rep
+        return UniPoly._from_reps(self.ctx, reps)
 
     def coeff_list(self, var_idx: int) -> list["MPoly"]:
         """Coefficients of powers of one variable, as polynomials in the rest."""
@@ -454,11 +445,6 @@ def _primitive(ctx: FieldCtx, a: list[list]) -> tuple[list, list[list]]:
     return cont, [_rp_divexact(ctx, c, cont) for c in a]
 
 
-def _power(ctx: FieldCtx, a: list, e: int) -> list:
-    """a^e for a rep vector; the empty product when e <= 0."""
-    return reduce(partial(_rp_mul, ctx), [a] * e, [ctx.rone])
-
-
 def _prem(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:
     """lc(b)^(deg a - deg b + 1) * a mod b in the main variable, for
     deg a >= deg b: one scaling per degree, whether or not its term vanishes."""
@@ -490,11 +476,11 @@ def _subresultants(ctx: FieldCtx, a: list[list], b: list[list]) -> tuple:
         delta = len(a) - len(b)
         flip ^= len(a) % 2 == len(b) % 2 == 0  # both degrees odd
         r = _prem(ctx, a, b)
-        d = _rp_mul(ctx, g, _power(ctx, h, delta))
+        d = _rp_mul(ctx, g, _rp_pow(ctx, h, delta))
         a, b = b, [_rp_divexact(ctx, c, d) for c in r]
         g = a[-1]
         if delta:
-            h = _rp_divexact(ctx, _power(ctx, g, delta), _power(ctx, h, delta - 1))
+            h = _rp_divexact(ctx, _rp_pow(ctx, g, delta), _rp_pow(ctx, h, delta - 1))
     return a, b, h, flip
 
 
@@ -528,7 +514,7 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
 
     a, b, h, flip = _subresultants(ctx, [pack(c) for c in fc], [pack(c) for c in gc])
     d = len(a) - 1  # Res = lc(b)^d / h^(d-1), and 0 when a remainder vanished
-    res = _rp_divexact(ctx, _power(ctx, b[0], d), _power(ctx, h, d - 1)) if b else []
+    res = _rp_divexact(ctx, _rp_pow(ctx, b[0], d), _rp_pow(ctx, h, d - 1)) if b else []
     terms = {}
     for k, c in enumerate(res):
         e = [0] * len(f.vars)
@@ -555,14 +541,6 @@ def _points(ctx: FieldCtx):
         return map(ctx.rfrom_int, range(1, CERTIFY_POINTS + 1))
     q = ctx.order
     return (ctx.element_at(i % q).rep for i in range(1, min(q, CERTIFY_POINTS) + 1))
-
-
-def _rp_eval(ctx: FieldCtx, v: list, x0):
-    """The rep vector v as a polynomial, at x0 (Horner)."""
-    radd, rmul, acc = ctx.radd, ctx.rmul, ctx.rzero
-    for c in reversed(v):
-        acc = radd(rmul(acc, x0), c)
-    return acc
 
 
 def _gcd_dense(ctx: FieldCtx, a: list[list], b: list[list]) -> list[list]:

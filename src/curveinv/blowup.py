@@ -42,7 +42,7 @@ def split(u: UniPoly) -> list[tuple[FieldElement, int]]:
     for g, _ in factors:
         if g.degree() > 1:
             raise NeedsExtension(g)
-    out = [(-g.coeffs[0], mult) for g, mult in factors]
+    out = [(-g.coefficient(0), mult) for g, mult in factors]
     out.sort(key=lambda rm: rm[0].sort_key())
     return out
 
@@ -74,11 +74,11 @@ def blow_up(f: MPoly, chart: str, center: FieldElement) -> MPoly:
 def tangent_cone_poly(f: MPoly) -> UniPoly:
     """The multiplicity-m part in the x-chart, sum of c_ij w^j over i+j = m."""
     m = f.order()
-    out = [f.ctx.zero] * (m + 1)
+    out = [f.ctx.rzero] * (m + 1)
     for (i, j), c in f.terms.items():
         if i + j == m:
-            out[j] = c
-    return UniPoly(f.ctx, out)
+            out[j] = c.rep
+    return UniPoly._from_reps(f.ctx, out)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedInput,
 )
 from .invariants import (
-    GammaBudget,
+    GAMMA_SEED,
     analyze_local,
     delta,
     germ,
@@ -95,10 +95,6 @@ def _local_input(args) -> MPoly:
     return parse_poly(args.poly, ctx)
 
 
-def _budget(args) -> GammaBudget | None:
-    return None if args.seed is None else GammaBudget(seed=args.seed)
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -130,7 +126,7 @@ def cmd_local_analyze(args) -> int:
     if args.prec < 0:
         raise UnsupportedInput("prec must be nonnegative")
     f = _local_input(args)
-    report = analyze_local(f, _budget(args))
+    report = analyze_local(f, seed=args.seed)
     data = report.to_json()
     if args.emit_branches:
         data["branches"] = _branch_payload(f, args.prec)
@@ -294,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     an = local_sub.add_parser("analyze", help="full invariant report")
     _add_poly_args(an)
-    an.add_argument("--seed", type=int, help="seed for the coordinate search")
+    an.add_argument("--seed", type=int, default=GAMMA_SEED, help="seed for the coordinate search")
     an.add_argument("--prec", type=int, default=8, help="series terms per branch")
     an.add_argument("--emit-branches", action="store_true", help="include branch parametrizations")
     an.add_argument("--emit-tree", action="store_true", help="include the infinitely near tree")

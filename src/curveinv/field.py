@@ -51,8 +51,8 @@ presentation (the prime, or the base, monic modulus and generator name) and
 builds it, log tables included, on the first request only, so equal
 presentations give the identical object and contexts compare by identity.
 Extension arithmetic reduces against a monic defining polynomial whose
-irreducibility is verified at construction (Rabin's test over finite fields,
-factorization in characteristic zero).  Finite contexts produced by
+irreducibility is verified at construction, by factoring it
+(:meth:`~curveinv.unipoly.UniPoly.is_irreducible`).  Finite contexts produced by
 :meth:`FieldCtx.extend_with_root` are always single-step extensions of F_p;
 growing F_{p^k} lands in a flattened F_{p^{k*d}}, into which :func:`embed`
 maps the old context, so arithmetic never pays for a tower.
@@ -127,9 +127,10 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over raw reps.  These helpers power extension arithmetic and the
-# irreducibility test; ``ctx`` is always the coefficient context and vectors
-# are lists of its reps, lowest degree first, trailing zeros stripped.
+# Polynomials over raw reps.  These helpers power extension arithmetic,
+# :class:`~curveinv.unipoly.UniPoly` and the dense polynomials of
+# :mod:`.algebra`; ``ctx`` is always the coefficient context and vectors are
+# sequences of its reps, lowest degree first, trailing zeros stripped.
 # ---------------------------------------------------------------------------
 
 
@@ -214,26 +215,24 @@ def _rp_pow_mod(ctx: "FieldCtx", base: list, e: int, mod: list) -> list:
     return result
 
 
-def _rp_is_irreducible(ctx: "FieldCtx", mod: list) -> bool:
-    """Rabin's criterion for a monic polynomial over a finite context."""
-    n = len(mod) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    q = ctx.order
-    if q is None:
-        raise InternalCheckError("Rabin's test needs a finite field")
-    x_poly = [ctx.rzero, ctx.rone]
-    checkpoints = {n // ell for ell in _prime_divisors(n)}
-    h = x_poly
-    for i in range(1, n + 1):
-        h = _rp_pow_mod(ctx, h, q, mod)
-        if i in checkpoints:
-            g = ctx.rgcd(_rp_sub(ctx, h, x_poly), mod)
-            if len(g) - 1 > 0:
-                return False
-    return h == x_poly
+def _rp_pow(ctx: "FieldCtx", a: list, e: int) -> list:
+    """a^e by repeated squaring; the empty product when e <= 0."""
+    result = [ctx.rone]
+    while e > 0:
+        if e & 1:
+            result = _rp_mul(ctx, result, a)
+        e >>= 1
+        if e:
+            a = _rp_mul(ctx, a, a)
+    return result
+
+
+def _rp_eval(ctx: "FieldCtx", v: list, x0):
+    """The rep vector v as a polynomial, at the rep x0 (Horner)."""
+    radd, rmul, acc = ctx.radd, ctx.rmul, ctx.rzero
+    for c in reversed(v):
+        acc = radd(rmul(acc, x0), c)
+    return acc
 
 
 # Arithmetic bound to a context: one closure per name in _OPS, in that order.
@@ -946,8 +945,8 @@ class FieldCtx:
             raise UnsupportedInput("modulus is reducible")
         if gen_name is None:
             gen_name = chr(ord("a") + self.depth)
-        key = ("ext", self._key, tuple(c.sort_key() for c in f.coeffs), gen_name)
-        return _interned(key, base=self, modulus=tuple(f._reps()), gen_name=gen_name)
+        key = ("ext", self._key, tuple(map(self.rsort_key, f.reps)), gen_name)
+        return _interned(key, base=self, modulus=f.reps, gen_name=gen_name)
 
     def extend_with_root(self, g) -> "FieldCtx":
         """The context that a root of ``g`` joins: ``g`` is a monic
@@ -965,7 +964,7 @@ class FieldCtx:
             raise InternalCheckError("an extension needs an irreducible factor of degree 2 or more")
         if self.char > 0:
             return _flat_finite_ctx(self.char, self.absdegree * g.degree())
-        return self.extend(g.coeffs, _verified=True)
+        return self.extend(g, _verified=True)
 
     def gen(self) -> "FieldElement":
         if self.kind != "extension":
@@ -979,6 +978,18 @@ class FieldCtx:
     # -- rep-level arithmetic ------------------------------------------------
     # radd, rsub, rneg, rmul, rinv, rpow, rfrom_int, rconv, rdivmod and
     # ris_zero are bound per context.
+
+    def rcoerce(self, c):
+        """The rep of ``c``: an element of this context, an int or a Fraction."""
+        if isinstance(c, FieldElement):
+            if c.ctx is not self:
+                raise IncompatibleContexts(f"{self.descriptor()} vs {c.ctx.descriptor()}")
+            return c.rep
+        if isinstance(c, int):
+            return self.rfrom_int(c)
+        if isinstance(c, Fraction):
+            return self.rfrom_fraction(c)
+        raise TypeError(f"bad coefficient {c!r}")
 
     def rfrom_fraction(self, q: Fraction):
         if self.kind == "rationals":
@@ -1108,9 +1119,11 @@ def _flat_finite_ctx(p: int, n: int) -> FieldCtx:
         return FieldCtx.prime(p)
     ctx = _CTX_CACHE.get(("flat", p, n))
     if ctx is None:
+        from .unipoly import UniPoly
+
         base = FieldCtx.prime(p)
         candidates = ([*reversed(high), 1] for high in product(range(p), repeat=n))
-        mod = next(m for m in candidates if m[0] and _rp_is_irreducible(base, m))
+        mod = next(m for m in candidates if m[0] and UniPoly(base, m).is_irreducible())
         ctx = _CTX_CACHE["flat", p, n] = base.extend(mod, "a", _verified=True)
     return ctx
 
@@ -1170,8 +1183,7 @@ def _canonical_root_rep(src: FieldCtx, target: FieldCtx):
     """Rep of the smallest root (by sort key) of ``src``'s modulus in ``target``."""
     from . import unipoly as _up
 
-    coeffs = [FieldElement(target, target.rfrom_int(c)) for c in src.modulus]
-    roots = _up.UniPoly(target, coeffs).roots()
+    roots = _up.UniPoly._from_reps(target, map(target.rfrom_int, src.modulus)).roots()
     if not roots:
         raise NoEmbedding(
             f"{src.descriptor()} modulus has no root in {target.descriptor()}"
@@ -1189,16 +1201,8 @@ class FieldElement:
         self.rep = rep
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise IncompatibleContexts(
-                    f"{self.ctx.descriptor()} vs {other.ctx.descriptor()}"
-                )
-            return other.rep
-        if isinstance(other, int):
-            return self.ctx.rfrom_int(other)
-        if isinstance(other, Fraction):
-            return self.ctx.rfrom_fraction(other)
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.ctx.rcoerce(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -1251,15 +1255,10 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx.rinv(self.rep))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise IncompatibleContexts(
-                    f"{self.ctx.descriptor()} vs {other.ctx.descriptor()}"
-                )
-            return self.rep == other.rep
-        if isinstance(other, (int, Fraction)):
-            return self.rep == self._coerce(other)
-        return NotImplemented
+        rep = self._coerce(other)
+        if rep is NotImplemented:
+            return NotImplemented
+        return self.rep == rep
 
     def __hash__(self) -> int:
         return hash((self.ctx._key, self.rep))

@@ -478,12 +478,13 @@ def tangent_shear(
     )
 
 
-@dataclass(frozen=True)
-class GammaBudget:
-    linear_tries: int = 4
-    smooth_tries: int = 6
-    degree: int = 3
-    seed: int = 0x5EED
+# The seeded coordinate search of gamma: how many random linear changes and
+# smooth changes it tries, the top degree of a smooth change's terms (also the
+# truncation of every candidate's inverse), and the default seed.
+LINEAR_TRIES = 4
+SMOOTH_TRIES = 6
+SMOOTH_DEGREE = 3
+GAMMA_SEED = 0x5EED
 
 
 @dataclass
@@ -553,7 +554,7 @@ def _smooth_candidates(ctx, vars, rng, tries, degree, truncation):
         yield CoordinateChange(xi, yi, truncation, label="smooth")
 
 
-def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
+def gamma(f: MPoly, *, seed: int = GAMMA_SEED) -> GammaResult:
     """Minimum of the coordinate gamma over coordinate changes.
 
     Exact if and only if some tested coordinate system attains the floor
@@ -561,11 +562,10 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
     otherwise an interval with the floor reported alongside as safe_lower.
     """
     G = germ(f)
-    budget = budget or GammaBudget()
     bs = G.branches
     target = 2 * G.delta - G.r + 1
-    rng = random.Random(budget.seed)
-    trunc = max(budget.degree, 2)
+    rng = random.Random(seed)
+    trunc = SMOOTH_DEGREE
 
     best: Optional[int] = None
     best_witness: Optional[CoordinateChange] = None
@@ -592,7 +592,7 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
     if out:
         return out
 
-    for cand in _linear_candidates(f.ctx, f.vars, rng, budget.linear_tries, trunc):
+    for cand in _linear_candidates(f.ctx, f.vars, rng, LINEAR_TRIES, trunc):
         out = consider(cand, germ(_germ_part(cand.apply(f))))
         if out:
             return out
@@ -608,9 +608,7 @@ def gamma(f: MPoly, budget: GammaBudget | None = None) -> GammaResult:
         if out:
             return out
 
-    for cand in _smooth_candidates(
-        f.ctx, f.vars, rng, budget.smooth_tries, budget.degree, trunc
-    ):
+    for cand in _smooth_candidates(f.ctx, f.vars, rng, SMOOTH_TRIES, SMOOTH_DEGREE, trunc):
         out = consider(cand, germ(_germ_part(cand.apply(f))))
         if out:
             return out
@@ -819,7 +817,7 @@ class InvariantReport:
         }
 
 
-def analyze_local(f: MPoly, budget: GammaBudget | None = None) -> InvariantReport:
+def analyze_local(f: MPoly, *, seed: int = GAMMA_SEED) -> InvariantReport:
     """Full invariant report for a reduced germ at the origin.
 
     A failed structural relation raises InternalCheckError: the report is
@@ -827,7 +825,7 @@ def analyze_local(f: MPoly, budget: GammaBudget | None = None) -> InvariantRepor
     """
     G = germ(f)
     _require_origin(f)
-    gm = gamma(f, budget)
+    gm = gamma(f, seed=seed)
     relations = verify_relations(f)
     failed = sorted(k for k, v in relations.items() if v == "fail")
     if failed:

@@ -101,8 +101,10 @@ def i_resultant(f: MPoly, g: MPoly, *, seed: int = 0x51EA4, retries: int = 10) -
     factor through the origin (or a zero input) means infinite contact.
     Shear directions are drawn at random until the certificate of
     :func:`_certified_order` holds; tiny fields that run out of directions
-    are replaced by their quadratic extensions.  Raises ShearExhausted after
-    ``retries`` uncertified draws; a returned value is always exact.
+    are replaced by their quadratic extensions, and each field gets its own
+    ``retries`` draws.  Raises ShearExhausted after ``retries`` uncertified
+    draws in one field, which ends the search in the first field with at
+    least ``retries`` elements; a returned value is always exact.
     """
     f._check(g)
     if not f.is_zero() and not f.constant_term().is_zero():
@@ -126,7 +128,7 @@ def i_resultant(f: MPoly, g: MPoly, *, seed: int = 0x51EA4, retries: int = 10) -
         ctx = f.ctx
         if ctx.order is not None and len(used) == ctx.order:
             f, g = _quadratic_enlargement(f, g)
-            used = set()
+            used, attempts = set(), 0
             continue
         c = ctx.sample(rng)
         if ctx.order is not None:

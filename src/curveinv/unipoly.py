@@ -1,5 +1,11 @@
 """Dense univariate polynomials over a :class:`~curveinv.field.FieldCtx`.
 
+A :class:`UniPoly` is a typed view on one trimmed vector of its context's
+reps, constant term first: every operation runs on that vector through the
+context's bound ops and the ``_rp_`` kernels of :mod:`curveinv.field`, and
+``coeffs``, ``leading()`` and ``coefficient(i)`` wrap reps as
+:class:`~curveinv.field.FieldElement`\\ s only when read.
+
 Beyond ring arithmetic this module carries the machinery the rest of the
 package leans on: squarefree decomposition in every characteristic
 (Musser's algorithm, with p-th root extraction in positive characteristic),
@@ -8,7 +14,7 @@ fields, Zassenhaus with Hensel lifting over QQ, Trager's norm descent over
 algebraic extensions of QQ, the norm being the resultant Res_z(minpoly(z),
 h(t, z)) from :func:`curveinv.algebra.resultant`), and canonical root lists,
 which are read off the linear factors of :meth:`UniPoly.factor` over every
-field.
+field.  Irreducibility is read off the same factorization over every field.
 Over a tower L = K(a) of QQ, a polynomial whose coefficients all lie in K is
 factored over K first, recursively, and each irreducible factor h of K[t],
 with its multiplicity, is split over L by the cheapest rule that holds: h
@@ -39,14 +45,16 @@ from .field import (
     _rp_add,
     _rp_divexact,
     _rp_divmod,
+    _rp_eval,
     _rp_gcdex,
     _rp_monic,
     _rp_mul,
+    _rp_pow,
     _rp_pow_mod,
+    _rp_scale,
     _rp_sub,
     _rp_trim,
     _zdiv_exact,
-    embed,
 )
 
 
@@ -56,56 +64,45 @@ def _seeded_rng(*parts: str) -> random.Random:
 
 
 class UniPoly:
-    """Immutable univariate polynomial; ``coeffs`` constant term first."""
+    """Immutable univariate polynomial; ``reps`` is the trimmed tuple of its
+    coefficients' reps, constant term first."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "reps")
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        elems = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.ctx is not ctx:
-                    raise IncompatibleContexts("coefficient from another context")
-                elems.append(c)
-            elif isinstance(c, int):
-                elems.append(ctx.from_int(c))
-            elif isinstance(c, Fraction):
-                elems.append(ctx.from_fraction(c))
-            else:
-                raise TypeError(f"bad coefficient {c!r}")
-        while elems and elems[-1].is_zero():
-            elems.pop()
+        """``coeffs`` are elements of ``ctx``, ints or Fractions."""
         self.ctx = ctx
-        self.coeffs = tuple(elems)
-
-    @staticmethod
-    def x(ctx: FieldCtx) -> "UniPoly":
-        return UniPoly(ctx, [ctx.zero, ctx.one])
-
-    def _reps(self) -> list:
-        return [c.rep for c in self.coeffs]
+        self.reps = tuple(_rp_trim(ctx, list(map(ctx.rcoerce, coeffs))))
 
     @classmethod
     def _from_reps(cls, ctx: FieldCtx, reps) -> "UniPoly":
+        """Wrap a vector of ``ctx``'s reps, trailing zeros dropped, unchecked."""
         out = object.__new__(cls)
-        out.ctx = ctx
-        out.coeffs = tuple(FieldElement(ctx, r) for r in _rp_trim(ctx, list(reps)))
+        out.ctx, out.reps = ctx, tuple(_rp_trim(ctx, list(reps)))
         return out
 
+    @staticmethod
+    def x(ctx: FieldCtx) -> "UniPoly":
+        return UniPoly._from_reps(ctx, [ctx.rzero, ctx.rone])
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.ctx, r) for r in self.reps)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.reps) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.reps
 
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.reps:
             raise InternalCheckError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.ctx, self.reps[-1])
 
     def coefficient(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.reps):
+            return FieldElement(self.ctx, self.reps[i])
         return self.ctx.zero
 
     def _check(self, other: "UniPoly") -> None:
@@ -114,56 +111,39 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.ctx,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        return UniPoly._from_reps(self.ctx, _rp_add(self.ctx, self.reps, other.reps))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.ctx,
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-        )
+        return UniPoly._from_reps(self.ctx, _rp_sub(self.ctx, self.reps, other.reps))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.ctx, [-c for c in self.coeffs])
+        return UniPoly._from_reps(self.ctx, map(self.ctx.rneg, self.reps))
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, FieldElement):
             return self.scale(other)
         self._check(other)
-        return UniPoly._from_reps(
-            self.ctx, _rp_mul(self.ctx, self._reps(), other._reps())
-        )
+        return UniPoly._from_reps(self.ctx, _rp_mul(self.ctx, self.reps, other.reps))
 
     def __rmul__(self, other) -> "UniPoly":
         if isinstance(other, FieldElement):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: FieldElement) -> "UniPoly":
-        return UniPoly(self.ctx, [c * a for a in self.coeffs])
+    def scale(self, c) -> "UniPoly":
+        return UniPoly._from_reps(self.ctx, _rp_scale(self.ctx, self.ctx.rcoerce(c), self.reps))
 
     def __pow__(self, e: int) -> "UniPoly":
         if e < 0:
             raise UnsupportedInput("negative polynomial power")
-        result = UniPoly(self.ctx, [self.ctx.one])
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return UniPoly._from_reps(self.ctx, _rp_pow(self.ctx, self.reps, e))
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
-        q, r = _rp_divmod(self.ctx, self._reps(), other._reps())
+        q, r = self.ctx.rdivmod(self.reps, other.reps)
         return UniPoly._from_reps(self.ctx, q), UniPoly._from_reps(self.ctx, r)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
@@ -175,59 +155,49 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.reps == other.reps
 
     def __hash__(self) -> int:
-        return hash((self.ctx._key, self.coeffs))
+        return hash((self.ctx._key, self.reps))
 
     def monic(self) -> "UniPoly":
-        if self.is_zero() or self.leading().is_one():
+        if not self.reps or self.reps[-1] == self.ctx.rone:
             return self
-        return self.scale(self.leading().inverse())
+        return UniPoly._from_reps(self.ctx, _rp_monic(self.ctx, self.reps))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        g = self.ctx.rgcd(self._reps(), other._reps())
-        return UniPoly._from_reps(self.ctx, g)
+        return UniPoly._from_reps(self.ctx, self.ctx.rgcd(self.reps, other.reps))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
-            self.ctx,
-            [self.coeffs[i] * i for i in range(1, len(self.coeffs))],
-        )
+        rmul, rfrom_int = self.ctx.rmul, self.ctx.rfrom_int
+        return UniPoly._from_reps(self.ctx, [rmul(c, rfrom_int(i)) for i, c in enumerate(self.reps) if i])
 
-    def eval(self, x: FieldElement) -> FieldElement:
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def eval(self, x) -> FieldElement:
+        return FieldElement(self.ctx, _rp_eval(self.ctx, self.reps, self.ctx.rcoerce(x)))
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         self._check(inner)
-        acc = UniPoly(self.ctx, [])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly(self.ctx, [c])
-        return acc
+        ctx, acc = self.ctx, []
+        for c in reversed(self.reps):
+            acc = _rp_add(ctx, _rp_mul(ctx, acc, inner.reps), [c])
+        return UniPoly._from_reps(ctx, acc)
 
     def pow_mod(self, e: int, mod: "UniPoly") -> "UniPoly":
         self._check(mod)
-        r = _rp_pow_mod(self.ctx, self._reps(), e, mod._reps())
-        return UniPoly._from_reps(self.ctx, r)
+        return UniPoly._from_reps(self.ctx, _rp_pow_mod(self.ctx, self.reps, e, mod.reps))
 
     # -- squarefree structure -------------------------------------------------
 
     def pth_root(self) -> "UniPoly":
         """Exact p-th root of a polynomial in K[x^p] (finite K)."""
-        p = self.ctx.char
+        ctx, p = self.ctx, self.ctx.char
         if p == 0:
             raise InternalCheckError("p-th root needs positive characteristic")
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                out.append(self.ctx.pth_root(c))
-            elif not c.is_zero():
-                raise InternalCheckError("polynomial is not a p-th power")
-        return UniPoly(self.ctx, out)
+        if not all(map(ctx.ris_zero, (c for i, c in enumerate(self.reps) if i % p))):
+            raise InternalCheckError("polynomial is not a p-th power")
+        e = ctx.order // p  # the inverse of Frobenius on F_q
+        return UniPoly._from_reps(ctx, [ctx.rpow(c, e) for c in self.reps[::p]])
 
     def squarefree_decomposition(self) -> list[tuple["UniPoly", int]]:
         """Monic pairwise-coprime squarefree factors with multiplicities."""
@@ -255,12 +225,6 @@ class UniPoly:
         return out
 
     def is_irreducible(self) -> bool:
-        if self.degree() < 1:
-            return False
-        if self.ctx.char > 0:
-            from .field import _rp_is_irreducible
-
-            return _rp_is_irreducible(self.ctx, self.monic()._reps())
         fs = self.factor()
         return len(fs) == 1 and fs[0][1] == 1
 
@@ -270,16 +234,17 @@ class UniPoly:
 
     def roots_with_multiplicity(self) -> list[tuple[FieldElement, int]]:
         out = [
-            (-g.coeffs[0], mult) for g, mult in self.factor() if g.degree() == 1
+            (-g.coefficient(0), mult) for g, mult in self.factor() if g.degree() == 1
         ]
         out.sort(key=lambda rm: rm[0].sort_key())
         return out
 
     def __str__(self) -> str:
+        ctx = self.ctx
         return _render_terms(
-            (str(c), "" if i == 0 else "t" if i == 1 else f"t^{i}")
-            for i, c in reversed(list(enumerate(self.coeffs)))
-            if not c.is_zero()
+            (ctx.render_rep(c), "" if i == 0 else "t" if i == 1 else f"t^{i}")
+            for i, c in reversed(list(enumerate(self.reps)))
+            if not ctx.ris_zero(c)
         )
 
     def __repr__(self) -> str:
@@ -287,7 +252,7 @@ class UniPoly:
 
 
 def _poly_key(g: UniPoly):
-    return (g.degree(), tuple(c.sort_key() for c in g.coeffs))
+    return (g.degree(), tuple(map(g.ctx.rsort_key, g.reps)))
 
 
 def _musser(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -334,9 +299,15 @@ def _over_base(f: UniPoly) -> UniPoly | None:
     if ctx.char or ctx.kind != "extension":
         return None
     in_base = ctx.base.ris_zero
-    if not all(all(map(in_base, c.rep[1:])) for c in f.coeffs):
+    if not all(all(map(in_base, c[1:])) for c in f.reps):
         return None
-    return UniPoly._from_reps(ctx.base, [c.rep[0] for c in f.coeffs])
+    return UniPoly._from_reps(ctx.base, [c[0] for c in f.reps])
+
+
+def _lift(ctx: FieldCtx, h: UniPoly) -> UniPoly:
+    """``h``, over the base K of ``ctx`` = K(a), as a polynomial over ``ctx``."""
+    pad = (ctx.base.rzero,) * (ctx.deg_step - 1)
+    return UniPoly._from_reps(ctx, [(r,) + pad for r in h.reps])
 
 
 def _descend(ctx: FieldCtx, down: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -345,15 +316,14 @@ def _descend(ctx: FieldCtx, down: UniPoly) -> list[tuple[UniPoly, int]]:
     whose degree is prime to [L:K] stays irreducible over L, and so does every
     linear one; the modulus of L is t - a times one exact quotient; any other h
     goes to Trager's norm descent (von zur Gathen & Gerhard, ch. 14-15)."""
-    n, pad = ctx.deg_step, (ctx.base.rzero,) * (ctx.deg_step - 1)
     out = []
     for h, mult in down.factor():
-        lifted = UniPoly._from_reps(ctx, [(r,) + pad for r in h._reps()])
-        if gcd(h.degree(), n) == 1:
+        lifted = _lift(ctx, h)
+        if gcd(h.degree(), ctx.deg_step) == 1:
             parts = [lifted]
-        elif h._reps() == list(ctx.modulus):
+        elif h.reps == ctx.modulus:
             root = [ctx.rneg(ctx.gen().rep), ctx.rone]
-            cofactor = UniPoly._from_reps(ctx, _rp_divexact(ctx, lifted._reps(), root))
+            cofactor = UniPoly._from_reps(ctx, _rp_divexact(ctx, lifted.reps, root))
             parts = [UniPoly._from_reps(ctx, root), *_factor_squarefree(cofactor)]
         else:
             parts = _factor_trager(lifted)
@@ -476,8 +446,8 @@ def _factor_rationals(f: UniPoly) -> list[UniPoly]:
     prime, Hensel-lift past the Mignotte bound, and recombine subsets of the
     lifted factors (von zur Gathen & Gerhard, Section 15.6).  A candidate is
     accepted only when it divides exactly, so no result depends on the prime."""
-    den = lcm(*(c.rep.denominator for c in f.coeffs))
-    g = [int(c.rep * den) for c in f.coeffs]  # primitive, since f is monic
+    den = lcm(*(c.denominator for c in f.reps))
+    g = [int(c * den) for c in f.reps]  # primitive, since f is monic
     n, lc, tried = len(g) - 1, den, []
     for p in filter(_is_prime, count(3)):
         gp = UniPoly(FieldCtx.prime(p), g).monic()
@@ -490,7 +460,7 @@ def _factor_rationals(f: UniPoly) -> list[UniPoly]:
         if len(tried) == 5:  # lift from the best of five usable primes
             break
     _, p, split = min(tried)
-    mods = [[c.rep for c in h.coeffs] for part, d in split for h in _edf(part, d)]
+    mods = [h.reps for part, d in split for h in _edf(part, d)]
     # the modulus exceeds twice B = ceil(sqrt(n+1)) * 2^n * |g|_inf * lc, which
     # bounds the coefficients of lc(g) times any monic factor of g
     m = p
@@ -522,7 +492,7 @@ def _factor_trager(f: UniPoly) -> list[UniPoly]:
     """Factor a squarefree monic poly over QQ(alpha, ...) by norm descent."""
     ctx = f.ctx
     base = ctx.base
-    minpoly = UniPoly(base, [FieldElement(base, r) for r in ctx.modulus])
+    minpoly = UniPoly._from_reps(base, ctx.modulus)
     alpha = ctx.gen()
     for s in range(0, 40):
         shifted = f.compose(UniPoly(ctx, [alpha * s, ctx.one]))
@@ -535,8 +505,7 @@ def _factor_trager(f: UniPoly) -> list[UniPoly]:
     out = []
     shift_back = UniPoly(ctx, [-(alpha * s), ctx.one])
     for piece in pieces:
-        lifted = UniPoly(ctx, [embed(c, ctx) for c in piece.coeffs])
-        g = shifted.gcd(lifted)
+        g = shifted.gcd(_lift(ctx, piece))
         if g.degree() > 0:
             out.append(g.compose(shift_back).monic())
     total = UniPoly(ctx, [1])
@@ -552,11 +521,7 @@ def _norm(h: UniPoly, minpoly: UniPoly) -> UniPoly:
     the generator of ``h``'s coefficient field replaced by z."""
     from . import algebra
 
-    base = minpoly.ctx
     vars = ("t", "z")
-    hz = {}
-    for i, c in enumerate(h.coeffs):
-        for j, r in enumerate(c.rep):
-            hz[(i, j)] = FieldElement(base, r)
+    hz = {(i, j): r for i, c in enumerate(h.reps) for j, r in enumerate(c)}
     mz = algebra.MPoly.from_unipoly(minpoly, vars, 1)
-    return algebra.resultant(mz, algebra.MPoly(base, vars, hz), "z").to_unipoly(0)
+    return algebra.resultant(mz, algebra.MPoly._from_reps(minpoly.ctx, vars, hz), "z").to_unipoly(0)

@@ -28,7 +28,7 @@ from curveinv.algebra import (
     squarefree_decomposition,
     squarefree_part,
 )
-from curveinv.errors import InternalCheckError, NotReduced, ParseError, WrongVariables
+from curveinv.errors import IncompatibleContexts, InternalCheckError, NotReduced, ParseError, WrongVariables
 from curveinv.field import (
     LOG_TABLE_MAX_ORDER,
     FieldCtx,
@@ -50,6 +50,29 @@ def _random_poly(ctx, rng, max_deg=3, nterms=5, vars=("x", "y")):
         e = tuple(rng.randint(0, max_deg) for _ in vars)
         terms[e] = ctx.sample(rng)
     return MPoly(ctx, vars, terms)
+
+
+def test_coefficient_coercion_contract():
+    # MPoly and UniPoly coerce coefficients through FieldCtx.rcoerce: an
+    # element of the context, an int or a Fraction, and nothing else
+    f7, vars = FieldCtx.prime(7), ("x", "y")
+    for bad in ("3", 1.5):
+        with pytest.raises(TypeError):
+            MPoly(f7, vars, {(1, 0): bad})
+        with pytest.raises(TypeError):
+            UniPoly(f7, [1, bad])
+    for foreign in (QQ.one, FieldCtx.prime(5).one, _flat_finite_ctx(7, 2).one):
+        with pytest.raises(IncompatibleContexts):
+            MPoly(f7, vars, {(1, 0): foreign})
+        with pytest.raises(IncompatibleContexts):
+            UniPoly(f7, [foreign])
+    # a FieldElement operator leaves an unknown type to Python
+    assert f7.one.__add__("x") is NotImplemented
+    with pytest.raises(TypeError):
+        f7.one + "x"
+    half = QQ.from_fraction(Fraction(1, 2))
+    assert MPoly(QQ, vars, {(0, 1): Fraction(1, 2), (1, 0): 0}) == MPoly(QQ, vars, {(0, 1): half})
+    assert UniPoly(QQ, [Fraction(1, 2), 0]) == UniPoly(QQ, [half])
 
 
 def test_parse_simple():

@@ -218,20 +218,29 @@ class TestCorpus:
             }
         ]
 
-    def test_oracle_give_up_is_a_skip_row(self):
-        # the companion germ of seed 295 is x+2*x*y^2, and i_resultant finds
-        # no certified shear over F_3
-        row = evaluate_item(CorpusItem(0, 3, "x*y+x^3+2*x^2*y+2*x*y^2+2*y^3", "sparse", 295))
-        assert row == {
+    def test_oracle_give_up_is_a_skip_row(self, monkeypatch):
+        # the companion germ of seed 295 is x+2*x*y^2: i_resultant finds no
+        # certified shear among the 3 of F_3 and certifies over F_9
+        item = CorpusItem(0, 3, "x*y+x^3+2*x^2*y+2*x*y^2+2*y^3", "sparse", 295)
+        row = {
             "index": 0,
             "char": 3,
             "poly": "x*y+x^3+2*x^2*y+2*x*y^2+2*y^3",
             "source": "sparse",
             "relations": "pass",
             "oracle_delta": "agree",
-            "oracle_intersection": "skip",
+            "oracle_intersection": "agree",
             "status": "pass",
         }
+        assert evaluate_item(item) == row
+
+        def give_up(*args, **kwargs):
+            raise ShearExhausted("no certified shear direction")
+
+        import curveinv.corpus as corpus
+
+        monkeypatch.setattr(corpus, "i_resultant", give_up)
+        assert evaluate_item(item) == {**row, "oracle_intersection": "skip"}
 
     def test_small_run_passes(self, capsys):
         code, data = run_json(
@@ -549,6 +558,26 @@ class TestErrorContract:
         for path in sorted(package.glob("*.py")):
             visit(ast.parse(path.read_text()), None, path)
         assert found == [("field.py", "_interned")]
+
+    def test_every_traced_function_exists(self):
+        # perfbench/layertrace.py wraps these by name, and one renamed or
+        # deleted would break `perfbench/run.py --trace 1` without failing a test
+        import importlib
+
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+        traced = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(source.read_text()).body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+        )
+        missing = []
+        for module, path in traced:
+            obj = importlib.import_module(f"curveinv.{module}")
+            for part in path.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{path}")
+        assert len(traced) > 20 and missing == []
 
     def test_no_bare_value_error_is_raised(self):
         # a check raises UnsupportedInput (bad input, still a ValueError) or

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -571,6 +572,117 @@ def test_leading_coefficient_of_zero_is_an_internal_error():
             UniPoly(ctx, []).leading()
 
 
+# Coefficient-by-coefficient references on FieldElements for the UniPoly
+# operations, which run on rep vectors: lists of elements, zeros trimmed.
+
+
+def _trimmed(cs: list) -> list:
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _ref_add(ctx, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [ctx.zero] * (n - len(a)), b + [ctx.zero] * (n - len(b))
+    return _trimmed([x + y for x, y in zip(a, b)])
+
+
+def _ref_mul(ctx, a, b):
+    out = [ctx.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trimmed(out)
+
+
+def _ref_divmod(ctx, a, b):
+    r, q, inv = list(a), [ctx.zero] * max(len(a) - len(b) + 1, 0), b[-1].inverse()
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] * inv
+        for j, y in enumerate(b):
+            r[k + j] = r[k + j] - c * y
+    return _trimmed(q), _trimmed(r[: len(b) - 1])
+
+
+def _ref_eval(ctx, a, x):
+    acc = ctx.zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_compose(ctx, a, b):
+    acc = []
+    for c in reversed(a):
+        acc = _ref_add(ctx, _ref_mul(ctx, acc, b), [c])
+    return acc
+
+
+_REFERENCE_FIELDS = {
+    "F_7": FieldCtx.prime(7),
+    "log-table F_7^2": _flat_finite_ctx(7, 2),
+    "tuple F_2^13": _flat_finite_ctx(2, 13),
+    "QQ": FieldCtx.rationals(),
+    "QQ(sqrt 2)": FieldCtx.rationals().extend([-2, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("ctx", _REFERENCE_FIELDS.values(), ids=_REFERENCE_FIELDS.keys())
+def test_unipoly_agrees_with_elementwise_arithmetic(ctx):
+    assert (ctx._log is not None) == (ctx.descriptor() == "Fq:7^2")
+    rng = random.Random(2222)
+    for _ in range(30):
+        a, b = ([ctx.sample(rng) for _ in range(rng.randint(0, 6))] for _ in range(2))
+        c, x = ctx.sample(rng), ctx.sample(rng)
+        fa, fb = UniPoly(ctx, a), UniPoly(ctx, b)
+        a, b = _trimmed(a), _trimmed(b)
+        assert list(fa.coeffs) == a and fa.reps == tuple(e.rep for e in a)
+        assert list((fa + fb).coeffs) == _ref_add(ctx, a, b)
+        assert list((fa - fb).coeffs) == _ref_add(ctx, a, [-e for e in b])
+        assert list((-fa).coeffs) == [-e for e in a]
+        assert list(fa.scale(c).coeffs) == _trimmed([c * e for e in a])
+        assert list((fa * fb).coeffs) == _ref_mul(ctx, a, b)
+        power = [ctx.one]
+        for e in range(4):
+            assert list((fa**e).coeffs) == power
+            power = _ref_mul(ctx, power, a)
+        if b:
+            q, r = divmod(fa, fb)
+            assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(ctx, a, b)
+        assert list(fa.derivative().coeffs) == _trimmed([e * i for i, e in enumerate(a)][1:])
+        assert list(fa.compose(fb).coeffs) == _ref_compose(ctx, a, b)
+        assert fa.eval(x) == _ref_eval(ctx, a, x)
+        assert list(fa.monic().coeffs) == ([e * a[-1].inverse() for e in a] if a else [])
+
+
+@pytest.mark.parametrize("ctx", list(_REFERENCE_FIELDS.values())[:3], ids=list(_REFERENCE_FIELDS)[:3])
+def test_unipoly_pth_root_agrees_with_elementwise_roots(ctx):
+    rng, p = random.Random(3333), ctx.char
+    for _ in range(20):
+        a = [ctx.sample(rng) if i % p == 0 else ctx.zero for i in range(rng.randint(0, 12))]
+        root = UniPoly(ctx, a).pth_root()
+        assert list(root.coeffs) == _trimmed([ctx.pth_root(e) for e in a[::p]])
+        assert root ** p == UniPoly(ctx, a)
+
+
+def _monic_polys(ctx, n):
+    return [[*low, ctx.one] for low in product(list(ctx.elements()), repeat=n)]
+
+
+@pytest.mark.parametrize(
+    "ctx, top", [(FieldCtx.prime(2), 5), (FieldCtx.prime(3), 5), (_flat_finite_ctx(2, 2), 3)]
+)
+def test_is_irreducible_agrees_with_a_divisor_search(ctx, top):
+    divisors = [d for n in range(1, top // 2 + 1) for d in _monic_polys(ctx, n)]
+    for n in range(1, top + 1):
+        for f in _monic_polys(ctx, n):
+            reducible = any(
+                not _ref_divmod(ctx, f, d)[1] for d in divisors if 2 * (len(d) - 1) <= n
+            )
+            assert UniPoly(ctx, f).is_irreducible() is not reducible, f
+
+
 def test_unipoly_gcd_properties():
     rng = random.Random(4)
     f7 = FieldCtx.prime(7)
@@ -838,7 +950,7 @@ def test_descent_agrees_with_the_norm_on_every_factor():
                 if f.degree() + piece.degree() > 5:
                     break
                 f = f * piece
-            lifted = UniPoly._from_reps(ctx, [(r,) + pad for r in f._reps()])
+            lifted = UniPoly._from_reps(ctx, [(r,) + pad for r in f.reps])
             if lifted.degree() < 2:
                 continue
             undescended = sorted(

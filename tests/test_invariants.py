@@ -12,7 +12,6 @@ from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.invariants import (
     INF,
     ExtNat,
-    GammaBudget,
     analyze_local,
     delta,
     gamma,
@@ -203,7 +202,7 @@ def test_gamma_interval_never_contradicts_floor():
             continue
         if not squarefree_part(f)[1]:
             continue
-        res = gamma(f, GammaBudget(linear_tries=2, smooth_tries=2))
+        res = gamma(f)
         floor = res.safe_lower
         if res.kind == "exact":
             assert res.value == floor

@@ -15,7 +15,7 @@ from curveinv.errors import (
     UnsupportedInput,
 )
 from curveinv.field import FieldCtx
-from curveinv.invariants import INF, delta, intersection_multiplicity
+from curveinv.invariants import INF, ExtNat, delta, intersection_multiplicity
 from curveinv.oracle import (
     branch_semigroup,
     delta_semigroup,
@@ -61,6 +61,16 @@ def test_i_resultant_tangential_and_tiny_field():
     f = parse_poly("y^2+y*x+x^3", F2)
     g = parse_poly("y+x^2", F2)
     assert i_resultant(f, g) == intersection_multiplicity(f, g)
+
+
+def test_each_field_gets_its_own_shear_retries():
+    # no shear of F_3 certifies this pair; F_9 certifies at its 8th draw
+    f = parse_poly("x*y+x^3+2*x^2*y+2*x*y^2+2*y^3", F3)
+    g = parse_poly("x+2*x*y^2", F3)
+    assert i_resultant(f, g, seed=295) == intersection_multiplicity(f, g) == ExtNat(3)
+    assert i_resultant(f, g, seed=295, retries=20) == ExtNat(3)
+    with pytest.raises(ShearExhausted):  # F_9 has more than 5 elements
+        i_resultant(f, g, seed=295, retries=5)
 
 
 def test_i_resultant_matches_main_on_random_pairs():
