@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials, parsing, resultants, and squarefree
 structure.
 
-:class:`MPoly` stores ``{exponent tuple: coefficient}`` over a fixed variable
-alphabet, usually ``(x, y)`` and occasionally ``(x, y, z)`` or ``(t, x, y)``.
-Resultants and bivariate gcds read the two ends of one subresultant remainder
+:class:`MPoly` stores ``{exponent tuple: rep}``, the raw reps of its nonzero
+coefficients, over a fixed variable alphabet, usually ``(x, y)`` and
+occasionally ``(x, y, z)`` or ``(t, x, y)``; its arithmetic, substitution
+and the blow-ups of :mod:`.blowup` run on the context's bound rep ops, and
+products over F_p sum plain integers and reduce once per term.  ``terms`` is
+a view that wraps each coefficient as a :class:`~.field.FieldElement` when
+read.  Resultants and bivariate gcds read the two ends of one subresultant remainder
 sequence (Collins 1967; Brown & Traub 1971) on dense vectors in the main
 variable, whose coefficients are rep vectors in one more: every division by
 the predicted factor is exact and checked.  A resultant Kronecker-packs its
@@ -40,28 +44,59 @@ from .field import _rp_divexact, _rp_eval, _rp_mul, _rp_pow, _rp_scale, _rp_sub,
 from .unipoly import UniPoly
 
 
-class MPoly:
-    """Immutable sparse polynomial in ``len(vars)`` variables."""
+def _sum_ops(ctx: FieldCtx) -> tuple:
+    """(add, mul) for summing products of reps: over F_p plain integer ones,
+    whose sums :meth:`MPoly._from_sums` reduces once per term."""
+    return (add, mul) if ctx.kind == "prime" else (ctx.radd, ctx.rmul)
 
-    __slots__ = ("ctx", "vars", "terms")
+
+def _muladd(ops: tuple, out: dict, a: dict, b: dict) -> dict:
+    """out plus the product of the rep dicts a and b, summed with ``ops``."""
+    radd, rmul = ops
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = rmul(c1, c2)
+            cur = out.get(e)
+            out[e] = c if cur is None else radd(cur, c)
+    return out
+
+
+class MPoly:
+    """Immutable sparse polynomial in ``len(vars)`` variables: ``reps`` maps
+    exponent tuples to the reps of their nonzero coefficients."""
+
+    __slots__ = ("ctx", "vars", "reps")
 
     def __init__(self, ctx: FieldCtx, vars: tuple[str, ...], terms: dict):
         """``terms`` maps exponent tuples to elements of ``ctx``, ints or Fractions."""
         rcoerce, ris_zero = ctx.rcoerce, ctx.ris_zero
         reps = ((tuple(e), rcoerce(c)) for e, c in terms.items())
         self.ctx, self.vars = ctx, tuple(vars)
-        self.terms = {e: FieldElement(ctx, r) for e, r in reps if not ris_zero(r)}
+        self.reps = {e: r for e, r in reps if not ris_zero(r)}
 
     @classmethod
     def _from_reps(cls, ctx: FieldCtx, vars: tuple[str, ...], reps: dict) -> "MPoly":
         """Wrap raw coefficient reps, dropping zeros, without re-checking them."""
         out = object.__new__(cls)
-        out.ctx, out.vars, out.terms = ctx, vars, {}
         ris_zero = ctx.ris_zero
-        for e, c in reps.items():
-            if not ris_zero(c):
-                out.terms[e] = FieldElement(ctx, c)
+        out.ctx, out.vars = ctx, vars
+        out.reps = {e: c for e, c in reps.items() if not ris_zero(c)}
         return out
+
+    @classmethod
+    def _from_sums(cls, ctx: FieldCtx, vars: tuple[str, ...], sums: dict) -> "MPoly":
+        """Wrap sums accumulated with :func:`_sum_ops`, reducing them over F_p."""
+        if ctx.kind == "prime":
+            p = ctx.char
+            sums = {e: c % p for e, c in sums.items()}
+        return cls._from_reps(ctx, vars, sums)
+
+    @property
+    def terms(self) -> dict:
+        """``{exponent tuple: FieldElement}``, a new dict on every read."""
+        ctx = self.ctx
+        return {e: FieldElement(ctx, c) for e, c in self.reps.items()}
 
     # -- constructors ---------------------------------------------------------
 
@@ -92,36 +127,39 @@ class MPoly:
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.reps
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.reps:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.reps)
 
     def order(self) -> int | None:
         """Minimal total degree of a term; None for the zero polynomial."""
-        if not self.terms:
+        if not self.reps:
             return None
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.reps)
 
     def degree_in(self, var_idx: int) -> int:
-        if not self.terms:
+        if not self.reps:
             return -1
-        return max(e[var_idx] for e in self.terms)
+        return max(e[var_idx] for e in self.reps)
 
     def order_in(self, var_idx: int) -> int | None:
-        if not self.terms:
+        if not self.reps:
             return None
-        return min(e[var_idx] for e in self.terms)
+        return min(e[var_idx] for e in self.reps)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.reps}
         return len(degs) <= 1
 
+    def coefficient(self, e: tuple[int, ...]) -> FieldElement:
+        return FieldElement(self.ctx, self.reps.get(e, self.ctx.rzero))
+
     def constant_term(self) -> FieldElement:
-        return self.terms.get((0,) * len(self.vars), self.ctx.zero)
+        return self.coefficient((0,) * len(self.vars))
 
     def _check(self, other: "MPoly") -> None:
         if (
@@ -132,6 +170,8 @@ class MPoly:
             raise IncompatibleContexts("mixed polynomial rings")
 
     # -- arithmetic --------------------------------------------------------------
+    # An operand that is not an MPoly is left to Python (NotImplemented),
+    # except that * scales by what FieldCtx.rcoerce accepts.
 
     def __add__(self, other: "MPoly") -> "MPoly":
         return self._combine(other, self.ctx.radd)
@@ -140,48 +180,36 @@ class MPoly:
         return self._combine(other, self.ctx.rsub)
 
     def _combine(self, other: "MPoly", op) -> "MPoly":
+        if not isinstance(other, MPoly):
+            return NotImplemented
         self._check(other)
-        zero = self.ctx.rzero
-        terms = {e: c.rep for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            terms[e] = op(terms.get(e, zero), c.rep)
-        return MPoly._from_reps(self.ctx, self.vars, terms)
+        zero, reps = self.ctx.rzero, dict(self.reps)
+        for e, c in other.reps.items():
+            reps[e] = op(reps.get(e, zero), c)
+        return MPoly._from_reps(self.ctx, self.vars, reps)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.ctx, self.vars, {e: -c for e, c in self.terms.items()})
+        rneg = self.ctx.rneg
+        return MPoly._from_reps(self.ctx, self.vars, {e: rneg(c) for e, c in self.reps.items()})
 
     def __mul__(self, other) -> "MPoly":
-        if isinstance(other, FieldElement):
+        if isinstance(other, (FieldElement, int, Fraction)):
             return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.ctx.from_int(other))
+        if not isinstance(other, MPoly):
+            return NotImplemented
         self._check(other)
         ctx = self.ctx
-        prime = ctx.kind == "prime"
-        # Over F_p, sum plain integer products and reduce once per term.
-        radd, rmul = (add, mul) if prime else (ctx.radd, ctx.rmul)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            a = c1.rep
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = rmul(a, c2.rep)
-                cur = terms.get(e)
-                terms[e] = c if cur is None else radd(cur, c)
-        if prime:
-            for e, c in terms.items():
-                terms[e] = c % ctx.char
-        return MPoly._from_reps(ctx, self.vars, terms)
+        return MPoly._from_sums(ctx, self.vars, _muladd(_sum_ops(ctx), {}, self.reps, other.reps))
 
-    def __rmul__(self, other) -> "MPoly":
-        if isinstance(other, (FieldElement, int)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
-    def scale(self, c: FieldElement) -> "MPoly":
-        if c.is_zero():
-            return MPoly.zero(self.ctx, self.vars)
-        return MPoly(self.ctx, self.vars, {e: c * v for e, v in self.terms.items()})
+    def scale(self, c) -> "MPoly":
+        """c times self, for c an element of the context, an int or a Fraction."""
+        return self._scaled(self.ctx.rcoerce(c))
+
+    def _scaled(self, c) -> "MPoly":
+        rmul = self.ctx.rmul
+        return MPoly._from_reps(self.ctx, self.vars, {e: rmul(c, v) for e, v in self.reps.items()})
 
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:
@@ -198,51 +226,37 @@ class MPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return (
-            self.ctx is other.ctx
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
+        return self.ctx is other.ctx and self.vars == other.vars and self.reps == other.reps
 
     def __hash__(self) -> int:
-        return hash(
-            (self.ctx._key, self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-        )
+        return hash((self.ctx._key, self.vars, frozenset(self.reps.items())))
 
     # -- calculus and substitution -------------------------------------------------
 
     def partial(self, var_idx: int) -> "MPoly":
-        terms = {}
-        for e, c in self.terms.items():
+        ctx, reps = self.ctx, {}
+        for e, c in self.reps.items():
             k = e[var_idx]
             if k == 0:
                 continue
             ne = list(e)
             ne[var_idx] = k - 1
             key = tuple(ne)
-            add = c * k
-            cur = terms.get(key)
-            terms[key] = add if cur is None else cur + add
-        return MPoly(self.ctx, self.vars, terms)
+            reps[key] = ctx.radd(reps.get(key, ctx.rzero), ctx.rmul(c, ctx.rfrom_int(k)))
+        return MPoly._from_reps(ctx, self.vars, reps)
 
-    def subs_const(self, var_idx: int, value: FieldElement) -> "MPoly":
-        terms: dict = {}
-        powers = {0: self.ctx.one}
-
-        def vpow(k: int) -> FieldElement:
-            if k not in powers:
-                powers[k] = vpow(k - 1) * value
-            return powers[k]
-
-        for e, c in self.terms.items():
+    def subs_const(self, var_idx: int, value) -> "MPoly":
+        ctx, reps = self.ctx, {}
+        v, powers = ctx.rcoerce(value), [ctx.rone]
+        for e, c in self.reps.items():
             ne = list(e)
             k = ne[var_idx]
             ne[var_idx] = 0
             key = tuple(ne)
-            add = c * vpow(k)
-            cur = terms.get(key)
-            terms[key] = add if cur is None else cur + add
-        return MPoly(self.ctx, self.vars, terms)
+            while len(powers) <= k:
+                powers.append(ctx.rmul(powers[-1], v))
+            reps[key] = ctx.radd(reps.get(key, ctx.rzero), ctx.rmul(c, powers[k]))
+        return MPoly._from_reps(ctx, self.vars, reps)
 
     def substitute(self, images: Sequence["MPoly"]) -> "MPoly":
         """Simultaneous substitution; one image per variable."""
@@ -250,59 +264,61 @@ class MPoly:
             raise InternalCheckError("one image per variable required")
         for img in images:
             self._check(img)
-        caches: list[list[MPoly]] = [
-            [MPoly.constant(self.ctx, self.vars, self.ctx.one)] for _ in self.vars
-        ]
+        ctx, ops = self.ctx, _sum_ops(self.ctx)
+        origin = (0,) * len(self.vars)
+        unit = MPoly._from_reps(ctx, self.vars, {origin: ctx.rone})
+        caches = [[unit, img] for img in images]
 
-        def vpow(i: int, k: int) -> MPoly:
+        def vpow(i: int, k: int) -> dict:
             cache = caches[i]
             while len(cache) <= k:
                 cache.append(cache[-1] * images[i])
-            return cache[k]
+            return cache[k].reps
 
-        out = MPoly.zero(self.ctx, self.vars)
-        for e, c in self.terms.items():
-            term = MPoly.constant(self.ctx, self.vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * vpow(i, k)
-            out = out + term
-        return out
+        out: dict = {}
+        for e, c in self.reps.items():
+            factors = [vpow(i, k) for i, k in enumerate(e) if k] or [unit.reps]
+            term = {origin: c}
+            for f in factors[:-1]:
+                term = _muladd(ops, {}, term, f)
+            _muladd(ops, out, term, factors[-1])
+        return MPoly._from_sums(ctx, self.vars, out)
 
     def eval(self, point: Sequence[FieldElement]) -> FieldElement:
-        acc = self.ctx.zero
-        for e, c in self.terms.items():
-            v = c
+        ctx, acc = self.ctx, self.ctx.rzero
+        pt = [ctx.rcoerce(v) for v in point]
+        for e, c in self.reps.items():
             for i, k in enumerate(e):
                 if k:
-                    v = v * point[i] ** k
-            acc = acc + v
-        return acc
+                    c = ctx.rmul(c, ctx.rpow(pt[i], k))
+            acc = ctx.radd(acc, c)
+        return FieldElement(ctx, acc)
 
     def to_unipoly(self, var_idx: int) -> UniPoly:
         reps = [self.ctx.rzero] * (self.degree_in(var_idx) + 1)
-        for e, c in self.terms.items():
+        for e, c in self.reps.items():
             if any(k != 0 for i, k in enumerate(e) if i != var_idx):
                 raise InternalCheckError("polynomial involves other variables")
-            reps[e[var_idx]] = c.rep
+            reps[e[var_idx]] = c
         return UniPoly._from_reps(self.ctx, reps)
 
     def coeff_list(self, var_idx: int) -> list["MPoly"]:
         """Coefficients of powers of one variable, as polynomials in the rest."""
         n = self.degree_in(var_idx)
         buckets: list[dict] = [{} for _ in range(n + 1)]
-        for e, c in self.terms.items():
+        for e, c in self.reps.items():
             ne = list(e)
             k = ne[var_idx]
             ne[var_idx] = 0
             buckets[k][tuple(ne)] = c
-        return [MPoly(self.ctx, self.vars, b) for b in buckets]
+        return [MPoly._from_reps(self.ctx, self.vars, b) for b in buckets]
 
     # -- division ----------------------------------------------------------------
 
-    def _lead(self) -> tuple[tuple[int, ...], FieldElement]:
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
+    def _lead(self) -> tuple[tuple[int, ...], object]:
+        """The graded-lex leading exponent and the rep of its coefficient."""
+        e = max(self.reps, key=lambda t: (sum(t), t))
+        return e, self.reps[e]
 
     def divexact(self, d: "MPoly") -> "MPoly":
         """Exact division; raises InternalCheckError if it does not divide.
@@ -313,13 +329,13 @@ class MPoly:
             raise DivisionByZero("exact division by zero")
         ctx = self.ctx
         rsub, rmul, zero = ctx.rsub, ctx.rmul, ctx.rzero
-        rem = {e: c.rep for e, c in self.terms.items()}
+        rem = dict(self.reps)
         heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
         heapify(heap)
         out: dict = {}
         de, dc = d._lead()
-        dc_inv = ctx.rinv(dc.rep)
-        divisor = [(e, c.rep) for e, c in d.terms.items()]
+        dc_inv = ctx.rinv(dc)
+        divisor = list(d.reps.items())
         while heap:
             re = heappop(heap)[2]
             if re not in rem:
@@ -344,38 +360,33 @@ class MPoly:
         if self.is_zero():
             return self
         _, c = self._lead()
-        if c.is_one():
+        if c == self.ctx.rone:
             return self
-        return self.scale(c.inverse())
+        return self._scaled(self.ctx.rinv(c))
 
     # -- characteristic p ---------------------------------------------------------
 
     def pth_root(self) -> "MPoly":
-        p = self.ctx.char
+        ctx, p = self.ctx, self.ctx.char
         if p == 0:
             raise InternalCheckError("p-th root needs positive characteristic")
-        terms = {}
-        for e, c in self.terms.items():
+        reps = {}
+        for e, c in self.reps.items():
             if any(k % p for k in e):
                 raise InternalCheckError("polynomial is not a p-th power")
-            terms[tuple(k // p for k in e)] = self.ctx.pth_root(c)
-        return MPoly(self.ctx, self.vars, terms)
+            reps[tuple(k // p for k in e)] = ctx.rpow(c, ctx.order // p)  # inverse Frobenius
+        return MPoly._from_reps(ctx, self.vars, reps)
 
     # -- presentation ----------------------------------------------------------------
 
     def sort_key(self):
-        return tuple(
-            (e, c.sort_key()) for e, c in sorted(self.terms.items(), key=lambda t: t[0])
-        )
+        return tuple((e, self.ctx.rsort_key(self.reps[e])) for e in sorted(self.reps))
 
     def __str__(self) -> str:
-        items = sorted(
-            self.terms.items(),
-            key=lambda t: (sum(t[0]), tuple(-k for k in t[0])),
-        )
+        items = sorted(self.reps.items(), key=lambda t: (sum(t[0]), tuple(-k for k in t[0])))
         return _render_terms(
             (
-                str(c),
+                self.ctx.render_rep(c),
                 "*".join(
                     name if k == 1 else f"{name}^{k}" for name, k in zip(self.vars, e) if k
                 ),
@@ -389,7 +400,9 @@ class MPoly:
 
 def embed_poly(f: MPoly, target: FieldCtx) -> MPoly:
     """Coefficientwise field embedding; keeps the variable alphabet."""
-    return MPoly(target, f.vars, {e: embed(c, target) for e, c in f.terms.items()})
+    src = f.ctx
+    reps = {e: embed(FieldElement(src, c), target).rep for e, c in f.reps.items()}
+    return MPoly._from_reps(target, f.vars, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +415,8 @@ def _to_dense(f: MPoly) -> list[list]:
     if len(f.vars) != 2:  # a third variable would be dropped
         raise InternalCheckError(f"bivariate polynomial expected, not one in {f.vars}")
     zero, rows = f.ctx.rzero, [{} for _ in range(f.degree_in(1) + 1)]
-    for (i, k), c in f.terms.items():
-        rows[k][i] = c.rep
+    for (i, k), c in f.reps.items():
+        rows[k][i] = c
     return [[r.get(k, zero) for k in range(max(r, default=-1) + 1)] for r in rows]
 
 
@@ -509,7 +522,7 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     weights = list(accumulate([1] + bounds[:-1], mul))
 
     def pack(c: MPoly) -> list:
-        v = {sum(e[i] * w for i, w in zip(others, weights)): a.rep for e, a in c.terms.items()}
+        v = {sum(e[i] * w for i, w in zip(others, weights)): a for e, a in c.reps.items()}
         return [v.get(k, zero) for k in range(max(v, default=-1) + 1)]
 
     a, b, h, flip = _subresultants(ctx, [pack(c) for c in fc], [pack(c) for c in gc])

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import MPoly, embed_poly
+from .algebra import MPoly, _sum_ops, embed_poly
 from .errors import InternalCheckError, NotSingularAtOrigin
-from .field import FieldElement
+from .field import FieldElement, _rp_mul
 from .unipoly import UniPoly
 
 
@@ -57,27 +57,35 @@ def blow_up(f: MPoly, chart: str, center: FieldElement) -> MPoly:
     m = f.order()
     if m is None or m < 1:
         raise InternalCheckError("blow-up needs a germ through the origin")
-    ctx, vars = f.ctx, f.vars
+    ctx, c = f.ctx, f.ctx.rcoerce(center)
     k = 1 if chart == "x" else 0  # the variable that moves by the center
-    moved = MPoly(ctx, vars, {(1 - k, k): ctx.one, (0, 0): center})
-    pows = [MPoly.constant(ctx, vars, ctx.one)]
-    out = MPoly.zero(ctx, vars)
-    for e, c in sorted(f.terms.items()):
-        while len(pows) <= e[k]:
-            pows.append(pows[-1] * moved)
-        shift = [0, 0]
-        shift[1 - k] = e[0] + e[1] - m
-        out = out + MPoly(ctx, vars, {tuple(shift): c}) * pows[e[k]]
-    return out
+    if ctx.ris_zero(c):  # each term goes to one monomial, and no two to the same
+        return MPoly._from_reps(ctx, f.vars, {
+            (i + j - m, j) if k else (i, i + j - m): a for (i, j), a in f.reps.items()
+        })
+    # the coefficients of (v + c)^j, v the moving variable, one row per j
+    rows, moved = [[ctx.rone]], [c, ctx.rone]
+    radd, rmul = _sum_ops(ctx)
+    sums: dict = {}
+    for e, a in f.reps.items():
+        while len(rows) <= e[k]:
+            rows.append(_rp_mul(ctx, rows[-1], moved))
+        s = e[0] + e[1] - m
+        for l, b in enumerate(rows[e[k]]):
+            key = (s, l) if k else (l, s)
+            t = rmul(a, b)
+            cur = sums.get(key)
+            sums[key] = t if cur is None else radd(cur, t)
+    return MPoly._from_sums(ctx, f.vars, sums)
 
 
 def tangent_cone_poly(f: MPoly) -> UniPoly:
     """The multiplicity-m part in the x-chart, sum of c_ij w^j over i+j = m."""
     m = f.order()
     out = [f.ctx.rzero] * (m + 1)
-    for (i, j), c in f.terms.items():
+    for (i, j), c in f.reps.items():
         if i + j == m:
-            out[j] = c.rep
+            out[j] = c
     return UniPoly._from_reps(f.ctx, out)
 
 

@@ -128,7 +128,7 @@ def _branch_defining_poly(
         b_terms[(j, 0, 0)] = -c
     b = MPoly(ctx, _T3, b_terms)
     r = resultant(a, b, "t")
-    return MPoly(ctx, ("x", "y"), {(e[1], e[2]): c for e, c in r.terms.items()})
+    return MPoly._from_reps(ctx, ("x", "y"), {(e[1], e[2]): c for e, c in r.reps.items()})
 
 
 def _one_branch(ctx: FieldCtx, rng: random.Random, dmax: int) -> MPoly | None:

@@ -95,7 +95,7 @@ def _axis_order(f: MPoly, axis: int) -> int | None:
     """Order of f restricted to the axis {x=0} (axis=0) or {y=0} (axis=1);
     None when the restriction vanishes identically."""
     other = 1 - axis
-    exps = [e[other] for e in f.terms if e[axis] == 0]
+    exps = [e[other] for e in f.reps if e[axis] == 0]
     return min(exps) if exps else None
 
 
@@ -157,8 +157,7 @@ def _tangent(f: MPoly, path: list[tuple[Edge, int]]) -> tuple[FieldElement, Fiel
     if len(path) > 1:
         chart, center = path[1][0]
         return (ctx.one, center) if chart == "x" else (ctx.zero, ctx.one)
-    a = f.terms.get((1, 0), ctx.zero)
-    b = f.terms.get((0, 1), ctx.zero)
+    a, b = f.coefficient((1, 0)), f.coefficient((0, 1))
     return (ctx.zero, ctx.one) if b.is_zero() else (ctx.one, -a / b)
 
 

@@ -219,8 +219,8 @@ class Germ:
         minus one.
         """
         f = self.f
-        k = 1 if all(e[0] >= 1 for e in f.terms) else 0
-        l = 1 if all(e[1] >= 1 for e in f.terms) else 0
+        k = 1 if all(e[0] >= 1 for e in f.reps) else 0
+        l = 1 if all(e[1] >= 1 for e in f.reps) else 0
         if k == 0 and l == 0:
             return self._convenient_gamma_tilde()
         g = f.divexact(MPoly(f.ctx, f.vars, {(k, l): f.ctx.one}))
@@ -293,7 +293,7 @@ def germ(f: MPoly) -> Germ:
     germ(f)`` for every constant c != 0: both generate the same ideal.
     Raises NotReduced when f is zero or has a repeated component.
     """
-    key = (f.ctx._key, f.vars, frozenset(f.normalized().terms.items()))
+    key = (f.ctx._key, f.vars, frozenset(f.normalized().reps.items()))
     g = _GERMS.get(key)
     if g is not None:
         _GERMS.move_to_end(key)
@@ -389,7 +389,7 @@ def is_im_good(f: MPoly) -> bool:
 
 
 def _trunc(f: MPoly, d: int) -> MPoly:
-    return MPoly(f.ctx, f.vars, {e: c for e, c in f.terms.items() if sum(e) <= d})
+    return MPoly._from_reps(f.ctx, f.vars, {e: c for e, c in f.reps.items() if sum(e) <= d})
 
 
 @dataclass
@@ -407,11 +407,8 @@ class CoordinateChange:
     label: str = "change"
 
     def __post_init__(self):
-        ctx = self.x_image.ctx
-        a = self.x_image.terms.get((1, 0), ctx.zero)
-        b = self.x_image.terms.get((0, 1), ctx.zero)
-        c = self.y_image.terms.get((1, 0), ctx.zero)
-        d = self.y_image.terms.get((0, 1), ctx.zero)
+        a, b = self.x_image.coefficient((1, 0)), self.x_image.coefficient((0, 1))
+        c, d = self.y_image.coefficient((1, 0)), self.y_image.coefficient((0, 1))
         if (a * d - b * c).is_zero():
             raise InternalCheckError("linear part is not invertible")
         if not (

@@ -52,12 +52,11 @@ def _validated_degree(F: MPoly) -> int:
 def dehomogenize(F: MPoly, chart: str) -> MPoly:
     k = PROJ_VARS.index(chart)
     keep = [i for i in range(3) if i != k]
-    terms: dict = {}
-    for e, c in F.terms.items():
+    radd, zero, reps = F.ctx.radd, F.ctx.rzero, {}
+    for e, c in F.reps.items():
         key = (e[keep[0]], e[keep[1]])
-        cur = terms.get(key)
-        terms[key] = c if cur is None else cur + c
-    return MPoly(F.ctx, LOCAL_VARS, terms)
+        reps[key] = radd(reps.get(key, zero), c)
+    return MPoly._from_reps(F.ctx, LOCAL_VARS, reps)
 
 
 def _is_reduced(F: MPoly) -> bool:
@@ -210,11 +209,11 @@ def _bivariate_content(F: MPoly, var_idx: int) -> MPoly | None:
     powers, i.e. a factor of F not involving that variable; None if trivial."""
     others = [i for i in range(3) if i != var_idx]
     buckets: dict[int, dict] = {}
-    for e, c in F.terms.items():
+    for e, c in F.reps.items():
         buckets.setdefault(e[var_idx], {})[(e[others[0]], e[others[1]])] = c
     cont: MPoly | None = None
     for b in buckets.values():
-        g = MPoly(F.ctx, LOCAL_VARS, b)
+        g = MPoly._from_reps(F.ctx, LOCAL_VARS, b)
         cont = g if cont is None else gcd_bivar(cont, g)
         if cont.degree() < 1:
             return None

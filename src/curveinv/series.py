@@ -147,8 +147,8 @@ def _integral_leaf(sh: Shadow, leaf: MPoly) -> tuple[list, int, int]:
     """G(s, Y) = F'(alpha*s, beta*Y)/beta for F' the leaf over its y-partial
     at the origin, as ((i, j), numerator) pairs in the shadow, and alpha, beta."""
     ctx = leaf.ctx
-    inv_u = ctx.rinv(leaf.terms[(0, 1)].rep)
-    parts = {e: sh.split([ctx.rmul(c.rep, inv_u)]) for e, c in leaf.terms.items()}
+    inv_u = ctx.rinv(leaf.reps[(0, 1)])
+    parts = {e: sh.split([ctx.rmul(c, inv_u)]) for e, c in leaf.reps.items()}
     alpha, beta = _leaf_scale({e: q for e, (_, q) in parts.items()})
     terms = []
     for (i, j), ((n,), q) in parts.items():
@@ -183,12 +183,12 @@ class Param:
     def __init__(self, leaf: MPoly, solve_for: str = "y"):
         self._swapped = solve_for == leaf.vars[0]
         if self._swapped:
-            leaf = MPoly(leaf.ctx, leaf.vars, {(j, i): c for (i, j), c in leaf.terms.items()})
+            leaf = MPoly._from_reps(leaf.ctx, leaf.vars, {(j, i): c for (i, j), c in leaf.reps.items()})
         elif solve_for != leaf.vars[1]:
             raise InternalCheckError(f"cannot solve for {solve_for!r}")
         if not leaf.constant_term().is_zero():
             raise InternalCheckError("curve does not pass through the origin")
-        if (0, 1) not in leaf.terms:
+        if (0, 1) not in leaf.reps:
             raise InternalCheckError("first derivative is not a unit at the origin")
         self.ctx = leaf.ctx
         sh = self.ctx.shadow
@@ -298,9 +298,9 @@ def series_order(h: MPoly, param: Param, bound: int, *, start: int = 8) -> int |
     if h.ctx is not ctx:
         raise IncompatibleContexts(f"{h.ctx.descriptor()} vs {ctx.descriptor()}")
     sh = ctx.shadow
-    terms = list(zip(h.terms, sh.split([c.rep for c in h.terms.values()])[0]))
-    top_i = max((i for i, _ in h.terms), default=0)
-    top_j = max((j for _, j in h.terms), default=0)
+    terms = list(zip(h.reps, sh.split(list(h.reps.values()))[0]))
+    top_i = max((i for i, _ in h.reps), default=0)
+    top_j = max((j for _, j in h.reps), default=0)
     prec = min(start, bound + 1)
     while True:
         (xs, dx), (ys, dy) = param.numerators(prec)

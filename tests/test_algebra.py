@@ -21,6 +21,7 @@ from curveinv.algebra import (
     _primitive,
     _subresultants,
     _to_dense,
+    embed_poly,
     gcd_bivar,
     is_reduced,
     parse_poly,
@@ -37,11 +38,13 @@ from curveinv.field import (
     _loop_gcd,
     _rp_mul,
     _rp_scale,
+    embed,
 )
 from curveinv.invariants import germ
 from curveinv.unipoly import UniPoly
 
 QQ = FieldCtx.rationals()
+XY = ("x", "y")
 
 
 def _random_poly(ctx, rng, max_deg=3, nterms=5, vars=("x", "y")):
@@ -73,6 +76,31 @@ def test_coefficient_coercion_contract():
     half = QQ.from_fraction(Fraction(1, 2))
     assert MPoly(QQ, vars, {(0, 1): Fraction(1, 2), (1, 0): 0}) == MPoly(QQ, vars, {(0, 1): half})
     assert UniPoly(QQ, [Fraction(1, 2), 0]) == UniPoly(QQ, [half])
+    # MPoly * scales by those three kinds on either side; + - * leave any
+    # other non-polynomial to Python, and a foreign ring stays incompatible
+    f = parse_poly("x^2+3*y", f7)
+    for c in (f7.from_int(4), 4, Fraction(1, 2)):
+        assert f * c == c * f == f.scale(c) == MPoly(f7, vars, {(2, 0): c, (0, 1): 3 * c})
+    assert f * 0 == MPoly.zero(f7, vars)
+    for other in (2.5, "x", Fraction(1, 2), 2, f7.one):
+        for op in (f.__add__, f.__sub__):
+            assert op(other) is NotImplemented
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            f - other
+    for other in (2.5, "x", [1]):
+        assert f.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            f * other
+        with pytest.raises(TypeError):
+            other * f
+    with pytest.raises(IncompatibleContexts):
+        f * FieldCtx.prime(5).one
+    for foreign in (parse_poly("x", FieldCtx.prime(5)), parse_poly("x", f7, ("x", "z"))):
+        for op in (f.__add__, f.__sub__, f.__mul__):
+            with pytest.raises(IncompatibleContexts):
+                op(foreign)
 
 
 def test_parse_simple():
@@ -707,3 +735,152 @@ def test_rational_gcds_run_on_integer_polynomials(monkeypatch):
         undecided += i % 2 and len(rings) > before
     assert set(rings) == {QQ.shadow}
     assert undecided == 8
+
+
+# -- the rep-backed MPoly against a term-by-term FieldElement reference ------
+
+REFERENCE_CONTEXTS = {
+    "F7": FieldCtx.prime(7),
+    "F7^2": _flat_finite_ctx(7, 2),  # log-table codes
+    "F2^13": _flat_finite_ctx(2, 13),  # tuples over F_2
+    "QQ": QQ,
+    "QQ(sqrt2)": QQ.extend([-2, 0, 1]),
+}
+assert REFERENCE_CONTEXTS["F7^2"]._exp is not None and REFERENCE_CONTEXTS["F2^13"]._exp is None
+
+
+def _ref(ctx, pairs) -> dict:
+    """Sum FieldElement (exponent, coefficient) pairs into a dict without zeros."""
+    out: dict = {}
+    for e, c in pairs:
+        out[e] = out.get(e, ctx.zero) + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _ref_mul(ctx, a: dict, b: dict) -> dict:
+    return _ref(ctx, [(tuple(i + j for i, j in zip(e1, e2)), c1 * c2)
+                      for e1, c1 in a.items() for e2, c2 in b.items()])
+
+
+def _ref_pow(ctx, a: dict, n: int, nvars: int) -> dict:
+    out = {(0,) * nvars: ctx.one}
+    for _ in range(n):
+        out = _ref_mul(ctx, out, a)
+    return out
+
+
+def _ref_substitute(ctx, f: dict, images: list) -> dict:
+    pairs = []
+    for e, c in f.items():
+        term = {(0,) * len(e): c}
+        for img, k in zip(images, e):
+            term = _ref_mul(ctx, term, _ref_pow(ctx, img, k, len(e)))
+        pairs.extend(term.items())
+    return _ref(ctx, pairs)
+
+
+def _lowered(e, i, k=1):
+    return e[:i] + (e[i] - k,) + e[i + 1:]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONTEXTS))
+def test_rep_backed_mpoly_matches_a_termwise_reference(name):
+    ctx = REFERENCE_CONTEXTS[name]
+    rng = random.Random(f"mpoly reference {name}")
+    for vars in (("x", "y"), ("x", "y", "z")):
+        n = len(vars)
+        for _ in range(6):
+            f, g = _random_poly(ctx, rng, 3, 5, vars), _random_poly(ctx, rng, 2, 4, vars)
+            F, G = f.terms, g.terms
+            c, v = ctx.sample(rng), ctx.sample(rng)
+            point = [ctx.sample(rng) for _ in vars]
+            i = rng.randrange(n)
+            assert (f + g).terms == _ref(ctx, [*F.items(), *G.items()])
+            assert (f - g).terms == _ref(ctx, [*F.items(), *((e, -a) for e, a in G.items())])
+            assert (-f).terms == _ref(ctx, ((e, -a) for e, a in F.items()))
+            assert (f * g).terms == _ref_mul(ctx, F, G)
+            assert f.scale(c).terms == (f * c).terms == _ref(ctx, ((e, c * a) for e, a in F.items()))
+            assert (g**3).terms == _ref_pow(ctx, G, 3, n)
+            partial = ((_lowered(e, i), a * e[i]) for e, a in F.items() if e[i])
+            assert f.partial(i).terms == _ref(ctx, partial)
+            at_v = ((_lowered(e, i, e[i]), a * v ** e[i]) for e, a in F.items())
+            assert f.subs_const(i, v).terms == _ref(ctx, at_v)
+            images = [_random_poly(ctx, rng, 1, 3, vars) for _ in vars]
+            assert f.substitute(images).terms == _ref_substitute(ctx, F, [h.terms for h in images])
+            value = ctx.zero
+            for e, a in F.items():
+                for p, k in zip(point, e):
+                    a = a * p**k
+                value = value + a
+            assert f.eval(point) == value
+            if F:
+                lead = max(F, key=lambda e: (sum(e), e))
+                assert f.normalized().terms == _ref(ctx, ((e, a / F[lead]) for e, a in F.items()))
+            if G:
+                assert (f * g).divexact(g) == f
+                assert MPoly(ctx, vars, _ref_mul(ctx, F, G)).divexact(g).terms == F
+            for k, part in enumerate(f.coeff_list(i)):
+                assert part.terms == {_lowered(e, i, k): a for e, a in F.items() if e[i] == k}
+            u = f
+            for j in range(n):
+                u = u if j == i else u.subs_const(j, v)
+            U, powers = u.terms, (_lowered((0,) * n, i, -k) for k in range(u.degree_in(i) + 1))
+            assert u.to_unipoly(i).coeffs == tuple(U.get(e, ctx.zero) for e in powers)
+    if ctx.char:
+        p, f = ctx.char, _random_poly(ctx, rng, 2, 4)
+        powered = MPoly(ctx, f.vars, {tuple(p * k for k in e): a**p for e, a in f.terms.items()})
+        assert powered == f**p
+        assert powered.pth_root() == f
+
+
+def test_embed_poly_matches_a_termwise_reference():
+    rng = random.Random("embed reference")
+    towers = [(FieldCtx.prime(7), _flat_finite_ctx(7, 2)), (QQ, REFERENCE_CONTEXTS["QQ(sqrt2)"]),
+              (FieldCtx.prime(2), _flat_finite_ctx(2, 13)),
+              (_flat_finite_ctx(2, 2), _flat_finite_ctx(2, 4))]
+    for small, big in towers:
+        f = _random_poly(small, rng)
+        assert embed_poly(f, big).terms == {e: embed(a, big) for e, a in f.terms.items()}
+        assert embed_poly(f, big).ctx is big
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONTEXTS))
+def test_terms_is_a_fresh_view_and_equal_polynomials_hash_equal(name):
+    ctx = REFERENCE_CONTEXTS[name]
+    f = parse_poly("2*x^2*y+y/3-5", ctx)
+    before = dict(f.terms)
+    view = f.terms
+    view.clear()
+    view[(9, 9)] = ctx.one
+    assert f.terms == before and f.terms is not f.terms
+    third = Fraction(1, 3)
+    built = [
+        f,
+        MPoly(ctx, XY, {(2, 1): 2, (0, 1): third, (0, 0): -5, (1, 1): 0}),
+        MPoly(ctx, XY, {(2, 1): Fraction(2), (0, 1): third, (0, 0): Fraction(-5)}),
+        MPoly(ctx, XY, {(2, 1): ctx.from_int(2), (0, 1): ctx.from_fraction(third),
+                        (0, 0): ctx.from_int(-5)}),
+        MPoly._from_reps(ctx, XY, {(2, 1): ctx.rfrom_int(2), (0, 1): ctx.rfrom_fraction(third),
+                                   (0, 0): ctx.rfrom_int(-5), (3, 0): ctx.rzero}),
+    ]
+    for g in built:
+        assert g == f and hash(g) == hash(f) and g.terms == before
+    assert len(set(built)) == 1
+
+
+def test_the_package_reads_reps_not_the_terms_view():
+    # MPoly.terms wraps every coefficient in a FieldElement on each read; the
+    # package itself works on reps, and only tests and tools read the view
+    import ast
+    from pathlib import Path
+
+    import curveinv
+
+    reads = []
+    for path in sorted(Path(curveinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+    assert isinstance(vars(MPoly)["terms"], property) and vars(MPoly)["terms"].fset is None
+    assert MPoly.__slots__ == ("ctx", "vars", "reps")

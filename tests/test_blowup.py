@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
 from curveinv.blowup import NeedsExtension, split, strict_transform
 from curveinv.errors import NotSingularAtOrigin
-from curveinv.field import FieldCtx
+from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.hne import branch_decompose
 from curveinv.unipoly import UniPoly
 
@@ -30,29 +31,62 @@ def _random_germ(ctx, rng, max_deg=4, nterms=6):
             return f
 
 
+# Every kind of coefficient arithmetic: Fractions, F_p ints, log-table codes,
+# tuples over F_2 and tuples over QQ.
+CHART_CONTEXTS = (QQ, FieldCtx.prime(5), FieldCtx.prime(2), _flat_finite_ctx(7, 2),
+                  _flat_finite_ctx(2, 13), QQ.extend([-2, 0, 1]))
+
+
+def _planted_germ(ctx, rng):
+    """A germ whose tangent cone is a product of distinct rational lines."""
+    roots, want = [], min(rng.randint(2, 3), ctx.order or 3)
+    while len(roots) < want:
+        r = ctx.sample(rng)
+        roots += [r] if r not in roots else []
+    cone = MPoly.constant(ctx, XY, 1)
+    for r in roots:
+        cone = cone * MPoly(ctx, XY, {(0, 1): 1, (1, 0): -r})
+    if rng.random() < 0.5:
+        cone = cone * MPoly.variable(ctx, XY, "x")  # the y-chart point too
+    m = cone.degree()
+    degrees = (m + 1, m + 2)
+    higher = {(i, d - i): ctx.sample(rng) for d in degrees for i in range(d + 1) if rng.random() < 0.5}
+    return cone + MPoly(ctx, XY, higher)
+
+
+def _pullback(f, chart, c) -> dict:
+    """f(x, x*(y+c)) or f(y*(x+c), y), expanded term by term on FieldElements."""
+    out = {}
+    for (i, j), a in f.terms.items():
+        k = j if chart == "x" else i  # the power of (y+c), or of (x+c)
+        for l in range(k + 1):
+            e = (i + j, l) if chart == "x" else (l, i + j)
+            out[e] = out.get(e, f.ctx.zero) + a * comb(k, l) * c ** (k - l)
+    return {e: v for e, v in out.items() if not v.is_zero()}
+
+
 def test_chart_identity_is_exact():
     rng = random.Random(0xB10)
-    for ctx in (QQ, FieldCtx.prime(5), FieldCtx.prime(2)):
-        x = MPoly.variable(ctx, XY, "x")
-        y = MPoly.variable(ctx, XY, "y")
-        for _ in range(8):
-            f = _random_germ(ctx, rng)
+    for ctx in CHART_CONTEXTS:
+        nonzero_centers = 0
+        for n in range(16):
+            f = _planted_germ(ctx, rng) if n % 2 else _random_germ(ctx, rng)
             m = f.order()
             try:
                 charts = strict_transform(f)
             except NeedsExtension:
+                assert n % 2 == 0
                 continue
             for ch in charts:
                 c = ctx.zero if ch.center is None else ch.center
-                cpoly = MPoly.constant(ctx, XY, c)
-                if ch.chart == "x":
-                    pulled = f.substitute([x, x * (y + cpoly)])
-                    assert pulled == (x**m) * ch.local_eq
-                else:
-                    pulled = f.substitute([y * (x + cpoly), y])
-                    assert pulled == (y**m) * ch.local_eq
+                nonzero_centers += not c.is_zero()
+                # f(x, x(y+c)) = x^m * g in the x-chart, f(y(x+c), y) = y^m * g in the y-chart
+                shift = (m, 0) if ch.chart == "x" else (0, m)
+                expected = {(i + shift[0], j + shift[1]): v for (i, j), v in ch.local_eq.terms.items()}
+                assert _pullback(f, ch.chart, c) == expected, (ctx, str(f), ch.chart, str(c))
                 # the new origin lies on the strict transform
                 assert ch.local_eq.constant_term().is_zero()
+        assert nonzero_centers >= 4, ctx
 
 
 def test_cusp_tree():
