@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Optional
 
 from .algebra import MPoly, embed_poly, gcd_bivar, is_reduced, squarefree_decomposition
@@ -35,6 +35,7 @@ from .hne import BranchSet, _axis_order, decompose_reduced
 from .series import series_order
 
 
+@total_ordering
 class ExtNat:
     """A natural number or infinity, with saturating arithmetic."""
 
@@ -83,21 +84,13 @@ class ExtNat:
 
     def __lt__(self, x) -> bool:
         o = self._other(x)
+        if o is NotImplemented:
+            return NotImplemented
         if self.value is None:
             return False
         if o.value is None:
             return True
         return self.value < o.value
-
-    def __le__(self, x) -> bool:
-        o = self._other(x)
-        return self == o or self < o
-
-    def __gt__(self, x) -> bool:
-        return not self <= self._other(x)
-
-    def __ge__(self, x) -> bool:
-        return not self < self._other(x)
 
     def __hash__(self):
         return hash(("ExtNat", self.value))
@@ -184,8 +177,15 @@ class Germ:
 
     @cached_property
     def partials(self) -> tuple[MPoly, MPoly]:
-        """The two partials of f, shared by mu and kappa."""
+        """The two partials of f, shared by mu and :attr:`polars`."""
         return self.f.partial(0), self.f.partial(1)
+
+    @cached_property
+    def polars(self) -> tuple[MPoly, MPoly]:
+        """The two partials of the branches' equation, shared by kappa and the
+        coordinate gamma: those of f unless the branches needed a larger field."""
+        fl = self.branches.f
+        return self.partials if fl is self.f else (fl.partial(0), fl.partial(1))
 
     @cached_property
     def mu(self) -> ExtNat:
@@ -202,12 +202,9 @@ class Germ:
     @cached_property
     def kappa(self) -> ExtNat:
         """Intersection number with a generic polar, branch by branch."""
-        bs = self.branches
-        fl = bs.f
-        # bs.f is f itself unless the branches needed a larger field
-        polars = self.partials if fl is self.f else (fl.partial(0), fl.partial(1))
-        bound = fl.degree() * max(polars[0].degree(), polars[1].degree(), 1) + 1
-        return ExtNat(_branch_order_sum(bs, polars, bound))  # None: infinite
+        fx, fy = self.polars
+        bound = self.branches.f.degree() * max(fx.degree(), fy.degree(), 1) + 1
+        return ExtNat(_branch_order_sum(self.branches, (fx, fy), bound))  # None: infinite
 
     @cached_property
     def gamma_tilde(self) -> int:
@@ -244,8 +241,8 @@ class Germ:
         ctx, vars = gl.ctx, gl.vars
         x = MPoly.variable(ctx, vars, vars[0])
         y = MPoly.variable(ctx, vars, vars[1])
-        polars = (x * gl.partial(0), y * gl.partial(1))
-        total = _branch_order_sum(bs, polars, gl.degree() * (gl.degree() + 1) + 1)
+        fx, fy = self.polars
+        total = _branch_order_sum(bs, (x * fx, y * fy), gl.degree() * (gl.degree() + 1) + 1)
         if total is None:
             raise InternalCheckError("both polar pullbacks vanish on a branch")
         ix = _axis_order(g, 0)
@@ -392,6 +389,15 @@ def _trunc(f: MPoly, d: int) -> MPoly:
     return MPoly._from_reps(f.ctx, f.vars, {e: c for e, c in f.reps.items() if sum(e) <= d})
 
 
+# The seeded coordinate search of gamma: how many random linear changes and
+# smooth changes it tries, the top degree of a smooth change's terms (also the
+# truncation of every candidate's inverse), and the default seed.
+LINEAR_TRIES = 4
+SMOOTH_TRIES = 6
+SMOOTH_DEGREE = 3
+GAMMA_SEED = 0x5EED
+
+
 @dataclass
 class CoordinateChange:
     """Polynomial coordinate change with invertible linear part.
@@ -403,7 +409,7 @@ class CoordinateChange:
 
     x_image: MPoly
     y_image: MPoly
-    truncation: int
+    truncation: int = SMOOTH_DEGREE
     label: str = "change"
 
     def __post_init__(self):
@@ -446,17 +452,15 @@ class CoordinateChange:
         return u, v
 
 
-def identity_change(ctx: FieldCtx, vars: tuple[str, ...], truncation: int = 3) -> CoordinateChange:
+def _linear_change(ctx: FieldCtx, vars: tuple[str, ...], a, b, c, d, label: str):
+    """The linear change (a*x + b*y, c*x + d*y), from four elements of ctx."""
     x = MPoly.variable(ctx, vars, vars[0])
     y = MPoly.variable(ctx, vars, vars[1])
-    return CoordinateChange(x, y, truncation, label="identity")
+    return CoordinateChange(x.scale(a) + y.scale(b), x.scale(c) + y.scale(d), label=label)
 
 
 def tangent_shear(
-    ctx: FieldCtx,
-    vars: tuple[str, ...],
-    direction: tuple[FieldElement, FieldElement],
-    truncation: int = 3,
+    ctx: FieldCtx, vars: tuple[str, ...], direction: tuple[FieldElement, FieldElement]
 ) -> CoordinateChange:
     """The change aligning the tangent line beta*y = alpha*x with y = 0.
 
@@ -467,21 +471,8 @@ def tangent_shear(
     beta, alpha = direction
     if beta.is_zero():
         raise DegenerateDirection("the tangent line is the y-axis")
-    x = MPoly.variable(ctx, vars, vars[0])
-    y = MPoly.variable(ctx, vars, vars[1])
     inv = beta.inverse()
-    return CoordinateChange(
-        x, x.scale(alpha * inv) - y.scale(inv), truncation, label="shear"
-    )
-
-
-# The seeded coordinate search of gamma: how many random linear changes and
-# smooth changes it tries, the top degree of a smooth change's terms (also the
-# truncation of every candidate's inverse), and the default seed.
-LINEAR_TRIES = 4
-SMOOTH_TRIES = 6
-SMOOTH_DEGREE = 3
-GAMMA_SEED = 0x5EED
+    return _linear_change(ctx, vars, ctx.one, ctx.zero, alpha * inv, -inv, "shear")
 
 
 @dataclass
@@ -492,7 +483,11 @@ class GammaResult:
     upper: Optional[int] = None
     safe_lower: Optional[int] = None
     witness: Optional[CoordinateChange] = None
-    certified: bool = False
+
+    @property
+    def certified(self) -> bool:
+        """Whether the witness attains the floor, so the value is exact."""
+        return self.kind == "exact"
 
     def to_json(self):
         if self.kind == "exact":
@@ -520,35 +515,35 @@ def _germ_part(f: MPoly) -> MPoly:
     return out
 
 
-def _linear_candidates(ctx, vars, rng, tries, truncation):
-    x = MPoly.variable(ctx, vars, vars[0])
-    y = MPoly.variable(ctx, vars, vars[1])
-    yield CoordinateChange(y, x, truncation, label="swap")
-    for _ in range(tries):
+def _candidates(G: Germ, f: MPoly, rng: random.Random):
+    """The coordinate changes gamma tries, in order, each with the polynomial
+    it applies to (None for the germ G of f itself): the identity, the swap,
+    random linear changes, a shear per branch tangent that is neither axis
+    (over the branches' field), then random smooth changes."""
+    ctx, vars = f.ctx, f.vars
+    one, zero = ctx.one, ctx.zero
+    yield _linear_change(ctx, vars, one, zero, zero, one, "identity"), None
+    yield _linear_change(ctx, vars, zero, one, one, zero, "swap"), f
+    for _ in range(LINEAR_TRIES):
         for _ in range(40):
             a, b, c, d = (ctx.sample(rng) for _ in range(4))
             if not (a * d - b * c).is_zero():
                 break
         else:
-            return
-        yield CoordinateChange(
-            x.scale(a) + y.scale(b), x.scale(c) + y.scale(d), truncation, label="linear"
-        )
-
-
-def _smooth_candidates(ctx, vars, rng, tries, degree, truncation):
-    x = MPoly.variable(ctx, vars, vars[0])
-    y = MPoly.variable(ctx, vars, vars[1])
-    for _ in range(tries):
-        xi, yi = x, y
-        for _ in range(2):
-            e = (rng.randint(0, degree), rng.randint(0, degree))
-            if 2 <= e[0] + e[1] <= degree:
-                xi = xi + MPoly(ctx, vars, {e: ctx.sample(rng)})
-            e = (rng.randint(0, degree), rng.randint(0, degree))
-            if 2 <= e[0] + e[1] <= degree:
-                yi = yi + MPoly(ctx, vars, {e: ctx.sample(rng)})
-        yield CoordinateChange(xi, yi, truncation, label="smooth")
+            break  # 40 singular draws in a row end the linear part
+        yield _linear_change(ctx, vars, a, b, c, d, "linear"), f
+    bs = G.branches
+    for br in bs.branches:
+        beta, alpha = br.tangent
+        if not (beta.is_zero() or alpha.is_zero()):
+            yield tangent_shear(bs.ctx, bs.f.vars, br.tangent), bs.f
+    for _ in range(SMOOTH_TRIES):
+        images = [MPoly.variable(ctx, vars, v) for v in vars]
+        for i in range(4):  # two terms each, drawn alternately for x and y
+            e = (rng.randint(0, SMOOTH_DEGREE), rng.randint(0, SMOOTH_DEGREE))
+            if 2 <= e[0] + e[1] <= SMOOTH_DEGREE:
+                images[i % 2] = images[i % 2] + MPoly(ctx, vars, {e: ctx.sample(rng)})
+        yield CoordinateChange(*images, label="smooth"), f
 
 
 def gamma(f: MPoly, *, seed: int = GAMMA_SEED) -> GammaResult:
@@ -557,66 +552,21 @@ def gamma(f: MPoly, *, seed: int = GAMMA_SEED) -> GammaResult:
     Exact if and only if some tested coordinate system attains the floor
     2*delta - r + 1 (that system is then a certificate of right im-goodness);
     otherwise an interval with the floor reported alongside as safe_lower.
+    The systems are those of :func:`_candidates`, whose draws the seed picks.
     """
     G = germ(f)
-    bs = G.branches
     target = 2 * G.delta - G.r + 1
-    rng = random.Random(seed)
-    trunc = SMOOTH_DEGREE
-
     best: Optional[int] = None
-    best_witness: Optional[CoordinateChange] = None
-
-    def consider(cand: CoordinateChange, H: Germ) -> Optional[GammaResult]:
-        nonlocal best, best_witness
+    witness: Optional[CoordinateChange] = None
+    for cand, h in _candidates(G, f, random.Random(seed)):
         cand.truncated_inverse()
-        value = H.gamma_tilde
-        if best is None or value < best:
-            best, best_witness = value, cand
+        value = (G if h is None else germ(_germ_part(cand.apply(h)))).gamma_tilde
         if value == target:
-            return GammaResult(
-                kind="exact",
-                value=target,
-                lower=target,
-                upper=target,
-                safe_lower=target,
-                witness=cand,
-                certified=True,
-            )
-        return None
-
-    out = consider(identity_change(f.ctx, f.vars, trunc), G)
-    if out:
-        return out
-
-    for cand in _linear_candidates(f.ctx, f.vars, rng, LINEAR_TRIES, trunc):
-        out = consider(cand, germ(_germ_part(cand.apply(f))))
-        if out:
-            return out
-
-    # tangent-aligned shears, over the (possibly extended) splitting field
-    f2 = bs.f
-    for b in bs.branches:
-        beta, alpha = b.tangent
-        if beta.is_zero() or alpha.is_zero():
-            continue
-        cand = tangent_shear(bs.ctx, f2.vars, b.tangent, trunc)
-        out = consider(cand, germ(_germ_part(cand.apply(f2))))
-        if out:
-            return out
-
-    for cand in _smooth_candidates(f.ctx, f.vars, rng, SMOOTH_TRIES, SMOOTH_DEGREE, trunc):
-        out = consider(cand, germ(_germ_part(cand.apply(f))))
-        if out:
-            return out
-
+            return GammaResult("exact", target, target, target, target, witness=cand)
+        if best is None or value < best:
+            best, witness = value, cand
     return GammaResult(
-        kind="interval",
-        lower=target + 1,
-        upper=best,
-        safe_lower=target,
-        witness=best_witness,
-        certified=False,
+        "interval", lower=target + 1, upper=best, safe_lower=target, witness=witness
     )
 
 
@@ -759,14 +709,13 @@ def verify_relations(f: MPoly) -> dict[str, str]:
         )
         break
     if checked_unit and r10 and m_good:
-        for cand in _linear_candidates(f.ctx, f.vars, rng, 2, 2):
-            g = cand.apply(f)
-            for u in _unit_candidates(f.ctx, f.vars, rng, 4):
-                gu = _germ_if_reduced(g * u)
-                if gu is None:
-                    continue
-                r10 = r10 and gu.gamma_tilde == gt
-                break
+        one, zero = f.ctx.one, f.ctx.zero
+        g = _linear_change(f.ctx, f.vars, zero, one, one, zero, "swap").apply(f)
+        for u in _unit_candidates(f.ctx, f.vars, rng, 4):
+            gu = _germ_if_reduced(g * u)
+            if gu is None:
+                continue
+            r10 = r10 and gu.gamma_tilde == gt
             break
     verdict("R10", checked_unit, r10)
     return out

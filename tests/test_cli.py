@@ -559,6 +559,27 @@ class TestErrorContract:
             visit(ast.parse(path.read_text()), None, path)
         assert found == [("field.py", "_interned")]
 
+    def test_every_coordinate_change_is_built_in_one_search(self):
+        # the linear builder and the smooth draw make every CoordinateChange,
+        # and gamma tries them all in one loop over _candidates
+        package = Path(curveinv.__file__).resolve().parent
+        found = []
+
+        def visit(node, where, path):
+            for child in ast.iter_child_nodes(node):
+                func = child.func if isinstance(child, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == "CoordinateChange":
+                    found.append((path.name, where))
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+                visit(child, inner, path)
+
+        for path in sorted(package.glob("*.py")):
+            visit(ast.parse(path.read_text()), None, path)
+        assert found == [("invariants.py", "_linear_change"), ("invariants.py", "_candidates")]
+        tree = ast.parse((package / "invariants.py").read_text())
+        gamma = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gamma")
+        assert sum(isinstance(n, ast.For) for n in ast.walk(gamma)) == 1
+
     def test_every_traced_function_exists(self):
         # perfbench/layertrace.py wraps these by name, and one renamed or
         # deleted would break `perfbench/run.py --trace 1` without failing a test

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +13,9 @@ from curveinv.algebra import MPoly, parse_poly, squarefree_part
 from curveinv.errors import InternalCheckError, NotReduced, UndefinedAtOrigin
 from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.invariants import (
+    GAMMA_SEED,
     INF,
+    CoordinateChange,
     ExtNat,
     analyze_local,
     delta,
@@ -59,6 +64,30 @@ def test_extnat_int_of_infinity_is_a_defect():
     assert int(ExtNat(4)) == 4
     with pytest.raises(InternalCheckError):
         int(INF)
+
+
+_ORDERS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def test_extnat_orders_like_the_extended_naturals():
+    def value(a):
+        return a if isinstance(a, int) else (math.inf if a.value is None else a.value)
+
+    for a in (ExtNat(0), ExtNat(3), INF):
+        for b in (ExtNat(0), ExtNat(3), INF, 0, 3, 5):
+            for op in _ORDERS:
+                assert op(a, b) is op(value(a), value(b)), (op.__name__, a, b)
+                assert op(b, a) is op(value(b), value(a)), (op.__name__, b, a)
+
+
+def test_extnat_does_not_order_against_other_types():
+    for a in (ExtNat(3), INF):
+        for other in ("a", 2.5, None):
+            for op in _ORDERS:
+                with pytest.raises(TypeError):
+                    op(a, other)
+                with pytest.raises(TypeError):
+                    op(other, a)
 
 
 def test_intersection_basics():
@@ -185,6 +214,83 @@ def test_gamma_sheared_pair_still_exact():
     g = gamma(f)
     assert g.kind == "exact" and g.value == 8
     assert g.witness is not None and g.witness.label != "identity"
+
+
+# Every candidate gamma tries, as (label, x image, y image), in its order:
+# the identity, the swap, 4 random linear changes, a shear per tangent that
+# is neither axis, 6 random smooth changes.  The draws are the default seed's.
+_LINEAR_DRAWS = [("linear", "x+y", "x"), ("linear", "x", "y"), ("linear", "y", "x"), ("linear", "x+y", "y")]
+_SMOOTH_DRAWS = [
+    ("smooth", "x", "y"),
+    ("smooth", "x+x^2*y", "y"),
+    ("smooth", "x", "y+x^2*y"),
+    ("smooth", "x+x*y", "y"),
+    ("smooth", "x", "y+x*y"),
+    ("smooth", "x+x*y", "y"),
+]
+_SEARCHES = {
+    "x^2+y^2+x^3*y": [("identity", "x", "y"), ("swap", "y", "x"), *_LINEAR_DRAWS, ("shear", "x", "x+y"), *_SMOOTH_DRAWS],
+    "y^4+x^6+x^7": [("identity", "x", "y"), ("swap", "y", "x"), *_LINEAR_DRAWS, *_SMOOTH_DRAWS],
+}
+
+
+@pytest.mark.parametrize("text", sorted(_SEARCHES))
+def test_gamma_tries_its_candidates_in_one_order(monkeypatch, text):
+    tried = []
+    real = CoordinateChange.truncated_inverse
+
+    def recording(change):
+        tried.append((change.label, str(change.x_image), str(change.y_image)))
+        return real(change)
+
+    monkeypatch.setattr(CoordinateChange, "truncated_inverse", recording)
+    assert gamma(parse_poly(text, F2)).kind == "interval"
+    assert tried == _SEARCHES[text]
+
+
+@pytest.mark.parametrize(
+    "text, seed, result, witness",
+    [
+        ("x^2+y^2+x^3", GAMMA_SEED, {"kind": "exact", "value": 2}, ("linear", "x+y", "x")),
+        (
+            "x*y^2+y^3+x^5",
+            GAMMA_SEED,
+            {"kind": "interval", "lower": 8, "upper": 8, "safe_lower": 7},
+            ("identity", "x", "y"),
+        ),
+        ("x*y^2+y^3+x^5", 2, {"kind": "exact", "value": 7}, ("smooth", "x", "y+x^2")),
+        (
+            "x^2+x^3*y+x^2*y^2+y^4",
+            2,
+            {"kind": "interval", "lower": 7, "upper": 7, "safe_lower": 6},
+            ("smooth", "x+y^2", "y"),
+        ),
+    ],
+)
+def test_gamma_results_and_witnesses_are_frozen(text, seed, result, witness):
+    g = gamma(parse_poly(text, F2), seed=seed)
+    assert g.to_json() == result
+    assert (g.witness.label, str(g.witness.x_image), str(g.witness.y_image)) == witness
+    assert g.certified == (result["kind"] == "exact")
+
+
+def test_r10_rechecks_the_swap_with_the_seeded_units(monkeypatch):
+    # R10 multiplies f by a unit, then its swap (y, x) by the next unit drawn
+    from curveinv import invariants
+
+    checked = []
+    real = invariants._germ_if_reduced
+
+    def recording(f):
+        checked.append(str(f))
+        return real(f)
+
+    monkeypatch.setattr(invariants, "_germ_if_reduced", recording)
+    assert verify_relations(parse_poly("y^2+x^3", F7))["R10"] == "pass"
+    assert checked == [
+        "y^2+x^3+2*x*y^2+2*x^4+4*x^2*y^4+4*x^5*y^2",
+        "x^2+x^2*y+y^3+y^4+6*x^3*y^2+6*x*y^5",
+    ]
 
 
 def test_gamma_interval_never_contradicts_floor():
@@ -335,6 +441,35 @@ def test_kappa_after_delta_reuses_the_branches(monkeypatch):
     kappa(f)
     assert len(calls) == 1
     assert germ(f).kappa == kappa(f)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(y^2-x^3)*(y-x^2)",
+        "-3/4*x*y^2+4*x^3*y+y^4-2*x^5",
+        "7*x^3+3/4*x^4+5/4*x^2*y^3-8*x*y^4",
+    ],
+)
+def test_kappa_and_gamma_tilde_take_each_partial_once(monkeypatch, text):
+    # one pair of partials over the branches' field serves both; the last
+    # germ is divisible by x, so its gamma_tilde reads the cofactor's germ
+    from curveinv import invariants
+
+    taken = Counter()
+    real = MPoly.partial
+
+    def counting(f, var_idx):
+        taken[(f.ctx.descriptor(), str(f), var_idx)] += 1
+        return real(f, var_idx)
+
+    monkeypatch.setattr(invariants, "_GERMS", type(invariants._GERMS)())
+    G = germ(q(text))
+    G.branches
+    monkeypatch.setattr(MPoly, "partial", counting)
+    G.kappa
+    G.gamma_tilde
+    assert taken and set(taken.values()) == {1}, taken
 
 
 @pytest.mark.parametrize("text", ["x^2-y^3", "3/4*x^2-1/4*y^3"])
