@@ -841,4 +841,8 @@ def parse_poly(text: str, ctx: FieldCtx, vars: tuple[str, ...] = ("x", "y")) -> 
     parentheses; ``/`` only by a constant.  Raises :class:`ParseError` with a
     position, or :class:`WrongVariables` for a stray identifier.
     """
-    return _Parser(text, ctx, vars).parse()
+    parser = _Parser(text, ctx, vars)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", parser.pos) from None

@@ -94,7 +94,6 @@ class StrictTransformChart:
     chart: str  # "x" or "y"
     center: FieldElement | None  # None encodes the direction opposite the chart
     local_eq: MPoly
-    m: int
 
 
 def strict_transform(f: MPoly) -> list[StrictTransformChart]:
@@ -108,9 +107,9 @@ def strict_transform(f: MPoly) -> list[StrictTransformChart]:
     if m is None or m < 1:
         raise NotSingularAtOrigin("germ does not vanish at the origin")
     cone = tangent_cone_poly(f)
-    charts = [StrictTransformChart("x", r, blow_up(f, "x", r), m) for r, _ in split(cone)]
+    charts = [StrictTransformChart("x", r, blow_up(f, "x", r)) for r, _ in split(cone)]
     if cone.degree() < m:
-        charts.append(StrictTransformChart("y", None, blow_up(f, "y", f.ctx.zero), m))
+        charts.append(StrictTransformChart("y", None, blow_up(f, "y", f.ctx.zero)))
     return charts
 
 

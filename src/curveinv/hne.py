@@ -182,11 +182,17 @@ def branch_decompose(f: MPoly, *, certify: bool = True) -> BranchSet:
     coefficient field trigger a field extension and a clean restart, so the
     returned :class:`BranchSet` lives over a single (possibly larger) context.
     """
+    if f.constant_term().is_zero():
+        _require_reduced(f)
+    return decompose_reduced(f, certify=certify)
+
+
+def _require_reduced(f: MPoly) -> None:
+    """Raise NotReduced when f is zero or has a repeated component."""
     if f.is_zero():
         raise NotReduced("the zero polynomial is not reduced")
-    if f.constant_term().is_zero() and not is_reduced(f):
+    if not is_reduced(f):
         raise NotReduced("the curve has a repeated component")
-    return decompose_reduced(f, certify=certify)
 
 
 def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Optional
 
-from .algebra import MPoly, embed_poly, gcd_bivar, is_reduced, squarefree_decomposition
+from .algebra import MPoly, embed_poly, gcd_bivar, squarefree_decomposition
 from .blowup import NeedsExtension, strict_transform
 from .errors import (
     DegenerateDirection,
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedInput,
 )
 from .field import FieldCtx, FieldElement
-from .hne import BranchSet, _axis_order, decompose_reduced
+from .hne import BranchSet, _axis_order, _require_reduced, decompose_reduced
 from .series import series_order
 
 
@@ -126,10 +126,15 @@ def _require_origin(f: MPoly) -> None:
         raise NotSingularAtOrigin("the origin is not on the curve")
 
 
-def _branch_order_sum(bs: BranchSet, hs: tuple[MPoly, ...], bound: int) -> int | None:
+def _branch_order_sum(bs: BranchSet, hs: tuple[MPoly, ...]) -> int | None:
     """Sum over the branches of bs of the least pullback order among the
-    nonzero hs; None when all of them vanish past the bound on some branch."""
+    nonzero hs; None when all of them vanish on some branch.
+
+    No finite order exceeds the Bezout number deg(bs.f) * max deg h, so
+    orders past it certify a pullback that vanishes.
+    """
     hs = [h for h in hs if not h.is_zero()]
+    bound = bs.f.degree() * max((h.degree() for h in hs), default=0)
     total = 0
     for b in bs.branches:
         orders = [o for h in hs if (o := series_order(h, b.series, bound)) is not None]
@@ -152,10 +157,7 @@ class Germ:
     """
 
     def __init__(self, f: MPoly):
-        if f.is_zero():
-            raise NotReduced("the zero polynomial is not reduced")
-        if not is_reduced(f):
-            raise NotReduced("the curve has a repeated component")
+        _require_reduced(f)
         self.f = f
 
     @cached_property
@@ -196,15 +198,12 @@ class Germ:
         fx, fy = self.partials
         if fx.is_zero() and fy.is_zero():
             raise InternalCheckError("both partials vanish on a reduced curve")
-        a, b = (fx, fy) if not fx.is_zero() else (fy, fx)
-        return intersection_multiplicity(a, b)
+        return intersection_multiplicity(fx, fy)
 
     @cached_property
     def kappa(self) -> ExtNat:
         """Intersection number with a generic polar, branch by branch."""
-        fx, fy = self.polars
-        bound = self.branches.f.degree() * max(fx.degree(), fy.degree(), 1) + 1
-        return ExtNat(_branch_order_sum(self.branches, (fx, fy), bound))  # None: infinite
+        return ExtNat(_branch_order_sum(self.branches, self.polars))  # None: infinite
 
     @cached_property
     def gamma_tilde(self) -> int:
@@ -242,7 +241,7 @@ class Germ:
         x = MPoly.variable(ctx, vars, vars[0])
         y = MPoly.variable(ctx, vars, vars[1])
         fx, fy = self.polars
-        total = _branch_order_sum(bs, (x * fx, y * fy), gl.degree() * (gl.degree() + 1) + 1)
+        total = _branch_order_sum(bs, (x * fx, y * fy))
         if total is None:
             raise InternalCheckError("both polar pullbacks vanish on a branch")
         ix = _axis_order(g, 0)
@@ -302,14 +301,11 @@ def germ(f: MPoly) -> Germ:
     return g
 
 
-def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
-    """Local intersection number of f and g at the origin.
-
-    f must vanish at the origin; g is arbitrary (a unit gives 0).  f need not
-    be reduced: branches of its squarefree pieces are weighted by their
-    multiplicity in f.  Orders past the Bezout bound certify a common
-    component, reported as infinity.
-    """
+def _local_pair(f: MPoly, g: MPoly) -> ExtNat | tuple[MPoly, MPoly]:
+    """The edge rules of an intersection number at the origin, shared by
+    :func:`intersection_multiplicity` and the resultant oracle: the number
+    when they decide it, else f and g with any common factor divided out."""
+    f._check(g)
     if not f.is_zero() and not f.constant_term().is_zero():
         raise UndefinedAtOrigin(
             "intersection numbers are taken at the origin, which is not on the first curve"
@@ -322,15 +318,28 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
     if d.degree() >= 1:
         if d.constant_term().is_zero():
             return INF
-        f = f.divexact(d)
-        g = g.divexact(d)
-    bound = max(f.degree() * g.degree(), 1)
+        # a common factor that misses the origin is a local unit on both sides
+        f, g = f.divexact(d), g.divexact(d)
+    return f, g
+
+
+def intersection_multiplicity(f: MPoly, g: MPoly) -> ExtNat:
+    """Local intersection number of f and g at the origin.
+
+    f must vanish at the origin; g is arbitrary (a unit gives 0).  f need not
+    be reduced: branches of its squarefree pieces are weighted by their
+    multiplicity in f.
+    """
+    pair = _local_pair(f, g)
+    if isinstance(pair, ExtNat):
+        return pair
+    f, g = pair
     total = 0
     for h, e in squarefree_decomposition(f):
         if not h.constant_term().is_zero():
             continue
         bs = germ(h).branches
-        o = _branch_order_sum(bs, (g if bs.ctx is g.ctx else embed_poly(g, bs.ctx),), bound)
+        o = _branch_order_sum(bs, (g if bs.ctx is g.ctx else embed_poly(g, bs.ctx),))
         if o is None:
             return INF
         total += e * o
@@ -584,10 +593,7 @@ def _line_not_dividing(f: MPoly):
         line = y - x.scale(c)
         if not f.substitute([x, x.scale(c)]).is_zero():
             return line
-    for line in (x, y):
-        if gcd_bivar(f, line).degree() < 1:
-            return line
-    return None
+    return x if _axis_order(f, 0) is not None else None
 
 
 def _unit_candidates(ctx, vars, rng, tries):

@@ -5,7 +5,8 @@ same number as the corresponding main-path computation along a road that
 shares no reasoning with it:
 
 * :func:`i_resultant` reads an intersection number off the x-adic order of a
-  resultant, after a shear whose validity is certified rather than assumed;
+  resultant, after a shear whose validity is certified rather than assumed
+  (the edge rules, a unit or a common factor, are the main path's own);
 * :func:`delta_semigroup` recounts delta as the codimension of the monomial
   pullback span inside truncated parametrization space, a rank computation
   that never looks at the infinitely near tree;
@@ -23,17 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import MPoly, embed_poly, gcd_bivar, resultant
-from .errors import (
-    EliminationDegenerate,
-    InternalCheckError,
-    ShearExhausted,
-    UndefinedAtOrigin,
-    UnsupportedInput,
-)
+from .algebra import MPoly, embed_poly, resultant
+from .errors import EliminationDegenerate, InternalCheckError, ShearExhausted, UnsupportedInput
 from .field import FieldCtx, FieldElement, _flat_finite_ctx, embed
 from .hne import BranchSet
-from .invariants import INF, ExtNat, germ
+from .invariants import ExtNat, _linear_change, _local_pair, germ
 from .projective import _validated_degree, dehomogenize, singular_points
 from .unipoly import UniPoly
 
@@ -49,13 +44,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Intersection numbers via resultants
 # ---------------------------------------------------------------------------
-
-
-def _sheared(f: MPoly, c: FieldElement) -> MPoly:
-    """f(x + c*y, y); a unimodular change, so local numbers are untouched."""
-    x = MPoly.variable(f.ctx, f.vars, f.vars[0])
-    y = MPoly.variable(f.ctx, f.vars, f.vars[1])
-    return f.substitute([x + y.scale(c), y])
 
 
 def _certified_order(F: MPoly, G: MPoly) -> int | None:
@@ -96,31 +84,19 @@ def _quadratic_enlargement(f: MPoly, g: MPoly) -> tuple[MPoly, MPoly]:
 def i_resultant(f: MPoly, g: MPoly, *, seed: int = 0x51EA4, retries: int = 10) -> ExtNat:
     """Intersection number of f and g at the origin, by resultant order.
 
-    Mirrors the edge conventions of the branch-based computation: f must
-    pass through the origin, a unit g meets it zero times, and a common
-    factor through the origin (or a zero input) means infinite contact.
-    Shear directions are drawn at random until the certificate of
-    :func:`_certified_order` holds; tiny fields that run out of directions
-    are replaced by their quadratic extensions, and each field gets its own
-    ``retries`` draws.  Raises ShearExhausted after ``retries`` uncertified
-    draws in one field, which ends the search in the first field with at
-    least ``retries`` elements; a returned value is always exact.
+    Shares the edge rules of the branch-based computation
+    (:func:`curveinv.invariants._local_pair`).  Shear directions are drawn at
+    random until the certificate of :func:`_certified_order` holds; tiny
+    fields that run out of directions are replaced by their quadratic
+    extensions, and each field gets its own ``retries`` draws.  Raises
+    ShearExhausted after ``retries`` uncertified draws in one field, which
+    ends the search in the first field with at least ``retries`` elements; a
+    returned value is always exact.
     """
-    f._check(g)
-    if not f.is_zero() and not f.constant_term().is_zero():
-        raise UndefinedAtOrigin("the origin is not on the first curve")
-    if not g.constant_term().is_zero():
-        return ExtNat(0)
-    if f.is_zero() or g.is_zero():
-        return INF
-    d = gcd_bivar(f, g)
-    if d.degree() >= 1:
-        if d.constant_term().is_zero():
-            return INF
-        # a common factor that misses the origin is a local unit on both sides
-        f = f.divexact(d)
-        g = g.divexact(d)
-
+    pair = _local_pair(f, g)
+    if isinstance(pair, ExtNat):
+        return pair
+    f, g = pair
     rng = random.Random(seed)
     used: set[FieldElement] = set()
     attempts = 0
@@ -136,7 +112,8 @@ def i_resultant(f: MPoly, g: MPoly, *, seed: int = 0x51EA4, retries: int = 10) -
                 c = ctx.sample(rng)
             used.add(c)
         attempts += 1
-        value = _certified_order(_sheared(f, c), _sheared(g, c))
+        shear = _linear_change(ctx, f.vars, ctx.one, c, ctx.zero, ctx.one, "shear")
+        value = _certified_order(shear.apply(f), shear.apply(g))
         if value is not None:
             return ExtNat(value)
     raise ShearExhausted(f"no certified shear direction in {retries} draws")
@@ -368,7 +345,11 @@ def _one_frame(
     return None
 
 
-def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1, frames: int = 6) -> int:
+# How many seeded pencil frames dual_degree_elim draws.
+DUAL_FRAMES = 6
+
+
+def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1) -> int:
     """deg(rho) times the dual degree, by pencil elimination.
 
     Desk-scale recount for tame plane curves of degree at most four: the
@@ -378,7 +359,7 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1, frames: int = 6) -> int:
     is unlucky strips too much (the polar contribution at a singular point
     only goes up on special lines), never too little, so each frame's value
     is at most the truth and generic frames hit it exactly.  The maximum
-    over ``frames`` seeded frames is returned once two of them attain it;
+    over ``DUAL_FRAMES`` seeded frames is returned once two of them attain it;
     anything less conclusive raises EliminationDegenerate.
     """
     d = _validated_degree(F)
@@ -402,7 +383,7 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1, frames: int = 6) -> int:
     rng = random.Random(seed)
     best: int | None = None
     hits = 0
-    for _ in range(frames):
+    for _ in range(DUAL_FRAMES):
         v = _one_frame(FT, sing, d, rng)
         if v is None:
             continue

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial, reduce
-from hashlib import sha256
 from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -56,11 +55,6 @@ from .field import (
     _rp_trim,
     _zdiv_exact,
 )
-
-
-def _seeded_rng(*parts: str) -> random.Random:
-    digest = sha256("|".join(parts).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 class UniPoly:
@@ -373,7 +367,7 @@ def _edf(f: UniPoly, d: int) -> list[UniPoly]:
             continue
         while True:
             attempt += 1
-            rng = _seeded_rng(tag, str(attempt))
+            rng = random.Random(f"{tag}|{attempt}")
             r = UniPoly(
                 ctx, [ctx.element_at(rng.randrange(q)) for _ in range(g.degree())]
             )

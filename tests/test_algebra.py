@@ -153,6 +153,12 @@ def test_parse_errors_carry_position():
         parse_poly("x/(y+1)", QQ)
 
 
+def test_parse_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 400 + "x" + ")" * 400, QQ)
+    assert parse_poly("(" * 200 + "x" + ")" * 200, QQ) == parse_poly("x", QQ)
+
+
 def test_parse_str_roundtrip():
     rng = random.Random(5150)
     for ctx in [QQ, FieldCtx.prime(2), FieldCtx.prime(7), FieldCtx.prime(2).extend([1, 1, 1])]:

@@ -341,6 +341,12 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_deeply_nested_parentheses(self, capsys):
+        # the recursive descent runs out of stack: bad input, not a defect
+        text = "(" * 400 + "x" + ")" * 400
+        code, _ = run_cli(capsys, "local", "analyze", "--char", "0", "--poly", text)
+        assert code == 1
+
     def test_nonhomogeneous_projective_input(self, capsys):
         code, _ = run_cli(
             capsys, "projective", "analyze", "--char", "0", "--poly", "x^2+y*z^2"
@@ -558,6 +564,28 @@ class TestErrorContract:
         for path in sorted(package.glob("*.py")):
             visit(ast.parse(path.read_text()), None, path)
         assert found == [("field.py", "_interned")]
+
+    def test_each_edge_rule_and_reducedness_check_is_raised_in_one_place(self):
+        # the main path and the resultant oracle share one set of edge rules,
+        # and Germ and branch_decompose share one reducedness check
+        package = Path(curveinv.__file__).resolve().parent
+        found = {"UndefinedAtOrigin": set(), "NotReduced": set()}
+
+        def visit(node, where, path):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                    name = getattr(child.exc.func, "id", None)
+                    if name in found:
+                        found[name].add((path.name, where))
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+                visit(child, inner, path)
+
+        for path in sorted(package.glob("*.py")):
+            visit(ast.parse(path.read_text()), None, path)
+        assert found == {
+            "UndefinedAtOrigin": {("invariants.py", "_local_pair")},
+            "NotReduced": {("hne.py", "_require_reduced")},
+        }
 
     def test_every_coordinate_change_is_built_in_one_search(self):
         # the linear builder and the smooth draw make every CoordinateChange,

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
-from curveinv.errors import InternalCheckError, NotReduced, UndefinedAtOrigin
+from curveinv.errors import IncompatibleContexts, InternalCheckError, NotReduced, UndefinedAtOrigin
 from curveinv.field import FieldCtx, _flat_finite_ctx
 from curveinv.invariants import (
     GAMMA_SEED,
@@ -99,6 +99,13 @@ def test_intersection_basics():
     assert intersection_multiplicity(q("x"), q("1+y")) == 0
     with pytest.raises(UndefinedAtOrigin):
         intersection_multiplicity(q("1+x"), q("y"))
+
+
+def test_intersection_rejects_mixed_rings_before_the_edge_rules():
+    f5 = FieldCtx.prime(5)
+    for g in (parse_poly("1+y", f5), MPoly.zero(f5, XY), parse_poly("y", f5)):
+        with pytest.raises(IncompatibleContexts):
+            intersection_multiplicity(q("x"), g)
 
 
 def test_intersection_symmetry_random():
@@ -349,6 +356,21 @@ def test_relations_named_curves():
     rels = verify_relations(q("y^2-x^3"))
     assert rels["R9"] == "pass"
     assert "fail" not in rels.values()
+
+
+def test_r7_and_r8_fall_back_to_the_line_x_over_f2():
+    from curveinv.invariants import _line_not_dividing
+
+    # both lines through the origin rational over F_2 other than x divide f
+    f = parse_poly("y*(x+y)", F2)
+    assert _line_not_dividing(f) == parse_poly("x", F2)
+    rels = verify_relations(f)
+    assert (rels["R7"], rels["R8"]) == ("pass", "pass")
+    # every line rational over F_2 divides f
+    f = parse_poly("x*y*(x+y)", F2)
+    assert _line_not_dividing(f) is None
+    rels = verify_relations(f)
+    assert (rels["R7"], rels["R8"]) == ("skip", "skip")
 
 
 def test_relations_char0_random():

@@ -50,8 +50,19 @@ def test_i_resultant_frozen_values():
 def test_i_resultant_edge_conventions():
     assert i_resultant(q("x"), q("1+y")) == 0
     assert i_resultant(q("y^2-x^3"), MPoly.zero(QQ, XY)) == INF
-    with pytest.raises(UndefinedAtOrigin):
+    with pytest.raises(UndefinedAtOrigin) as oracle_err:
         i_resultant(q("1+x"), q("y"))
+    with pytest.raises(UndefinedAtOrigin) as main_err:
+        intersection_multiplicity(q("1+x"), q("y"))
+    assert str(oracle_err.value) == str(main_err.value)
+
+
+@pytest.mark.parametrize("ctx", [QQ, FieldCtx.prime(2), F3], ids=str)
+def test_a_common_factor_off_the_origin_is_divided_out(ctx):
+    # 1+x is a unit at the origin, so i(y*(y^2-x^3), x+y^2) = 3 remains
+    f = parse_poly("y*(1+x)*(y^2-x^3)", ctx)
+    g = parse_poly("(x+y^2)*(1+x)", ctx)
+    assert intersection_multiplicity(f, g) == i_resultant(f, g) == ExtNat(3)
 
 
 def test_i_resultant_tangential_and_tiny_field():
