@@ -1015,9 +1015,6 @@ class FieldCtx:
     def from_int(self, n: int) -> "FieldElement":
         return FieldElement(self, self.rfrom_int(n))
 
-    def from_fraction(self, q: Fraction) -> "FieldElement":
-        return FieldElement(self, self.rfrom_fraction(q))
-
     def pth_root(self, a: "FieldElement") -> "FieldElement":
         """Inverse Frobenius; total on finite fields, an error in char 0."""
         if self.char == 0:
@@ -1268,9 +1265,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.ctx.ris_zero(self.rep)
-
-    def is_one(self) -> bool:
-        return self.rep == self.ctx.rone
 
     def sort_key(self):
         return self.ctx.rsort_key(self.rep)

@@ -1,18 +1,18 @@
 """Branch decomposition of a reduced plane curve germ.
 
-The germ is resolved by iterated point blow-ups; each multiplicity-one end is
-solved as a power series graph and the parametrization is lifted back down
-the chart maps, so every branch comes with an exact parametrization
-(x(t), y(t)), its chain of infinitely near multiplicities, its contact
-orders with the axes and its tangent.  These numbers come from the charts
-alone (Casas-Alvero, *Singularities of Plane Curves*, ch. 3): a leaf's
-coordinate orders are its axis orders, and each chart map fixes them one
-level down.  Pairwise intersection numbers fall out of the shared part of
-the chains.  The series only certifies all this before it is returned: the
-coordinates pull back with exactly the chart orders, the parametrization
-annihilates the input to past the Bezout bound, the exponent window up to
-the conductor proves primitivity, and the multiplicity chains reproduce the
-blow-up tree's delta two ways.
+The germ is resolved by point blow-ups, walked in one loop through at most
+``MAX_CHAIN`` singular points per chain; each multiplicity-one end is solved
+as a power series graph and the parametrization is lifted back down the chart
+maps, so every branch comes with an exact parametrization (x(t), y(t)), its
+chain of infinitely near multiplicities, its contact orders with the axes and
+its tangent.  These numbers come from the charts alone (Casas-Alvero,
+*Singularities of Plane Curves*, ch. 3): a leaf's coordinate orders are its
+axis orders, and each chart map fixes them one level down.  Pairwise
+intersection numbers fall out of the shared part of the chains.  The series
+only certifies all this before it is returned: the coordinates pull back with
+exactly the chart orders, the parametrization annihilates the input to past
+the Bezout bound, the exponent window up to the conductor proves primitivity,
+and the multiplicity chains reproduce the blow-up tree's delta two ways.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .series import Param, series_order
 
 # An edge in the blow-up tree: (chart, center); the root carries None.
 Edge = tuple[str, FieldElement | None] | None
+
+# The most singular points (multiplicity > 1) on one chain, before its smooth
+# end: json.dumps(indent=2) of `--emit-tree` takes three stack frames per level
+# (called at top level, a 330-level tree serializes and a 340-level one overflows).
+MAX_CHAIN = 256
 
 
 @dataclass
@@ -84,13 +89,6 @@ class BranchSet:
         return self._pairwise[(a, b)]
 
 
-@dataclass
-class _Raw:
-    series: Param
-    path: list[tuple[Edge, int]]
-    orders: tuple  # of x(t) and y(t) in t; None for one that vanishes identically
-
-
 def _axis_order(f: MPoly, axis: int) -> int | None:
     """Order of f restricted to the axis {x=0} (axis=0) or {y=0} (axis=1);
     None when the restriction vanishes identically."""
@@ -99,11 +97,12 @@ def _axis_order(f: MPoly, axis: int) -> int | None:
     return min(exps) if exps else None
 
 
-def _solve_leaf(g: MPoly) -> _Raw:
-    """Solved for one coordinate; its order is the order of g on its axis."""
+def _solve_leaf(g: MPoly) -> tuple[Param, tuple]:
+    """The leaf's series, solved for one coordinate, and the orders of x(t)
+    and y(t): the solved one's is the order of g on its axis."""
     if g.partial(1).constant_term().is_zero():
-        return _Raw(Param(g, g.vars[0]), [(None, 1)], (_axis_order(g, 0), 1))
-    return _Raw(Param(g, g.vars[1]), [(None, 1)], (1, _axis_order(g, 1)))
+        return Param(g, g.vars[0]), (_axis_order(g, 0), 1)
+    return Param(g, g.vars[1]), (1, _axis_order(g, 1))
 
 
 def _push_orders(orders: tuple, chart: str, center: FieldElement | None) -> tuple[int, tuple]:
@@ -129,25 +128,45 @@ def _coordinate_orders(param: Param, bound: int):
     )
 
 
-def _decompose(g: MPoly) -> tuple[InfinitelyNearTree, list[_Raw]]:
-    m = g.order()
-    node = InfinitelyNearTree(m)
-    if m == 1:
-        return node, [_solve_leaf(g)]
-    out: list[_Raw] = []
-    total_here = 0
-    for ch in strict_transform(g):
-        subtree, subs = _decompose(ch.local_eq)
-        node.children.append((ch.chart, ch.center, subtree))
-        for raw in subs:
-            raw.series.push(ch.chart, ch.center)
-            m_here, orders = _push_orders(raw.orders, ch.chart, ch.center)
-            total_here += m_here
-            path = [(None, m_here), ((ch.chart, ch.center), raw.path[0][1]), *raw.path[1:]]
-            out.append(_Raw(raw.series, path, orders))
-    if total_here != m:
+def _walk(f: MPoly) -> tuple[InfinitelyNearTree, list[Branch]]:
+    """The blow-up tree of f and its branches in depth-first chart order, from
+    a work list of local equations, each with its (edge, node) chain from the
+    root; a multiplicity-one node is a leaf, whose series is pushed to the root."""
+    root = InfinitelyNearTree(f.order())
+    todo = [(f, [(None, root)])]
+    unclaimed = {id(root): root.mult}  # id(node) -> its order not yet met by a branch
+    branches: list[Branch] = []
+    while todo:
+        g, chain = todo.pop()
+        node = chain[-1][1]
+        if node.mult > 1:
+            if len(chain) > MAX_CHAIN:
+                raise UnsupportedInput(
+                    f"a blow-up chain has over MAX_CHAIN = {MAX_CHAIN} singular points"
+                )
+            items = []
+            for ch in strict_transform(g):
+                child = InfinitelyNearTree(ch.local_eq.order())
+                unclaimed[id(child)] = child.mult
+                node.children.append((ch.chart, ch.center, child))
+                items.append((ch.local_eq, [*chain, ((ch.chart, ch.center), child)]))
+            todo.extend(reversed(items))
+            continue
+        series, orders = _solve_leaf(g)
+        mults = [1]
+        for (chart, center), _ in reversed(chain[1:]):
+            series.push(chart, center)
+            m, orders = _push_orders(orders, chart, center)
+            mults.append(m)
+        mults.reverse()
+        path = [(edge, m) for (edge, _), m in zip(chain, mults)]
+        for (_, n), m in zip(chain, mults):
+            unclaimed[id(n)] -= m
+        delta = sum(m * (m - 1) // 2 for _, m in path)
+        branches.append(Branch(series, path, *orders, path[0][1], _tangent(f, path), delta))
+    if any(unclaimed.values()):
         raise InternalCheckError("branch multiplicities do not add up to the node order")
-    return node, out
+    return root, branches
 
 
 def _tangent(f: MPoly, path: list[tuple[Edge, int]]) -> tuple[FieldElement, FieldElement]:
@@ -202,29 +221,13 @@ def decompose_reduced(f: MPoly, *, certify: bool = True) -> BranchSet:
         raise NotSingularAtOrigin(
             "branch decomposition was requested for a curve missing the origin"
         )
-    f2, (tree, raws) = run_with_restarts(f, _decompose)
+    f2, (tree, branches) = run_with_restarts(f, _walk)
     deg = f2.degree()
-
-    branches: list[Branch] = []
-    for raw in raws:
-        ix, iy = raw.orders
-        if _coordinate_orders(raw.series, deg + 1) != raw.orders:
+    for b in branches:
+        if _coordinate_orders(b.series, deg + 1) != (b.ix, b.iy):
             raise InternalCheckError("the chart orders disagree with the parametrization")
-        mt_b = raw.path[0][1]
-        delta_b = sum(m * (m - 1) // 2 for _, m in raw.path)
         if certify:
-            _certify(f2, raw.series, delta_b, mt_b)
-        branches.append(
-            Branch(
-                series=raw.series,
-                path=raw.path,
-                ix=ix,
-                iy=iy,
-                mt=mt_b,
-                tangent=_tangent(f2, raw.path),
-                delta=delta_b,
-            )
-        )
+            _certify(f2, b.series, b.delta, b.mt)
 
     pairwise: dict[tuple[int, int], int] = {}
     for i in range(len(branches)):

@@ -382,14 +382,6 @@ def swan(f: MPoly) -> ExtNat | None:
     return germ(f).swan
 
 
-def is_m_good(f: MPoly) -> bool:
-    return germ(f).m_good
-
-
-def is_im_good(f: MPoly) -> bool:
-    return germ(f).im_good
-
-
 # ---------------------------------------------------------------------------
 # Coordinate changes and the gamma search
 

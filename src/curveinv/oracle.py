@@ -1,15 +1,15 @@
 """Brute-force recounts of the main invariants, for tests and comparisons.
 
 Nothing here is part of the public library surface.  Each oracle reaches the
-same number as the corresponding main-path computation along a road that
-shares no reasoning with it:
+same number as the corresponding main-path computation along a road of its
+own, with the inputs named below taken from the main path:
 
 * :func:`i_resultant` reads an intersection number off the x-adic order of a
   resultant, after a shear whose validity is certified rather than assumed
   (the edge rules, a unit or a common factor, are the main path's own);
 * :func:`delta_semigroup` recounts delta as the codimension of the monomial
-  pullback span inside truncated parametrization space, a rank computation
-  that never looks at the infinitely near tree;
+  pullback span inside truncated parametrization space, a rank computation;
+  its window (twice the tree's delta) and its pullback series come from hne;
 * :func:`dual_degree_elim` recovers deg(rho) times the dual degree by
   eliminating the pencil of lines through a random point and stripping the
   factors contributed by singular points.
@@ -206,7 +206,8 @@ def branch_semigroup(f: MPoly) -> SemigroupData:
     The realizable pullback orders of a space of functions are the pivot
     columns of their truncated-coefficient matrix, so one row reduction
     reads off the whole staircase.  The probe ceiling 2*delta + 2 is past
-    the conductor, which keeps the gap count complete.
+    the conductor, which keeps the gap count complete.  That delta is the
+    blow-up tree's, and the pullbacks run along the branch series of hne.
     """
     bs = germ(f).branches
     if bs.r != 1:
@@ -219,13 +220,15 @@ def branch_semigroup(f: MPoly) -> SemigroupData:
 
 
 def delta_semigroup(f: MPoly) -> int:
-    """Delta recounted as a codimension, with no blow-ups involved.
+    """Delta recounted as a codimension, a rank rather than a sum over the tree.
 
     K[[x, y]] maps onto the local ring of the germ, which sits inside the
     product of the branch parametrization rings; delta is the codimension
     of that inclusion.  Truncating at one past twice delta loses nothing,
     since the conductor of the normalization lands that deep at worst, so
-    delta = r * prec - rank of the monomial pullback matrix.
+    delta = r * prec - rank of the monomial pullback matrix.  The window is
+    still sized from the blow-up tree's delta (``bs.tree.delta_contribution()``),
+    and the pullbacks run along the branch series of hne.
     """
     bs = germ(f).branches
     prec = 2 * bs.tree.delta_contribution() + 3

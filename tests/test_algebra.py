@@ -73,7 +73,7 @@ def test_coefficient_coercion_contract():
     assert f7.one.__add__("x") is NotImplemented
     with pytest.raises(TypeError):
         f7.one + "x"
-    half = QQ.from_fraction(Fraction(1, 2))
+    half = FieldElement(QQ, QQ.rfrom_fraction(Fraction(1, 2)))
     assert MPoly(QQ, vars, {(0, 1): Fraction(1, 2), (1, 0): 0}) == MPoly(QQ, vars, {(0, 1): half})
     assert UniPoly(QQ, [Fraction(1, 2), 0]) == UniPoly(QQ, [half])
     # MPoly * scales by those three kinds on either side; + - * leave any
@@ -131,7 +131,7 @@ def test_parse_rational_and_generator_coefficients():
     from fractions import Fraction
 
     f = parse_poly("2/3*x+y^2", QQ)
-    assert f.terms[(1, 0)] == QQ.from_fraction(Fraction(2, 3))
+    assert f.terms[(1, 0)] == FieldElement(QQ, QQ.rfrom_fraction(Fraction(2, 3)))
     k = QQ.extend([-2, 0, 1])
     g = parse_poly("a*x+1", k)
     assert g.terms[(1, 0)] == k.gen()
@@ -715,7 +715,7 @@ def test_rational_gcds_run_on_integer_polynomials(monkeypatch):
     x, y = (MPoly.variable(QQ, ("x", "y"), v) for v in ("x", "y"))
     one = MPoly.constant(QQ, ("x", "y"), 1)
     lead = _product(QQ, [x - MPoly.constant(QQ, ("x", "y"), k) for k in range(1, CERTIFY_POINTS + 1)])
-    tiny = QQ.from_fraction(Fraction(-7, 10**12 + 39))
+    tiny = FieldElement(QQ, QQ.rfrom_fraction(Fraction(-7, 10**12 + 39)))
     rings = []
 
     def spy(ring, a, b):
@@ -864,7 +864,7 @@ def test_terms_is_a_fresh_view_and_equal_polynomials_hash_equal(name):
         f,
         MPoly(ctx, XY, {(2, 1): 2, (0, 1): third, (0, 0): -5, (1, 1): 0}),
         MPoly(ctx, XY, {(2, 1): Fraction(2), (0, 1): third, (0, 0): Fraction(-5)}),
-        MPoly(ctx, XY, {(2, 1): ctx.from_int(2), (0, 1): ctx.from_fraction(third),
+        MPoly(ctx, XY, {(2, 1): ctx.from_int(2), (0, 1): FieldElement(ctx, ctx.rfrom_fraction(third)),
                         (0, 0): ctx.from_int(-5)}),
         MPoly._from_reps(ctx, XY, {(2, 1): ctx.rfrom_int(2), (0, 1): ctx.rfrom_fraction(third),
                                    (0, 0): ctx.rfrom_int(-5), (3, 0): ctx.rzero}),

@@ -347,6 +347,15 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "local", "analyze", "--char", "0", "--poly", text)
         assert code == 1
 
+    @pytest.mark.parametrize("char", ["0", "5"])
+    def test_chain_past_the_ceiling(self, capsys, char):
+        # 1000 blow-ups of a valid germ: refused at the tree's ceiling, not
+        # a stack overflow in the tree builder
+        code = main(["local", "analyze", "--char", char, "--poly", "y^2-x^2001", "--json"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "MAX_CHAIN = 256" in err
+
     def test_nonhomogeneous_projective_input(self, capsys):
         code, _ = run_cli(
             capsys, "projective", "analyze", "--char", "0", "--poly", "x^2+y*z^2"
@@ -607,6 +616,20 @@ class TestErrorContract:
         tree = ast.parse((package / "invariants.py").read_text())
         gamma = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gamma")
         assert sum(isinstance(n, ast.For) for n in ast.walk(gamma)) == 1
+
+    def test_the_blow_up_tree_is_walked_without_recursion(self):
+        # the tree builder loops over a work list, so building a long chain
+        # cannot overflow the stack; the tree's own nodes() and to_json() in
+        # blowup.py still recurse per level, and hne.MAX_CHAIN bounds them
+        source = Path(curveinv.__file__).resolve().parent / "hne.py"
+        recursive = []
+        for fn in ast.walk(ast.parse(source.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(fn):
+                    func = call.func if isinstance(call, ast.Call) else None
+                    if getattr(func, "id", getattr(func, "attr", None)) == fn.name:
+                        recursive.append(fn.name)
+        assert recursive == []
 
     def test_every_traced_function_exists(self):
         # perfbench/layertrace.py wraps these by name, and one renamed or

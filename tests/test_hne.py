@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from curveinv.errors import (
     UnsupportedInput,
 )
 from curveinv.field import FieldCtx
-from curveinv.hne import _coordinate_orders, _push_orders, branch_decompose
+from curveinv.hne import MAX_CHAIN, _coordinate_orders, _push_orders, branch_decompose
 from curveinv.invariants import tangent_shear
 from curveinv.series import Param, series_order
 
@@ -239,6 +240,19 @@ def test_push_orders_follows_the_chart_maps():
         _push_orders((None, 1), "x", QQ.zero)
     with pytest.raises(InternalCheckError):
         _push_orders((1, None), "y", None)
+
+
+def test_a_chain_up_to_the_ceiling_is_built_and_one_past_it_refused():
+    # y^2 - x^(2k+1) is a chain of k double points and a smooth end
+    bs = branch_decompose(parse_poly(f"y^2-x^{2 * MAX_CHAIN + 1}", QQ), certify=False)
+    nodes = list(bs.tree.nodes())
+    assert MAX_CHAIN == 256
+    assert [n.mult for n in nodes] == [2] * MAX_CHAIN + [1]
+    assert all(len(n.children) == (n.mult > 1) for n in nodes)
+    assert bs.tree.delta_contribution() == bs.branches[0].delta == MAX_CHAIN
+    assert json.loads(json.dumps(bs.tree.to_json(), indent=2)) == bs.tree.to_json()
+    with pytest.raises(UnsupportedInput, match="MAX_CHAIN"):
+        branch_decompose(parse_poly(f"y^2-x^{2 * MAX_CHAIN + 3}", QQ), certify=False)
 
 
 def test_pairwise_of_a_branch_with_itself_is_a_defect():

@@ -23,8 +23,6 @@ from curveinv.invariants import (
     gamma_tilde,
     germ,
     intersection_multiplicity,
-    is_im_good,
-    is_m_good,
     kappa,
     milnor,
     swan,
@@ -188,17 +186,17 @@ def test_swan_values():
 
 def test_goodness_predicates():
     f2c = parse_poly("y^2+x^3", F2)
-    assert not is_m_good(f2c)
-    assert is_im_good(f2c)
-    assert is_m_good(parse_poly("y^2+x^3", F3))
-    assert is_m_good(q("(y^2-x^3)*(y^2+x^3)"))
-    assert is_im_good(q("x*y"))
+    assert not germ(f2c).m_good
+    assert germ(f2c).im_good
+    assert germ(parse_poly("y^2+x^3", F3)).m_good
+    assert germ(q("(y^2-x^3)*(y^2+x^3)")).m_good
+    assert germ(q("x*y")).im_good
     # ix = 5 alone does not break im-goodness: iy = 3 rescues the branch
     f5 = parse_poly("x^3+x^4+y^5", FieldCtx.prime(5))
-    assert is_im_good(f5)
+    assert germ(f5).im_good
     # single branch (t^4, t^6+t^7): both contact orders even
     wild = parse_poly("y^4+x^6+x^7", F2)
-    assert not is_im_good(wild)
+    assert not germ(wild).im_good
 
 
 def test_gamma_exact_cases():
@@ -571,7 +569,7 @@ def test_invariants_do_not_see_a_constant_factor(monkeypatch):
             pass
         cases.append((f, None))
     for f, field in cases:
-        while (c := _nonzero_sample(f.ctx, rng)).is_one():
+        while (c := _nonzero_sample(f.ctx, rng)) == f.ctx.one:
             pass
         expected = _unmemoized_report(f)
         assert _unmemoized_report(f.scale(c)) == expected, (str(f), str(c))

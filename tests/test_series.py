@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from curveinv.algebra import MPoly, parse_poly
 from curveinv.errors import InternalCheckError
-from curveinv.field import FP_PACK_MIN_LEN, FieldCtx, _flat_finite_ctx
+from curveinv.field import FP_PACK_MIN_LEN, FieldCtx, FieldElement, _flat_finite_ctx
 from curveinv.hne import branch_decompose
 from curveinv.series import Param, _order, _tr_axpy, _tr_eval, _tr_inv, series_order
 
@@ -462,7 +462,9 @@ def ref_order(h: MPoly, xs: list, ys: list, bound: int) -> int | None:
     return next((k for k, c in enumerate(val) if not h.ctx.ris_zero(c)), None)
 
 
-_QQ_a = QQ.extend([QQ.from_fraction(Fraction(3, 4)), QQ.from_fraction(Fraction(-1, 3)), QQ.one])
+_QQ_a = QQ.extend(
+    [FieldElement(QQ, QQ.rfrom_fraction(Fraction(k, n))) for k, n in ((3, 4), (-1, 3))] + [QQ.one]
+)
 INTEGER_CONTEXTS = {
     "QQ": QQ,
     "QQ(sqrt2)": CONTEXTS["QQ(a)"],  # a^2 = 2
@@ -543,7 +545,7 @@ def test_integer_series_equal_the_fraction_reference(name):
     PROPERTY(given(rich_leaves(ctx), chains, polys(ctx), st.integers(1, 14))(check))()
     # y = x pushed through the centers 1/2, then 1/3: the second center, over
     # 3, is added to a y over 2
-    half, third = (ctx.from_fraction(Fraction(1, k)) for k in (2, 3))
+    half, third = (FieldElement(ctx, ctx.rfrom_fraction(Fraction(1, k))) for k in (2, 3))
     check(("y", parse_poly("y-x", ctx)), [("x", half), ("x", third)], parse_poly("x+y", ctx), 6)
 
 
