@@ -15,6 +15,7 @@ again, and restarts, so all published results live in a single context.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .algebra import MPoly, _sum_ops, embed_poly
@@ -34,17 +35,39 @@ class NeedsExtension(Exception):
         self.poly = poly
 
 
+# The blow-ups of f, f*u, the R9 chart and f*line ask about the same cones; one
+# seed-42 pass asks about 66 distinct ones on projective_desk, 56 on corpus_charp
+# and 26 on char0_classical.
+_SPLIT_MEMO_SIZE = 256
+_SPLITS: OrderedDict = OrderedDict()
+
+
 def split(u: UniPoly) -> list[tuple[FieldElement, int]]:
     """Roots of ``u`` with multiplicities, sorted by sort key, when ``u``
     splits over its field; otherwise :class:`NeedsExtension` carrying the
-    least nonlinear factor by (degree, sort key)."""
-    factors = u.factor()
-    for g, _ in factors:
-        if g.degree() > 1:
-            raise NeedsExtension(g)
-    out = [(-g.coefficient(0), mult) for g, mult in factors]
-    out.sort(key=lambda rm: rm[0].sort_key())
-    return out
+    least nonlinear factor by (degree, sort key).
+
+    Both answers are read off :meth:`~curveinv.unipoly.UniPoly.factor` and
+    kept in a memo of the most recently used ones, keyed by the field and the
+    monic ``u``, so a cone asked about again is not factored again.
+    """
+    if u.degree() < 1:
+        return []
+    key = (u.ctx._key, u.monic().reps)
+    hit = _SPLITS.get(key)
+    if hit is None:
+        factors = u.factor()
+        hit = next((g for g, _ in factors if g.degree() > 1), None)
+        if hit is None:
+            hit = sorted(((-g.coefficient(0), m) for g, m in factors), key=lambda rm: rm[0].sort_key())
+        _SPLITS[key] = hit
+        if len(_SPLITS) > _SPLIT_MEMO_SIZE:
+            _SPLITS.popitem(last=False)
+    else:
+        _SPLITS.move_to_end(key)
+    if isinstance(hit, UniPoly):
+        raise NeedsExtension(hit)
+    return list(hit)
 
 
 def blow_up(f: MPoly, chart: str, center: FieldElement) -> MPoly:

@@ -134,42 +134,34 @@ def _pullback_rows(bs: BranchSet, prec: int) -> list[list]:
     because coordinate orders are at least one on each branch.
     """
     ctx = bs.ctx
-    big = prec  # saturating stand-in for infinity in the order bookkeeping
+    # each branch's coordinate orders, prec standing in for an axis's infinity
+    axes = [(prec if br.ix is None else br.ix, prec if br.iy is None else br.iy) for br in bs.branches]
     params = [b.series.at(prec) for b in bs.branches]
 
-    def axis_pows(ser: list) -> list[list]:
-        one_row = [ctx.rone] + [ctx.rzero] * (prec - 1)
-        pows = [one_row]
-        for _ in range(prec - 1):
+    def axis_pows(ser: list, order: int) -> list[list]:
+        """The powers of a series of this order that survive the truncation."""
+        pows = [[ctx.rone] + [ctx.rzero] * (prec - 1)]
+        for _ in range((prec - 1) // order):
             pows.append(ctx.rconv(pows[-1], ser, prec))
         return pows
 
-    xpows = [axis_pows(xs) for xs, _ in params]
-    ypows = [axis_pows(ys) for _, ys in params]
-
-    def mono_order(a: int, b: int) -> int:
-        best = big
-        for br in bs.branches:
-            o = 0
-            if a:
-                o += a * br.ix if br.ix is not None else big
-            if b and o < big:
-                o += b * br.iy if br.iy is not None else big
-            best = min(best, o)
-        return best
-
-    monos = [
-        (a, b)
-        for a in range(prec)
-        for b in range(prec)
-        if mono_order(a, b) < prec
-    ]
-    monos.sort(key=lambda ab: (mono_order(*ab), ab))
-    rows = []
-    for a, b in monos:
+    xpows = [axis_pows(xs, ix) for (xs, _), (ix, _) in zip(params, axes)]
+    ypows = [axis_pows(ys, iy) for (_, ys), (_, iy) in zip(params, axes)]
+    # (least order, a, b, order on each branch); the orders grow with a and b
+    monos = []
+    for a in range(prec):
+        b = 0
+        while min(orders := [a * ix + b * iy for ix, iy in axes]) < prec:
+            monos.append((min(orders), a, b, orders))
+            b += 1
+        if not b:
+            break
+    monos.sort()
+    rows, zeros = [], [ctx.rzero] * prec
+    for _, a, b, orders in monos:
         row = []
-        for i in range(bs.r):
-            row.extend(ctx.rconv(xpows[i][a], ypows[i][b], prec))
+        for o, xp, yp in zip(orders, xpows, ypows):
+            row += ctx.rconv(xp[a], yp[b], prec) if o < prec else zeros  # zero past the window
         rows.append(row)
     return rows
 

@@ -227,6 +227,8 @@ class UniPoly:
         return [r for r, _ in self.roots_with_multiplicity()]
 
     def roots_with_multiplicity(self) -> list[tuple[FieldElement, int]]:
+        """Roots in the coefficient field with their multiplicities, sorted
+        by sort key: the linear factors of :meth:`factor`."""
         out = [
             (-g.coefficient(0), mult) for g, mult in self.factor() if g.degree() == 1
         ]

@@ -218,3 +218,107 @@ def test_roots_and_split_match_enumeration():
                 split(f)
             assert info.value.poly == least
     assert outcomes == {"split", "extend"}
+
+
+# Prime fields, log-table F_q, tuple F_{67^2}, QQ and QQ(a).
+SPLIT_CONTEXTS = (FieldCtx.prime(2), FieldCtx.prime(7), FieldCtx.prime(17), _flat_finite_ctx(2, 4),
+                  _flat_finite_ctx(7, 3), _flat_finite_ctx(67, 2), QQ, QQ.extend([-2, 0, 1]))
+
+
+def _factored_roots(f):
+    """The roots that the linear factors of factor() give."""
+    out = [(-g.coefficient(0), m) for g, m in f.factor() if g.degree() == 1]
+    out.sort(key=lambda rm: rm[0].sort_key())
+    return out
+
+
+def _split_cases(ctx, rng):
+    """Seeded polynomials of degree 0-8 with random leading coefficients:
+    random ones, and products of planted roots, repeated or not, with a
+    random cofactor; then inseparable and purely repeated ones."""
+    def nonzero():
+        while (c := ctx.sample(rng)).is_zero():
+            pass
+        return c
+
+    pool = [ctx.sample(rng) for _ in range(3)]
+    for deg in list(range(9)) * 4:
+        planted = rng.randint(0, deg)
+        f = UniPoly(ctx, [ctx.sample(rng) for _ in range(deg - planted)] + [nonzero()])
+        for _ in range(planted):
+            f = f * UniPoly(ctx, [-rng.choice(pool), ctx.one])
+        yield f
+    t, one = UniPoly.x(ctx), UniPoly(ctx, [1])
+    # t^2 - c is inseparable over F_{2^k}; over QQ these discriminants are
+    # negative, not a square, a square, a square of a fraction and zero
+    yield from (t * t - UniPoly(ctx, [c]) for c in pool + [-1, 2, 1])
+    yield from (UniPoly(ctx, [-4, 0, 9]), UniPoly(ctx, [-2, 3]) ** 2)
+    if ctx.char:
+        yield (t - one) ** min(ctx.char, 17)
+        yield (t - one) ** 2 * (t * t + t + one) ** 2
+
+
+@pytest.mark.parametrize("ctx", SPLIT_CONTEXTS, ids=lambda ctx: ctx.descriptor())
+def test_split_and_its_memo_agree_with_factor(ctx):
+    # asked again, or about a constant multiple, split answers from its memo
+    rng = random.Random(0x5B2)
+    outcomes = set()
+    for f in _split_cases(ctx, rng):
+        expected = _factored_roots(f)
+        if f.degree() < 1:
+            assert split(f) == []
+            continue
+        for g in (f, f, f * UniPoly(ctx, [5])):
+            if sum(m for _, m in expected) == f.degree():
+                outcomes.add("split")
+                assert split(g) == expected
+                continue
+            outcomes.add("extend")
+            with pytest.raises(NeedsExtension) as info:
+                split(g)
+            assert info.value.poly == next(h for h, _ in f.factor() if h.degree() > 1)
+    assert outcomes == {"split", "extend"}
+
+
+def test_a_cone_asked_about_again_is_not_factored(monkeypatch):
+    from collections import OrderedDict
+
+    from curveinv import blowup
+
+    factored = []
+    real = UniPoly.factor
+    monkeypatch.setattr(UniPoly, "factor", lambda self: factored.append(str(self)) or real(self))
+    monkeypatch.setattr(blowup, "_SPLITS", OrderedDict())
+    f7, f73 = FieldCtx.prime(7), _flat_finite_ctx(7, 3)
+    a = f73.gen()
+    cases = [
+        (f7, [(f7.from_int(2), 1), (f7.from_int(5), 3)]),
+        (f73, [(a, 2), (a + 1, 1)]),
+        (QQ, [(QQ.from_int(-3) / 4, 1), (QQ.from_int(1) / 2, 1)]),
+    ]
+    for ctx, roots in cases:
+        u = UniPoly(ctx, [3])
+        for r, m in roots:
+            u = u * UniPoly(ctx, [-r, 1]) ** m
+        for v in (u, u, u.monic()):
+            assert split(v) == sorted(roots, key=lambda rm: rm[0].sort_key())
+    assert len(factored) == len(cases)
+    # a cone that does not split is factored once too
+    for _ in range(2):
+        with pytest.raises(NeedsExtension) as info:
+            split(UniPoly(f7, [2, 0, 2]))
+        assert str(info.value.poly) == "t^2+1"
+    assert factored[len(cases):] == ["2*t^2+2"]
+
+
+def test_the_split_memo_stays_bounded(monkeypatch):
+    from collections import OrderedDict
+
+    from curveinv import blowup
+
+    monkeypatch.setattr(blowup, "_SPLITS", OrderedDict())
+    for k in range(blowup._SPLIT_MEMO_SIZE + 10):
+        u = UniPoly(QQ, [-k, 1]) * UniPoly(QQ, [k, 2])
+        roots = [(QQ.from_int(k), 1), (QQ.from_int(-k) / 2, 1)] if k else [(QQ.zero, 2)]
+        assert split(u) == sorted(roots, key=lambda rm: rm[0].sort_key())
+    assert len(blowup._SPLITS) == blowup._SPLIT_MEMO_SIZE

@@ -617,6 +617,24 @@ class TestErrorContract:
         gamma = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gamma")
         assert sum(isinstance(n, ast.For) for n in ast.walk(gamma)) == 1
 
+    def test_only_split_factors_a_cone(self):
+        # tangent cones and coordinates of singular points are split by
+        # blowup.split, whose memo stands in front of the one factor() call
+        package = Path(curveinv.__file__).resolve().parent
+        found = []
+
+        def visit(node, where, name):
+            for child in ast.iter_child_nodes(node):
+                func = child.func if isinstance(child, ast.Call) else None
+                if getattr(func, "attr", None) == "factor":
+                    found.append((name, where))
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+                visit(child, inner, name)
+
+        for name in ("blowup.py", "hne.py", "projective.py", "invariants.py", "field.py"):
+            visit(ast.parse((package / name).read_text()), None, name)
+        assert found == [("blowup.py", "split")]
+
     def test_the_blow_up_tree_is_walked_without_recursion(self):
         # the tree builder loops over a work list, so building a long chain
         # cannot overflow the stack; the tree's own nodes() and to_json() in

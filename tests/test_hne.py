@@ -344,10 +344,14 @@ def test_coordinate_orders_of_an_axis_branch():
 
 def test_a_restart_builds_the_field_from_the_chosen_factor(monkeypatch):
     # the tangent cone 5 + 6*w^3 has no root over F_7, so the germ restarts
-    # over F_{7^3}; extend_with_root neither factors nor looks for roots
+    # over F_{7^3}; extend_with_root neither factors nor looks for roots.  The
+    # first request for F_{7^3} in a process factors candidate moduli, so the
+    # field is built before the counters go in.
     from curveinv.field import FieldCtx as Ctx
+    from curveinv.field import _flat_finite_ctx
     from curveinv.unipoly import UniPoly
 
+    _flat_finite_ctx(7, 3)
     inside, calls = [False], {"extend": 0, "factor": 0, "roots": 0}
     real_extend, real_factor, real_roots = Ctx.extend_with_root, UniPoly.factor, UniPoly.roots
 

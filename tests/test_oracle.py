@@ -15,8 +15,9 @@ from curveinv.errors import (
     UnsupportedInput,
 )
 from curveinv.field import FieldCtx
-from curveinv.invariants import INF, ExtNat, delta, intersection_multiplicity
+from curveinv.invariants import INF, ExtNat, delta, germ, intersection_multiplicity
 from curveinv.oracle import (
+    _pullback_rows,
     branch_semigroup,
     delta_semigroup,
     dual_degree_elim,
@@ -173,6 +174,33 @@ def test_delta_semigroup_matches_main_random():
             continue
         assert delta_semigroup(f) == delta(f)
         done += 1
+
+
+@pytest.mark.parametrize("text, ctx", [
+    ("(y^2-x^3)*(y-x)", QQ), ("x*y*(y^2-x^5)", QQ), ("y*(x^3-y^4)*(x-2*y^2)", QQ),
+    ("x*(y^3+x^7+x^5*y)", F3), ("(y^2+x^3)*(y+x^2)*y", F3),
+])
+def test_pullback_rows_match_every_power_product(text, ctx):
+    # the rows skip the powers and the products that truncate to zero, and
+    # equal the nonzero rows of every power product x(t)^a * y(t)^b, sorted
+    # by the least order on a branch
+    bs = germ(parse_poly(text, ctx)).branches
+    prec = 2 * bs.tree.delta_contribution() + 3
+    F, expected = bs.ctx, []
+    for a in range(prec):
+        for b in range(prec):
+            row = []
+            for xs, ys in (br.series.at(prec) for br in bs.branches):
+                block = [F.rone] + [F.rzero] * (prec - 1)
+                for s in [xs] * a + [ys] * b:
+                    block = F.rconv(block, s, prec)
+                row += block
+            orders = [next((k for k, c in enumerate(row[i:i + prec]) if not F.ris_zero(c)), prec)
+                      for i in range(0, len(row), prec)]
+            if min(orders) < prec:
+                expected.append(((min(orders), (a, b)), row))
+    expected.sort(key=lambda kr: kr[0])
+    assert _pullback_rows(bs, prec) == [row for _, row in expected]
 
 
 # -- dual degree by elimination -------------------------------------------------
