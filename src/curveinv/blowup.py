@@ -138,31 +138,39 @@ def strict_transform(f: MPoly) -> list[StrictTransformChart]:
 
 @dataclass
 class InfinitelyNearTree:
+    """A point of the resolution: its multiplicity, and the points on its
+    blow-up by chart and center.  The walks below keep their own stack, so
+    a long chain cannot overflow Python's."""
+
     mult: int
     children: list[tuple[str, FieldElement | None, "InfinitelyNearTree"]] = field(
         default_factory=list
     )
 
     def nodes(self):
-        yield self
-        for _, _, sub in self.children:
-            yield from sub.nodes()
+        """Every node in preorder, children in chart order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for _, _, sub in reversed(node.children):
+                stack.append(sub)
 
     def delta_contribution(self) -> int:
         return sum(n.mult * (n.mult - 1) // 2 for n in self.nodes())
 
     def to_json(self):
-        return {
-            "mult": self.mult,
-            "children": [
-                {
-                    "chart": chart,
-                    "center": "inf" if center is None else str(center),
-                    "tree": sub.to_json(),
-                }
-                for chart, center, sub in self.children
-            ],
-        }
+        out = {"mult": self.mult, "children": []}
+        work = [(self, out)]
+        while work:
+            node, data = work.pop()
+            for chart, center, sub in node.children:
+                tree = {"mult": sub.mult, "children": []}
+                data["children"].append(
+                    {"chart": chart, "center": "inf" if center is None else str(center), "tree": tree}
+                )
+                work.append((sub, tree))
+        return out
 
 
 def run_with_restarts(f: MPoly, builder):

@@ -12,7 +12,9 @@ own, with the inputs named below taken from the main path:
   its window (twice the tree's delta) and its pullback series come from hne;
 * :func:`dual_degree_elim` recovers deg(rho) times the dual degree by
   eliminating the pencil of lines through a random point and stripping the
-  factors contributed by singular points.
+  factors contributed by singular points; of those it reads only their
+  coordinates and multiplicities (no kappa, mu or delta), and the
+  multiplicities give the ceiling d(d-1) - sum m(m-1) that ends its search.
 
 Oracles are allowed to give up (ShearExhausted, EliminationDegenerate) but a
 value they do return is exact, not approximate: every randomized choice is
@@ -356,6 +358,15 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1) -> int:
     is at most the truth and generic frames hit it exactly.  The maximum
     over ``DUAL_FRAMES`` seeded frames is returned once two of them attain it;
     anything less conclusive raises EliminationDegenerate.
+
+    No frame can pass the ceiling d(d-1) - sum of m(m-1) over the singular
+    points, m the multiplicity: the product is d(d-1) - sum of kappa, and
+    kappa >= 2 delta - r + mt >= m(m-1) at each point in every characteristic
+    (2 delta >= m(m-1) and r <= mt).  In the tame characteristics accepted
+    here the ceiling is the product exactly when every singular point is an
+    ordinary m-fold point.  So two frames at the ceiling already decide the
+    rule above and end the search, and a frame above it stripped too little,
+    a defect that raises InternalCheckError.
     """
     d = _validated_degree(F)
     if d > 4:
@@ -375,6 +386,7 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1) -> int:
     FT = embed_poly(F, ctx)
     sing = [tuple(embed(c, ctx) for c in p_.coords) for p_ in pts]
 
+    ceiling = d * (d - 1) - sum(m * (m - 1) for m in (p_.local_eq.order() for p_ in pts))
     rng = random.Random(seed)
     best: int | None = None
     hits = 0
@@ -382,10 +394,14 @@ def dual_degree_elim(F: MPoly, *, seed: int = 0xD0A1) -> int:
         v = _one_frame(FT, sing, d, rng)
         if v is None:
             continue
+        if v > ceiling:
+            raise InternalCheckError(f"a pencil frame counted {v} tangents, past the ceiling {ceiling}")
         if best is None or v > best:
             best, hits = v, 1
         elif v == best:
             hits += 1
+        if best == ceiling and hits == 2:  # no later frame can pass it
+            break
     if best is None or hits < 2:
         raise EliminationDegenerate("pencil frames kept degenerating or disagreeing")
     return best

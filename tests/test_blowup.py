@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -149,6 +150,32 @@ def test_irrational_direction_forces_extension():
     tree = branch_decompose(parse_poly("y^2-2*x^2", QQ)).tree
     assert sorted([n.mult for n in tree.nodes()]) == [1, 1, 2]
     assert tree.delta_contribution() == 1
+
+
+def _recursive_preorder(tree):
+    out = [tree]
+    for _, _, sub in tree.children:
+        out += _recursive_preorder(sub)
+    return out
+
+
+def _recursive_json(tree):
+    return {
+        "mult": tree.mult,
+        "children": [
+            {"chart": chart, "center": "inf" if center is None else str(center), "tree": _recursive_json(sub)}
+            for chart, center, sub in tree.children
+        ],
+    }
+
+
+@pytest.mark.parametrize("text", ["y^2-x^3", "(y^2-x^3)*(y^2+x^3)", "x*y*(x-y)*(y^2-x^5)", "y*(x^3-y^4)*(x-2*y^2)"])
+def test_the_tree_walks_match_the_recursive_ones(text):
+    # nodes() and to_json() keep their own stacks; the recursive walks they
+    # replaced are the reference, node for node and key for key
+    tree = branch_decompose(parse_poly(text, QQ)).tree
+    assert [id(n) for n in tree.nodes()] == [id(n) for n in _recursive_preorder(tree)]
+    assert json.dumps(tree.to_json()) == json.dumps(_recursive_json(tree))
 
 
 def test_missing_origin_rejected():

@@ -636,18 +636,40 @@ class TestErrorContract:
         assert found == [("blowup.py", "split")]
 
     def test_the_blow_up_tree_is_walked_without_recursion(self):
-        # the tree builder loops over a work list, so building a long chain
-        # cannot overflow the stack; the tree's own nodes() and to_json() in
-        # blowup.py still recurse per level, and hne.MAX_CHAIN bounds them
-        source = Path(curveinv.__file__).resolve().parent / "hne.py"
+        # the tree builder in hne.py and the tree's nodes() and to_json() in
+        # blowup.py each loop over a work list, so a long chain cannot
+        # overflow the stack; only json.dumps(indent=2) of --emit-tree still
+        # recurses per level, and hne.MAX_CHAIN bounds it
+        package = Path(curveinv.__file__).resolve().parent
         recursive = []
-        for fn in ast.walk(ast.parse(source.read_text())):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for call in ast.walk(fn):
-                    func = call.func if isinstance(call, ast.Call) else None
-                    if getattr(func, "id", getattr(func, "attr", None)) == fn.name:
-                        recursive.append(fn.name)
+        for name in ("hne.py", "blowup.py"):
+            for fn in ast.walk(ast.parse((package / name).read_text())):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for call in ast.walk(fn):
+                        func = call.func if isinstance(call, ast.Call) else None
+                        owner = getattr(func, "value", None)  # super().__init__ is the base's
+                        if getattr(getattr(owner, "func", None), "id", None) == "super":
+                            continue
+                        if getattr(func, "id", getattr(func, "attr", None)) == fn.name:
+                            recursive.append((name, fn.name))
         assert recursive == []
+
+    def test_the_dual_recount_reads_no_main_path_invariant(self):
+        # dual_degree_elim takes only the singular points' coordinates and
+        # multiplicities from the main path, never a number it could copy
+        source = Path(curveinv.__file__).resolve().parent / "oracle.py"
+        banned = {"analyze_local", "germ", "kappa", "milnor", "delta", "plucker_analysis"}
+        found, locus = [], []
+        for fn in ast.parse(source.read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("dual_degree_elim", "_one_frame"):
+                for call in ast.walk(fn):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None)) if isinstance(call, ast.Call) else None
+                    if name in banned:
+                        found.append((fn.name, name))
+                    elif name == "singular_points":
+                        locus.append([(k.arg, ast.literal_eval(k.value)) for k in call.keywords])
+        assert found == []
+        assert locus == [[("analyze", False)]]
 
     def test_every_traced_function_exists(self):
         # perfbench/layertrace.py wraps these by name, and one renamed or

@@ -6,9 +6,13 @@ import random
 
 import pytest
 
+import curveinv.oracle as oracle
 from curveinv.algebra import MPoly, parse_poly, squarefree_part
+from curveinv.cli import main
 from curveinv.errors import (
     CurveInvError,
+    EliminationDegenerate,
+    InternalCheckError,
     NotReduced,
     ShearExhausted,
     UndefinedAtOrigin,
@@ -17,6 +21,7 @@ from curveinv.errors import (
 from curveinv.field import FieldCtx
 from curveinv.invariants import INF, ExtNat, delta, germ, intersection_multiplicity
 from curveinv.oracle import (
+    DUAL_FRAMES,
     _pullback_rows,
     branch_semigroup,
     delta_semigroup,
@@ -27,6 +32,7 @@ from curveinv.projective import plucker_analysis
 
 QQ = FieldCtx.rationals()
 F3 = FieldCtx.prime(3)
+F11, F13, F17, F101 = (FieldCtx.prime(p) for p in (11, 13, 17, 101))
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
@@ -263,3 +269,98 @@ def test_oracle_preconditions_are_boundary_errors(call, message):
     with pytest.raises(UnsupportedInput, match=message) as err:
         call()
     assert isinstance(err.value, CurveInvError)
+
+
+# -- the multiplicity ceiling of the dual recount -------------------------------
+
+TRIFOLIUM = "(x^2+y^2)^2-z*(x^3-3*x*y^2)"
+DESK_CUBICS = ("x^2+y^2-z^2", "y^2*z-x^3", "y^2*z-x^3-x^2*z")
+DESK_QUARTICS = ("x^4+y^4-x^2*z^2", "y^2*z^2-x^4-x^3*z", "x^3*z+y^4+x*y^2*z", "x^2*y^2+y^2*z^2+z^2*x^2")
+
+
+def _six_frame_rule(F, seed, monkeypatch):
+    """(dual_degree_elim's answer, the answer of the rule without the ceiling).
+
+    The reference draws all DUAL_FRAMES frames from the same seeded rng, on
+    the curve and singular points dual_degree_elim handed its first frame,
+    and returns the maximum once two frames attain it; None stands for
+    EliminationDegenerate on either side.
+    """
+    real, seen = oracle._one_frame, []
+
+    def record(FT, sing, d, rng):
+        seen.append((FT, sing, d))
+        return real(FT, sing, d, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_one_frame", record)
+        try:
+            got = dual_degree_elim(F, seed=seed)
+        except EliminationDegenerate:
+            got = None
+    FT, sing, d = seen[0]
+    rng = random.Random(seed)
+    values = [v for v in (real(FT, sing, d, rng) for _ in range(DUAL_FRAMES)) if v is not None]
+    best = max(values, default=None)
+    return got, best if values.count(best) >= 2 else None
+
+
+def _curve_id(v):
+    if isinstance(v, FieldCtx):
+        return v.descriptor()
+    return "-".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+@pytest.mark.parametrize(
+    "ctx, text, seeds",
+    [(ctx, t, (0xD0A1, 0, 1, 7, 42)) for ctx in (QQ, F11) for t in DESK_CUBICS]
+    + [(ctx, t, (0xD0A1, 0, 1, 7, 42)) for ctx in (F13, F17) for t in DESK_QUARTICS]
+    + [(QQ, TRIFOLIUM, (0xD0A1, 42)), (QQ, "x*y*z", (0xD0A1, 1, 42)),
+       (F101, "x*y*z", (0xD0A1, 1, 42)), (F101, "y^2*z^2-x^4-x^3*z", (0xD0A1, 1, 42))],
+    ids=_curve_id,
+)
+def test_the_ceiling_keeps_the_six_frame_answer(ctx, text, seeds, monkeypatch):
+    F = proj(text, ctx)
+    for seed in seeds:
+        got, expected = _six_frame_rule(F, seed, monkeypatch)
+        assert got == expected is not None, seed
+
+
+@pytest.mark.parametrize(
+    "ctx, text, frames",
+    [
+        (QQ, "x^2+y^2-z^2", 2),  # smooth: the ceiling is d(d-1)
+        (QQ, "y^2*z-x^3-x^2*z", 2),  # a node
+        (F13, "x^3*z+y^4+x*y^2*z", 2),  # an ordinary triple point
+        (QQ, "x^2*y^2+y^2*z^2+z^2*x^2", 2),  # three nodes
+        (QQ, TRIFOLIUM, 2),  # an ordinary triple point over QQ(a,b)
+        (QQ, "x*y*z", 2),  # three nodes, ceiling 0
+        (F13, "x^2*y^2+y^2*z^2+z^2*x^2", 3),  # frames 6, 4, 6: one below the ceiling
+        (QQ, "y^2*z-x^3", 6),  # a cusp: kappa 3 > m(m-1) = 2
+        (F13, "x^4+y^4-x^2*z^2", 6),  # a tacnode: kappa 4 > 2
+    ],
+    ids=_curve_id,
+)
+def test_two_frames_at_the_ceiling_end_the_search(ctx, text, frames, monkeypatch):
+    real, calls = oracle._one_frame, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_one_frame", counted)
+    dual_degree_elim(proj(text, ctx))
+    assert len(calls) == frames
+
+
+def test_a_frame_past_the_ceiling_is_a_defect(monkeypatch, capsys):
+    # the nodal cubic's ceiling is 3*2 - 2*1 = 4, its product; a frame that
+    # stripped too little would have become the maximum
+    monkeypatch.setattr(oracle, "_one_frame", lambda FT, sing, d, rng: 4)
+    assert dual_degree_elim(proj("y^2*z-x^3-x^2*z")) == 4
+    monkeypatch.setattr(oracle, "_one_frame", lambda FT, sing, d, rng: 5)
+    with pytest.raises(InternalCheckError, match="past the ceiling 4"):
+        dual_degree_elim(proj("y^2*z-x^3-x^2*z"))
+    # the dual suite starts with that cubic, and a defect exits 2
+    assert main(["oracle", "compare", "--suite", "dual", "--char", "0"]) == 2
+    assert "past the ceiling 4" in capsys.readouterr().err
